@@ -29,6 +29,10 @@ POSITION_BITS = 43
 
 _MASK64 = (1 << 64) - 1
 
+# Largest Poisson rate whose exp(-rate) is still a normal double; past it
+# the CDF inversion would start from an underflowed mass and miscount.
+MAX_POISSON_RATE = -math.log(2.0**-1022)
+
 
 @dataclass(frozen=True)
 class CoinPRF:
@@ -97,8 +101,8 @@ def poisson_from_uniform(u: float, rate: float) -> int:
     One uniform in, one count out, so a cell's count is a pure function of
     its coin.  Runs the cumulative sum until it passes u.
     """
-    if rate < 0:
-        raise ValueError("rate must be nonnegative")
+    if not (0 <= rate <= MAX_POISSON_RATE):
+        raise ValueError(f"Poisson rate must lie in [0, {MAX_POISSON_RATE:g}], got {rate!r}")
     if rate == 0:
         return 0
     pmf = math.exp(-rate)

@@ -34,7 +34,7 @@ from .groups import (
     sample_generator,
     serialize_element,
 )
-from .kernels import Constant, GraphonGrid, WindowScaledConstant, graphon_prob
+from .kernels import Constant, GraphonGrid, WindowScaledConstant, graphon_prob_block
 from .pairs import (
     BallSector,
     IntRange,
@@ -379,7 +379,7 @@ def _exact_mask_probs(spec: FamilySpec, n: int) -> list:
     n_pairs = len(positions)
     kernel = spec.kernel
     if isinstance(kernel, (Constant, WindowScaledConstant)):
-        p = graphon_prob(kernel, 0.0, 0.0, n)
+        p = graphon_prob_block(kernel, np.zeros(1), np.zeros(1), n).item()
         return [
             (p ** bin(mask).count("1")) * ((1 - p) ** (n_pairs - bin(mask).count("1")))
             for mask in range(1 << n_pairs)

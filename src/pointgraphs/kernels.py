@@ -13,6 +13,7 @@ rotation invariance).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,7 @@ class Constant:
 class GraphonGrid:
     """Symmetric step function on a uniform grid over [0,1]^2.
 
-    Latents are mapped to the nearest grid cell; no interpolation, so the
-    kernel stays simple and exactly reproducible.
+    A latent x lies in cell min(int(x * g), g - 1); no interpolation.
     """
 
     values: tuple
@@ -58,10 +58,6 @@ class GraphonGrid:
             for b in range(g):
                 if vals[a][b] != vals[b][a]:
                     raise ValueError("grid must be symmetric")
-
-    def cell(self, x: float) -> int:
-        g = len(self.values)
-        return min(int(x * g), g - 1)
 
 
 @dataclass(frozen=True)
@@ -81,13 +77,18 @@ class WindowScaledConstant:
 GraphonKernel = Constant | GraphonGrid | WindowScaledConstant
 
 
-def graphon_prob(kernel: GraphonKernel, x_i: float, x_j: float, window_size: int) -> float:
+def graphon_prob_block(
+    kernel: GraphonKernel, xa: np.ndarray, xb: np.ndarray, window_size: int
+) -> np.ndarray:
+    """Edge probabilities between latents xa (rows) and xb (columns)."""
     if isinstance(kernel, Constant):
-        return kernel.p
+        return np.full((len(xa), len(xb)), kernel.p)
     if isinstance(kernel, GraphonGrid):
-        return kernel.values[kernel.cell(x_i)][kernel.cell(x_j)]
+        g = len(kernel.values)
+        ca, cb = (np.minimum((x * g).astype(np.int64), g - 1) for x in (xa, xb))
+        return np.asarray(kernel.values)[ca[:, None], cb[None, :]]
     if isinstance(kernel, WindowScaledConstant):
-        return min(1.0, kernel.p / window_size)
+        return np.full((len(xa), len(xb)), min(1.0, kernel.p / window_size))
     raise TypeError(f"not a graphon kernel: {kernel!r}")
 
 
@@ -102,8 +103,8 @@ class GraphexIndicator:
     c: float
 
     def __post_init__(self):
-        if self.c < 0:
-            raise ValueError("indicator cutoff must be nonnegative")
+        if not (0 <= self.c < math.inf):
+            raise ValueError("indicator cutoff must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -113,18 +114,20 @@ class GraphexProduct:
     a: float
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("ramp width must be positive")
+        if not (0 < self.a < math.inf):
+            raise ValueError("ramp width must be finite and positive")
 
 
 GraphexKernel = GraphexIndicator | GraphexProduct
 
 
-def graphex_prob(kernel: GraphexKernel, y_i: float, y_j: float) -> float:
+def graphex_prob_block(kernel: GraphexKernel, ya: np.ndarray, yb: np.ndarray) -> np.ndarray:
+    """Edge probabilities between marks ya (rows) and yb (columns)."""
     if isinstance(kernel, GraphexIndicator):
-        return 1.0 if (y_i <= kernel.c and y_j <= kernel.c) else 0.0
+        return ((ya <= kernel.c)[:, None] & (yb <= kernel.c)[None, :]).astype(float)
     if isinstance(kernel, GraphexProduct):
-        return max(0.0, 1.0 - y_i / kernel.a) * max(0.0, 1.0 - y_j / kernel.a)
+        ramp_a, ramp_b = (np.maximum(0.0, 1.0 - y / kernel.a) for y in (ya, yb))
+        return ramp_a[:, None] * ramp_b[None, :]
     raise TypeError(f"not a graphex kernel: {kernel!r}")
 
 
@@ -146,8 +149,8 @@ class HardDistance:
     r0: float
 
     def __post_init__(self):
-        if self.r0 < 0:
-            raise ValueError("connection radius must be nonnegative")
+        if not (0 <= self.r0 < math.inf):
+            raise ValueError("connection radius must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -158,8 +161,8 @@ class SoftDistance:
     shape: float
 
     def __post_init__(self):
-        if self.scale <= 0 or self.shape <= 0:
-            raise ValueError("scale and shape must be positive")
+        if not (0 < self.scale < math.inf and 0 < self.shape < math.inf):
+            raise ValueError("scale and shape must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -167,6 +170,10 @@ class RadialSum:
     """1 when r_i + r_j <= threshold; an inhomogeneous model driven only by radii."""
 
     threshold: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.threshold):
+            raise ValueError("radial threshold must be finite")
 
 
 @dataclass(frozen=True)
@@ -181,8 +188,8 @@ class HyperbolicSoft:
     T: float
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError("temperature must be positive")
+        if not (math.isfinite(self.R) and 0 < self.T < math.inf):
+            raise ValueError("R must be finite and the temperature finite and positive")
 
 
 @dataclass(frozen=True)
@@ -201,45 +208,39 @@ GeoKernel = (
 # Reductions below stay elementwise/broadcasted on purpose: the value
 # computed for a pair of points must not depend on how many other points
 # share the matrix, or coupled samples at different window sizes would
-# disagree at the last bit.
+# disagree at the last bit.  The same condition makes a pair's value
+# independent of the row and column slices it is evaluated in, so the
+# sampler can walk the pair matrix in tiles and still match, bit for bit,
+# the whole matrix evaluated at once.
 
 
-def _pair_dist(points: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
+def _pair_dist(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    diff = pa[:, None, :] - pb[None, :, :]
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
-def _pair_cos(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    safe = np.where(radii > 0, radii, 1.0)
-    units = points / safe[:, None]
-    cos = (units[:, None, :] * units[None, :, :]).sum(axis=-1)
-    return np.clip(cos, -1.0, 1.0)
-
-
-def geo_prob_matrix(kernel: GeoKernel, points: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Pairwise connection probabilities for a set of points (diagonal unused)."""
-    k = len(points)
-    if k == 0:
-        return np.zeros((0, 0))
+def geo_prob_block(
+    kernel: GeoKernel, pa: np.ndarray, ra: np.ndarray, pb: np.ndarray, rb: np.ndarray
+) -> np.ndarray:
+    """Connection probabilities between points pa (radii ra) and pb (radii rb)."""
     if isinstance(kernel, Constant):
-        return np.full((k, k), kernel.p)
+        return np.full((len(pa), len(pb)), kernel.p)
     if isinstance(kernel, HardDistance):
-        return (_pair_dist(points) <= kernel.r0).astype(float)
+        return (_pair_dist(pa, pb) <= kernel.r0).astype(float)
     if isinstance(kernel, SoftDistance):
-        d = _pair_dist(points)
+        d = _pair_dist(pa, pb)
         return np.exp(-((d / kernel.scale) ** kernel.shape))
     if isinstance(kernel, RadialSum):
-        s = radii[:, None] + radii[None, :]
+        s = ra[:, None] + rb[None, :]
         return (s <= kernel.threshold).astype(float)
     if isinstance(kernel, HyperbolicSoft):
-        ch = np.cosh(radii)[:, None] * np.cosh(radii)[None, :] - np.sinh(radii)[
-            :, None
-        ] * np.sinh(radii)[None, :] * _pair_cos(points, radii)
+        ua, ub = (p / np.where(r > 0, r, 1.0)[:, None] for p, r in ((pa, ra), (pb, rb)))
+        cos = np.clip((ua[:, None, :] * ub[None, :, :]).sum(axis=-1), -1.0, 1.0)
+        ch = np.outer(np.cosh(ra), np.cosh(rb)) - np.outer(np.sinh(ra), np.sinh(rb)) * cos
         dh = np.arccosh(np.maximum(ch, 1.0))
         return 1.0 / (1.0 + np.exp((dh - kernel.R) / (2.0 * kernel.T)))
     if isinstance(kernel, FixedDirectionIndicator):
-        right = points[:, 0] > 0
-        return (right[:, None] & right[None, :]).astype(float)
+        return ((pa[:, 0] > 0)[:, None] & (pb[:, 0] > 0)[None, :]).astype(float)
     raise TypeError(f"not a geometric kernel: {kernel!r}")
 
 

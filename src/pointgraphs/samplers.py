@@ -28,15 +28,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coins import CoinPRF, coin, coin_position, poisson_from_uniform
+from .coins import MAX_POISSON_RATE, CoinPRF, coin, coin_position, poisson_from_uniform
 from .kernels import (
     GeoKernel,
     GraphexKernel,
     GraphonKernel,
-    geo_prob_matrix,
-    graphex_prob,
+    geo_prob_block,
+    graphex_prob_block,
     graphex_support_bound,
-    graphon_prob,
+    graphon_prob_block,
     kernel_from_dict,
     kernel_to_dict,
 )
@@ -44,6 +44,10 @@ from .pairs import Graph, make_graph
 from .windows import Window, WindowKind, contains, make_window, unit_ball_volume
 
 FAMILIES = ("graphon", "graphex", "rotinv")
+
+# The pair matrix is evaluated in row tiles of about this many pairs, so a
+# sample's working memory grows with the point count, not with its square.
+TILE_PAIRS = 2**16
 
 
 class SpecMismatchError(ValueError):
@@ -55,8 +59,8 @@ class PoissonRate:
     rate: float
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("Poisson rate must be positive")
+        if not (0 < self.rate <= MAX_POISSON_RATE):
+            raise ValueError(f"Poisson rate must lie in (0, {MAX_POISSON_RATE:g}]: {self.rate!r}")
 
 
 @dataclass(frozen=True)
@@ -68,8 +72,8 @@ class RadialTable:
     def __post_init__(self):
         rates = tuple(float(r) for r in self.rates)
         object.__setattr__(self, "rates", rates)
-        if not rates or any(r < 0 for r in rates):
-            raise ValueError("shell rates must be nonnegative and nonempty")
+        if not rates or not all(0 <= r <= MAX_POISSON_RATE for r in rates):
+            raise ValueError(f"shell rates must be nonempty and in [0, {MAX_POISSON_RATE:g}]")
 
     def rate(self, shell: int) -> float:
         return self.rates[shell - 1] if shell <= len(self.rates) else 0.0
@@ -94,8 +98,8 @@ def graphon_spec(kernel, seed: int) -> FamilySpec:
 def graphex_spec(kernel, y_max: float, seed: int) -> FamilySpec:
     if not isinstance(kernel, GraphexKernel):
         raise ValueError(f"{kernel!r} is not a graphex kernel")
-    if y_max <= 0:
-        raise ValueError("y_max must be positive")
+    if not (0 < y_max < math.inf):
+        raise ValueError("y_max must be finite and positive")
     if graphex_support_bound(kernel) > y_max:
         raise ValueError("kernel support exceeds the mark truncation y_max")
     return FamilySpec("graphex", kernel, seed, y_max=float(y_max))
@@ -137,23 +141,26 @@ def spec_to_dict(spec: FamilySpec) -> dict:
 
 
 def spec_from_dict(data: dict) -> FamilySpec:
-    family = data.get("family")
-    kernel = kernel_from_dict(data["kernel"])
-    seed = int(data["seed"])
-    if family == "graphon":
-        return graphon_spec(kernel, seed)
-    if family == "graphex":
-        return graphex_spec(kernel, float(data["y_max"]), seed)
-    if family == "rotinv":
-        pdata = data["point"]
-        if pdata["type"] == "poisson":
-            point = PoissonRate(float(pdata["rate"]))
-        elif pdata["type"] == "radial_table":
-            point = RadialTable(tuple(pdata["rates"]))
-        else:
-            raise ValueError(f"unknown point spec {pdata['type']!r}")
-        return rotinv_spec(kernel, int(data["dim"]), point, seed)
-    raise ValueError(f"unknown family {family!r}")
+    try:
+        family = data.get("family")
+        kernel = kernel_from_dict(data["kernel"])
+        seed = int(data["seed"])
+        if family == "graphon":
+            return graphon_spec(kernel, seed)
+        if family == "graphex":
+            return graphex_spec(kernel, float(data["y_max"]), seed)
+        if family == "rotinv":
+            pdata = data["point"]
+            if pdata["type"] == "poisson":
+                point = PoissonRate(float(pdata["rate"]))
+            elif pdata["type"] == "radial_table":
+                point = RadialTable(tuple(pdata["rates"]))
+            else:
+                raise ValueError(f"unknown point spec {pdata['type']!r}")
+            return rotinv_spec(kernel, int(data["dim"]), point, seed)
+        raise ValueError(f"unknown family {family!r}")
+    except KeyError as exc:
+        raise ValueError(f"config is missing the key {exc.args[0]!r}") from exc
 
 
 def fingerprint(spec: FamilySpec) -> str:
@@ -170,44 +177,28 @@ def reseeded(spec: FamilySpec, seed: int) -> FamilySpec:
 # Samplers
 
 
-def _edge_set(prf: CoinPRF, keys, prob) -> set:
-    """Bernoulli edges over all index pairs; prob(i, j) -> probability.
+def _draw_edges(prf: CoinPRF, keys, block) -> set:
+    """Bernoulli edges over all index pairs i < j.
 
-    Certain edges (p >= 1) and impossible ones (p <= 0) consume no coin;
-    since coins are keyed rather than sequential, skipping them cannot
-    perturb any other decision.
+    ``block(rows, cols)`` gives the edge probabilities between two index
+    slices; the upper triangle is walked in row tiles of about TILE_PAIRS
+    pairs.  Certain edges (p >= 1) and impossible ones (p <= 0) consume no
+    coin; since coins are keyed rather than sequential, skipping them
+    cannot perturb any other decision.
     """
+    k = len(keys)
     edges = set()
-    k = len(keys)
-    for i in range(k):
-        for j in range(i + 1, k):
-            p = prob(i, j)
-            if p <= 0.0:
-                continue
-            if p < 1.0 and coin(prf, "edge", keys[i], keys[j]) >= p:
-                continue
-            edges.add((i, j))
-    return edges
-
-
-def _edge_set_from_matrix(prf: CoinPRF, keys, pmat: np.ndarray) -> set:
-    """Same contract as _edge_set, driven by a precomputed probability matrix.
-
-    Indicator kernels resolve without touching the coin stream at all, so
-    the certain edges can be read off in bulk.
-    """
-    k = len(keys)
     if k < 2:
-        return set()
-    iu, ju = np.triu_indices(k, 1)
-    vals = pmat[iu, ju]
-    edges = {
-        (int(i), int(j)) for i, j in zip(iu[vals >= 1.0], ju[vals >= 1.0])
-    }
-    for t in np.flatnonzero((vals > 0.0) & (vals < 1.0)):
-        i, j = int(iu[t]), int(ju[t])
-        if coin(prf, "edge", keys[i], keys[j]) < float(vals[t]):
-            edges.add((i, j))
+        return edges
+    step = max(1, TILE_PAIRS // k)
+    for lo in range(0, k - 1, step):
+        p = block(slice(lo, min(lo + step, k - 1)), slice(lo, k))
+        ii, jj = np.nonzero(p > 0.0)
+        upper = jj > ii  # tile entry (a, b) is the pair (lo + a, lo + b)
+        ii, jj = ii[upper], jj[upper]
+        for i, j, q in zip((ii + lo).tolist(), (jj + lo).tolist(), p[ii, jj].tolist()):
+            if q >= 1.0 or coin(prf, "edge", keys[i], keys[j]) < q:
+                edges.add((i, j))
     return edges
 
 
@@ -225,11 +216,10 @@ def sample_graphon(spec: FamilySpec, n: int) -> Graph:
     n = int(n)
     prf = CoinPRF(spec.seed)
     latents = [coin(prf, "lat", i) for i in range(1, n + 1)]
-
-    def prob(i: int, j: int) -> float:
-        return graphon_prob(spec.kernel, latents[i], latents[j], n)
-
-    edges = _edge_set(prf, tuple(range(1, n + 1)), prob)
+    lat = np.asarray(latents)
+    edges = _draw_edges(
+        prf, range(1, n + 1), lambda a, b: graphon_prob_block(spec.kernel, lat[a], lat[b], n)
+    )
     return make_graph(
         window_for(spec, n),
         tuple(range(1, n + 1)),
@@ -272,11 +262,8 @@ def sample_graphex(spec: FamilySpec, n: float) -> Graph:
     keys = [keys[t] for t in order]
     if len(set(xs)) != len(xs):
         raise RuntimeError("bit-equal label collision in graphex sample")
-
-    def prob(i: int, j: int) -> float:
-        return graphex_prob(spec.kernel, ys[i], ys[j])
-
-    edges = _edge_set(prf, keys, prob)
+    y = np.asarray(ys)
+    edges = _draw_edges(prf, keys, lambda a, b: graphex_prob_block(spec.kernel, y[a], y[b]))
     touched = {i for e in edges for i in e}
     keep = [i for i in range(len(xs)) if i in touched]
     remap = {old: new for new, old in enumerate(keep)}
@@ -342,10 +329,11 @@ def sample_rotinv(spec: FamilySpec, n: float) -> Graph:
                 keys.append((shell, idx))
     if len(set(points)) != len(points):
         raise RuntimeError("bit-equal label collision in rotinv sample")
-    pmat = geo_prob_matrix(
-        spec.kernel, np.asarray(points, dtype=float).reshape(len(points), dim), np.asarray(radii)
+    pts = np.asarray(points, dtype=float).reshape(len(points), dim)
+    rad = np.asarray(radii)
+    edges = _draw_edges(
+        prf, keys, lambda a, b: geo_prob_block(spec.kernel, pts[a], rad[a], pts[b], rad[b])
     )
-    edges = _edge_set_from_matrix(prf, keys, pmat)
     return make_graph(window, points, edges, radii, "rotinv", fingerprint(spec))
 
 

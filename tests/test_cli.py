@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 
 from pointgraphs.cli import run
 from pointgraphs.edgelist import loads_graph
@@ -145,6 +146,20 @@ def test_bad_config_exits_one(tmp_path, capsys):
     bad.write_text('{"family": "nope", "kernel": {"type": "constant", "p": 0.5}, "seed": 1}')
     assert run(["sample", "--config", str(bad), "--n", "4"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, missing",
+    [("graphon", "kernel"), ("graphex", "y_max"), ("rotinv", "point"), ("rotinv", "dim")],
+)
+def test_config_missing_key_is_one_error_line(tmp_path, capsys, config, missing):
+    data = json.loads(read(CONFIGS / f"{config}.json"))
+    del data[missing]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run(["sample", "--config", str(bad), "--n", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"pointgraphs: error: config is missing the key {missing!r}"]
 
 
 def test_console_entry_point_runs():

@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from pointgraphs import CoinPRF, coin, coin_position, coin_u64, derive_seed, poisson_from_uniform
-from pointgraphs.coins import POSITION_BITS
+from pointgraphs import (
+    CoinPRF,
+    PoissonRate,
+    RadialTable,
+    coin,
+    coin_position,
+    coin_u64,
+    derive_seed,
+    poisson_from_uniform,
+)
+from pointgraphs.coins import MAX_POISSON_RATE, POSITION_BITS
 
 
 def test_repeated_call_is_deterministic():
@@ -89,6 +98,20 @@ def test_poisson_inverse_cdf_small_values():
     assert poisson_from_uniform(0.73, 1.0) == 1
     assert poisson_from_uniform(0.74, 1.0) == 2
     assert poisson_from_uniform(0.5, 0.0) == 0
+
+
+def test_poisson_rates_past_underflow_rejected():
+    # exp(-800) underflows to 0.0; inverting from there counts 1 for every u.
+    for rate in (800.0, math.nextafter(MAX_POISSON_RATE, math.inf), math.inf, math.nan):
+        with pytest.raises(ValueError):
+            poisson_from_uniform(0.5, rate)
+        with pytest.raises(ValueError):
+            PoissonRate(rate)
+        with pytest.raises(ValueError):
+            RadialTable((1.0, rate))
+    assert abs(poisson_from_uniform(0.5, MAX_POISSON_RATE) - MAX_POISSON_RATE) < 2
+    PoissonRate(MAX_POISSON_RATE)
+    RadialTable((MAX_POISSON_RATE,))
 
 
 def test_poisson_from_coins_matches_mean_and_variance():

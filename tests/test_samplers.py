@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pointgraphs import (
     Constant,
+    FamilySpec,
     GraphexIndicator,
     GraphexProduct,
     GraphonGrid,
@@ -34,8 +36,9 @@ from pointgraphs import (
     spec_to_dict,
     window_for,
 )
-from pointgraphs.coins import derive_seed
-from pointgraphs.kernels import FixedDirectionIndicator, geo_prob_matrix
+from pointgraphs import samplers
+from pointgraphs.coins import coin, derive_seed
+from pointgraphs.kernels import FixedDirectionIndicator, geo_prob_block
 
 
 def mc_mean(values):
@@ -312,24 +315,94 @@ def test_rotinv_restriction_exact():
 def test_geo_kernel_matrices():
     pts = np.array([[1.0, 0.0], [0.0, 2.0], [-1.5, 0.0]])
     radii = np.array([1.0, 2.0, 1.5])
-    hard = geo_prob_matrix(HardDistance(2.3), pts, radii)
+    hard = geo_prob_block(HardDistance(2.3), pts, radii, pts, radii)
     assert hard[0, 1] == 1.0  # dist sqrt(5) ~ 2.236
     assert hard[0, 2] == 0.0 and hard[1, 2] == 0.0  # dists 2.5 exactly
-    soft = geo_prob_matrix(SoftDistance(1.0, 2.0), pts, radii)
+    soft = geo_prob_block(SoftDistance(1.0, 2.0), pts, radii, pts, radii)
     assert soft[0, 1] == pytest.approx(math.exp(-5.0))
-    rad = geo_prob_matrix(RadialSum(3.0), pts, radii)
+    rad = geo_prob_block(RadialSum(3.0), pts, radii, pts, radii)
     assert rad[0, 1] == 1.0 and rad[1, 2] == 0.0
-    fixed = geo_prob_matrix(FixedDirectionIndicator(), pts, radii)
+    fixed = geo_prob_block(FixedDirectionIndicator(), pts, radii, pts, radii)
     assert fixed[0, 1] == 0.0 and fixed[0, 0] == 1.0 and fixed[0, 2] == 0.0
 
 
 def test_hyperbolic_kernel_formula():
     pts = np.array([[1.0, 0.0], [0.0, 2.0]])  # right angle between directions
     radii = np.array([1.0, 2.0])
-    got = geo_prob_matrix(HyperbolicSoft(R=2.0, T=0.5), pts, radii)[0, 1]
+    got = geo_prob_block(HyperbolicSoft(R=2.0, T=0.5), pts, radii, pts, radii)[0, 1]
     dh = math.acosh(math.cosh(1.0) * math.cosh(2.0))  # cos(pi/2) kills the second term
     want = 1.0 / (1.0 + math.exp((dh - 2.0) / 1.0))
     assert got == pytest.approx(want, rel=1e-12)
+
+
+# --- tiled edge drawing --------------------------------------------------------
+
+
+def _rotinv(kernel):
+    return rotinv_spec(kernel, dim=2, point=PoissonRate(3.0), seed=91)
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [
+        (graphon_spec(Constant(0.4), seed=81), 30),
+        (graphon_spec(GraphonGrid(((0.9, 0.1, 1.0), (0.1, 0.0, 0.5), (1.0, 0.5, 0.3))), 82), 30),
+        (graphon_spec(WindowScaledConstant(1.0), seed=83), 30),
+        (graphex_spec(GraphexIndicator(0.5), y_max=2.0, seed=84), 12.0),
+        (graphex_spec(GraphexProduct(1.5), y_max=2.0, seed=85), 12.0),
+        (_rotinv(Constant(0.2)), 10.0),
+        (_rotinv(HardDistance(0.6)), 10.0),
+        (_rotinv(SoftDistance(0.5, 1.5)), 10.0),
+        (_rotinv(RadialSum(2.0)), 10.0),
+        (_rotinv(HyperbolicSoft(2.5, 0.4)), 10.0),
+        (_rotinv(FixedDirectionIndicator()), 10.0),
+    ],
+    ids=lambda v: f"{v.family}-{type(v.kernel).__name__}" if isinstance(v, FamilySpec) else str(v),
+)
+def test_tiled_edges_match_whole_matrix_reference(monkeypatch, spec, n):
+    """Many small tiles give the edges of one whole-matrix evaluation plus keyed coins."""
+    monkeypatch.setattr(samplers, "TILE_PAIRS", 64)
+    draw, seen = samplers._draw_edges, []
+
+    def spy(prf, keys, block):
+        tiles = []
+
+        def recorded(rows, cols):
+            tiles.append((rows, cols, block(rows, cols)))
+            return tiles[-1][2]
+
+        edges = draw(prf, keys, recorded)
+        seen.append((prf, keys, block, edges, tiles))
+        return edges
+
+    monkeypatch.setattr(samplers, "_draw_edges", spy)
+    sample(spec, n)
+    ((prf, keys, block, edges, tiles),) = seen
+    k = len(keys)
+    pmat = block(slice(0, k), slice(0, k))
+    assert len(tiles) >= 3
+    for rows, cols, tile in tiles:
+        assert np.array_equal(tile, pmat[rows, cols])  # bit for bit
+    want = set()
+    for i in range(k):
+        for j in range(i + 1, k):
+            p = pmat[i, j]
+            if p >= 1.0 or (p > 0.0 and coin(prf, "edge", keys[i], keys[j]) < p):
+                want.add((i, j))
+    assert edges == want
+
+
+def test_rotinv_sampling_memory_is_tiled():
+    # ~1200 points in d=3: a whole k x k x d pair matrix would peak near 80 MiB.
+    spec = rotinv_spec(HardDistance(0.5), dim=3, point=PoissonRate(3.0), seed=7)
+    tracemalloc.start()
+    try:
+        graph = sample(spec, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.n_vertices > 1000
+    assert peak < 16 * 2**20
 
 
 # --- extend_sample --------------------------------------------------------------
@@ -387,6 +460,32 @@ def test_fingerprint_tracks_seed_and_kernel():
     assert fingerprint(a) == fingerprint(graphon_spec(Constant(0.5), seed=1))
     assert fingerprint(a) != fingerprint(graphon_spec(Constant(0.5), seed=2))
     assert fingerprint(a) != fingerprint(graphon_spec(Constant(0.6), seed=1))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda v: Constant(v), id="Constant.p"),
+        pytest.param(lambda v: GraphonGrid(((v,),)), id="GraphonGrid.values"),
+        pytest.param(lambda v: WindowScaledConstant(v), id="WindowScaledConstant.p"),
+        pytest.param(lambda v: GraphexIndicator(v), id="GraphexIndicator.c"),
+        pytest.param(lambda v: GraphexProduct(v), id="GraphexProduct.a"),
+        pytest.param(lambda v: HardDistance(v), id="HardDistance.r0"),
+        pytest.param(lambda v: SoftDistance(v, 1.0), id="SoftDistance.scale"),
+        pytest.param(lambda v: SoftDistance(1.0, v), id="SoftDistance.shape"),
+        pytest.param(lambda v: RadialSum(v), id="RadialSum.threshold"),
+        pytest.param(lambda v: HyperbolicSoft(v, 0.5), id="HyperbolicSoft.R"),
+        pytest.param(lambda v: HyperbolicSoft(2.0, v), id="HyperbolicSoft.T"),
+        pytest.param(lambda v: PoissonRate(v), id="PoissonRate.rate"),
+        pytest.param(lambda v: RadialTable((1.0, v)), id="RadialTable.rates"),
+        pytest.param(lambda v: graphex_spec(GraphexIndicator(0.2), v, seed=0), id="y_max"),
+    ],
+)
+def test_nonfinite_parameters_rejected(make):
+    make(0.5)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            make(value)
 
 
 def test_kernel_family_pairing_enforced():
