@@ -28,7 +28,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coins import MAX_POISSON_RATE, CoinPRF, coin, coin_position, poisson_from_uniform
+from .coins import (
+    COIN_VERSION,
+    MAX_POISSON_RATE,
+    CoinPRF,
+    coin_batch,
+    coin_position_batch,
+    edge_coin_batch,
+    key_ids,
+    poisson_from_uniform,
+)
 from .kernels import (
     GeoKernel,
     GraphexKernel,
@@ -41,7 +50,7 @@ from .kernels import (
     kernel_to_dict,
 )
 from .pairs import Graph, make_graph
-from .windows import Window, WindowKind, contains, make_window, unit_ball_volume
+from .windows import Window, WindowKind, contains, make_window, unit_ball_volume, window_to_dict
 
 FAMILIES = ("graphon", "graphex", "rotinv")
 
@@ -52,6 +61,16 @@ TILE_PAIRS = 2**16
 
 class SpecMismatchError(ValueError):
     """A graph was offered to a family spec it was not sampled from."""
+
+
+class LabelCollisionError(ValueError):
+    """Two points of one sample drew bit-equal labels."""
+
+    def __init__(self, spec: "FamilySpec", window: Window):
+        super().__init__(
+            f"bit-equal label collision in {spec.family} sample with seed {spec.seed} "
+            f"in window {window_to_dict(window)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -164,8 +183,10 @@ def spec_from_dict(data: dict) -> FamilySpec:
 
 
 def fingerprint(spec: FamilySpec) -> str:
-    """Hash of the canonicalized spec (kernel, sizes, seed); embedded in outputs."""
-    blob = json.dumps(spec_to_dict(spec), sort_keys=True, separators=(",", ":"))
+    """Hash of the canonicalized spec (kernel, sizes, seed) and the coin
+    version; embedded in outputs."""
+    data = dict(spec_to_dict(spec), coin_version=COIN_VERSION)
+    blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
@@ -182,24 +203,38 @@ def _draw_edges(prf: CoinPRF, keys, block) -> set:
 
     ``block(rows, cols)`` gives the edge probabilities between two index
     slices; the upper triangle is walked in row tiles of about TILE_PAIRS
-    pairs.  Certain edges (p >= 1) and impossible ones (p <= 0) consume no
-    coin; since coins are keyed rather than sequential, skipping them
-    cannot perturb any other decision.
+    pairs, and each tile's edge coins are drawn in one batch, keyed by the
+    ids of the vertex keys.  Certain edges (p >= 1) and impossible ones
+    (p <= 0) consume no coin; since coins are keyed rather than sequential,
+    skipping them cannot perturb any other decision.
     """
     k = len(keys)
     edges = set()
     if k < 2:
         return edges
+    ids = key_ids(keys)
     step = max(1, TILE_PAIRS // k)
     for lo in range(0, k - 1, step):
         p = block(slice(lo, min(lo + step, k - 1)), slice(lo, k))
         ii, jj = np.nonzero(p > 0.0)
         upper = jj > ii  # tile entry (a, b) is the pair (lo + a, lo + b)
         ii, jj = ii[upper], jj[upper]
-        for i, j, q in zip((ii + lo).tolist(), (jj + lo).tolist(), p[ii, jj].tolist()):
-            if q >= 1.0 or coin(prf, "edge", keys[i], keys[j]) < q:
-                edges.add((i, j))
+        q = p[ii, jj]
+        ii += lo
+        jj += lo
+        hit = q >= 1.0
+        unsure = ~hit
+        hit[unsure] = edge_coin_batch(prf, ids[ii[unsure]], ids[jj[unsure]]) < q[unsure]
+        edges.update(zip(ii[hit].tolist(), jj[hit].tolist()))
     return edges
+
+
+def _cell_points(counts, *cells: np.ndarray):
+    """Per-point cell columns and 1-based within-cell indices for ``counts``."""
+    counts = np.asarray(counts, dtype=np.int64)
+    points = tuple(np.repeat(c, counts) for c in cells)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    return points, np.arange(len(starts)) - starts + 1
 
 
 def sample_graphon(spec: FamilySpec, n: int) -> Graph:
@@ -215,8 +250,7 @@ def sample_graphon(spec: FamilySpec, n: int) -> Graph:
         raise ValueError("graphon windows need a positive integer size")
     n = int(n)
     prf = CoinPRF(spec.seed)
-    latents = [coin(prf, "lat", i) for i in range(1, n + 1)]
-    lat = np.asarray(latents)
+    lat = coin_batch(prf, "lat", np.arange(1, n + 1))
     edges = _draw_edges(
         prf, range(1, n + 1), lambda a, b: graphon_prob_block(spec.kernel, lat[a], lat[b], n)
     )
@@ -224,7 +258,7 @@ def sample_graphon(spec: FamilySpec, n: int) -> Graph:
         window_for(spec, n),
         tuple(range(1, n + 1)),
         edges,
-        latents,
+        lat.tolist(),
         "graphon",
         fingerprint(spec),
     )
@@ -245,44 +279,35 @@ def sample_graphex(spec: FamilySpec, n: float) -> Graph:
         raise ValueError("window size must be positive")
     prf = CoinPRF(spec.seed)
     window = window_for(spec, n)
-    xs, ys, keys = [], [], []
-    for a in range(math.ceil(n)):
-        for b in range(math.ceil(spec.y_max)):
-            cnt = poisson_from_uniform(coin(prf, "cnt", a, b), 1.0)
-            for idx in range(1, cnt + 1):
-                x = a + coin_position(prf, "posx", a, b, idx)
-                y = b + coin_position(prf, "posy", a, b, idx)
-                if contains(window, x) and y < spec.y_max:
-                    xs.append(x)
-                    ys.append(y)
-                    keys.append((a, b, idx))
-    order = sorted(range(len(xs)), key=lambda t: xs[t])
-    xs = [xs[t] for t in order]
-    ys = [ys[t] for t in order]
-    keys = [keys[t] for t in order]
-    if len(set(xs)) != len(xs):
-        raise RuntimeError("bit-equal label collision in graphex sample")
-    y = np.asarray(ys)
-    edges = _draw_edges(prf, keys, lambda a, b: graphex_prob_block(spec.kernel, y[a], y[b]))
-    touched = {i for e in edges for i in e}
-    keep = [i for i in range(len(xs)) if i in touched]
+    rows = math.ceil(spec.y_max)
+    a, b = np.divmod(np.arange(math.ceil(n) * rows), rows)
+    counts = [poisson_from_uniform(u, 1.0) for u in coin_batch(prf, "cnt", a, b).tolist()]
+    (a, b), idx = _cell_points(counts, a, b)
+    x = a + coin_position_batch(prf, "posx", a, b, idx)
+    y = b + coin_position_batch(prf, "posy", a, b, idx)
+    inside = (x < window.size) & (y < spec.y_max)  # x >= 0 by construction
+    order = np.flatnonzero(inside)[np.argsort(x[inside], kind="stable")]
+    x, y = x[order], y[order]
+    if np.any(x[1:] == x[:-1]):
+        raise LabelCollisionError(spec, window)
+    keys = list(zip(a[order].tolist(), b[order].tolist(), idx[order].tolist()))
+    edges = _draw_edges(prf, keys, lambda r, c: graphex_prob_block(spec.kernel, y[r], y[c]))
+    keep = sorted({i for e in edges for i in e})
     remap = {old: new for new, old in enumerate(keep)}
     return make_graph(
         window,
-        tuple(xs[i] for i in keep),
+        x[keep].tolist(),
         {(remap[i], remap[j]) for i, j in edges},
-        tuple(ys[i] for i in keep),
+        y[keep].tolist(),
         "graphex",
         fingerprint(spec),
     )
 
 
-def _gaussian_direction(prf: CoinPRF, shell: int, idx: int, dim: int):
-    """Unit vector from Box-Muller pairs over the point's coin stream."""
+def _gaussian_direction(us, dim: int):
+    """Unit vector from Box-Muller pairs over the point's angle coins."""
     gs = []
-    for m in range((dim + 1) // 2):
-        u1 = coin(prf, "ang", shell, idx, 2 * m)
-        u2 = coin(prf, "ang", shell, idx, 2 * m + 1)
+    for u1, u2 in zip(us[0::2], us[1::2]):
         mag = math.sqrt(-2.0 * math.log(1.0 - u1))
         gs.append(mag * math.cos(2.0 * math.pi * u2))
         gs.append(mag * math.sin(2.0 * math.pi * u2))
@@ -299,7 +324,8 @@ def sample_rotinv(spec: FamilySpec, n: float) -> Graph:
     Radial coordinates are sampled shell by shell (unit-volume annuli, so
     the volume coordinate within a shell is uniform) and directions
     uniformly on the sphere, which is exactly the factorization available
-    to any rotation-invariant point process.
+    to any rotation-invariant point process.  Coins are drawn in one batch
+    per tag; the float transforms stay in ``math``, value by value.
     """
     if spec.family != "rotinv":
         raise ValueError("spec is not a rotinv family")
@@ -309,26 +335,32 @@ def sample_rotinv(spec: FamilySpec, n: float) -> Graph:
     prf = CoinPRF(spec.seed)
     window = window_for(spec, n)
     vd = unit_ball_volume(dim)
-    points, radii, keys = [], [], []
     # One shell past ceil(n) so boundary rounding can never differ between
     # a direct sample and a restriction from a larger window.
-    for shell in range(1, math.ceil(n) + 2):
-        if isinstance(spec.point, PoissonRate):
-            rate = spec.point.rate
-        else:
-            rate = spec.point.rate(shell)
-        cnt = poisson_from_uniform(coin(prf, "cnt", shell), rate)
-        for idx in range(1, cnt + 1):
-            vol = (shell - 1) + coin(prf, "rad", shell, idx)
-            r = (vol / vd) ** (1.0 / dim)
-            direction = _gaussian_direction(prf, shell, idx, dim)
-            p = tuple(r * c for c in direction)
-            if contains(window, p):
-                points.append(p)
-                radii.append(r)
-                keys.append((shell, idx))
+    shells = np.arange(1, math.ceil(n) + 2)
+    if isinstance(spec.point, PoissonRate):
+        rates = [spec.point.rate] * len(shells)
+    else:
+        rates = [spec.point.rate(shell) for shell in shells.tolist()]
+    u_cnt = coin_batch(prf, "cnt", shells).tolist()
+    counts = [poisson_from_uniform(u, rate) for u, rate in zip(u_cnt, rates)]
+    (sh,), idx = _cell_points(counts, shells)
+    n_ang = 2 * ((dim + 1) // 2)  # Box-Muller pairs cover dim coordinates
+    ang = coin_batch(
+        prf, "ang", np.repeat(sh, n_ang), np.repeat(idx, n_ang), np.tile(np.arange(n_ang), len(sh))
+    ).reshape(len(sh), n_ang)
+    points, radii, keys = [], [], []
+    for shell, i, u, us in zip(
+        sh.tolist(), idx.tolist(), coin_batch(prf, "rad", sh, idx).tolist(), ang.tolist()
+    ):
+        r = (((shell - 1) + u) / vd) ** (1.0 / dim)
+        p = tuple(r * c for c in _gaussian_direction(us, dim))
+        if contains(window, p):
+            points.append(p)
+            radii.append(r)
+            keys.append((shell, i))
     if len(set(points)) != len(points):
-        raise RuntimeError("bit-equal label collision in rotinv sample")
+        raise LabelCollisionError(spec, window)
     pts = np.asarray(points, dtype=float).reshape(len(points), dim)
     rad = np.asarray(radii)
     edges = _draw_edges(

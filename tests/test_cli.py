@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pointgraphs.cli import run
@@ -160,6 +161,18 @@ def test_config_missing_key_is_one_error_line(tmp_path, capsys, config, missing)
     assert run(["sample", "--config", str(bad), "--n", "2"]) == 1
     err = capsys.readouterr().err
     assert err.splitlines() == [f"pointgraphs: error: config is missing the key {missing!r}"]
+
+
+def test_label_collision_is_one_error_line(capsys, monkeypatch):
+    from pointgraphs import samplers
+
+    monkeypatch.setattr(
+        samplers, "coin_position_batch", lambda prf, tag, *cols: np.zeros(len(cols[0]))
+    )
+    assert run(["sample", "--config", str(CONFIGS / "graphex.json"), "--n", "6", "--seed", "5"]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("pointgraphs: error: bit-equal label collision in graphex sample")
+    assert "seed 5" in line
 
 
 def test_console_entry_point_runs():

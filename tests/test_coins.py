@@ -13,7 +13,15 @@ from pointgraphs import (
     derive_seed,
     poisson_from_uniform,
 )
-from pointgraphs.coins import MAX_POISSON_RATE, POSITION_BITS
+from pointgraphs.coins import (
+    MAX_POISSON_RATE,
+    POSITION_BITS,
+    SMALL_BATCH,
+    coin_batch,
+    coin_position_batch,
+    edge_coin_batch,
+    key_ids,
+)
 
 
 def test_repeated_call_is_deterministic():
@@ -60,7 +68,7 @@ def test_uniformity_ks_100k_keys():
     # KS distance of 1e5 coins against U[0,1); 0.01 is far above the
     # ~0.0043 typical for a true uniform sample of this size.
     s = CoinPRF(20240817)
-    values = [coin(s, "u", k) for k in range(1, 100_001)]
+    values = coin_batch(s, "u", np.arange(1, 100_001))
     assert one_sample_ks_vs_uniform(values) < 0.01
 
 
@@ -86,9 +94,13 @@ def test_seed_range_validated():
         CoinPRF(1 << 64)
 
 
-def test_derive_seed_xor():
-    assert derive_seed(0b1100, 0b1010) == 0b0110
-    assert derive_seed((1 << 64) - 1, 1) == (1 << 64) - 2
+def test_derive_seed_adjacent_seeds_share_no_trial_seed():
+    # seed XOR t made seed 42 trial 1 equal seed 43 trial 0
+    trials = range(10_000)
+    for seed in (42, 1 << 40):
+        here = {derive_seed(seed, t) for t in trials}
+        assert len(here) == len(trials)
+        assert here.isdisjoint(derive_seed(seed + 1, t) for t in trials)
 
 
 def test_poisson_inverse_cdf_small_values():
@@ -123,3 +135,110 @@ def test_poisson_from_coins_matches_mean_and_variance():
     # 3 standard errors: sd(mean) = sqrt(rate/N)
     assert abs(mean - rate) < 3 * math.sqrt(rate / len(draws))
     assert abs(var - rate) < 0.15
+
+
+# --- the batched engine -----------------------------------------------------------
+
+_CELLS = np.arange(24)
+_SAMPLER_KEYS = [
+    # (scalar function, batch function, tag, key columns) as the samplers draw them
+    (coin, coin_batch, "lat", [_CELLS + 1]),
+    (coin, coin_batch, "cnt", [_CELLS // 3, _CELLS % 3]),
+    (coin, coin_batch, "cnt", [_CELLS + 1]),
+    (coin_position, coin_position_batch, "posx", [_CELLS // 6, _CELLS % 2, _CELLS % 3 + 1]),
+    (coin_position, coin_position_batch, "posy", [_CELLS // 6, _CELLS % 2, _CELLS % 3 + 1]),
+    (coin, coin_batch, "rad", [_CELLS // 4 + 1, _CELLS % 4 + 1]),
+    (coin, coin_batch, "ang", [_CELLS // 8 + 1, _CELLS // 4 % 2 + 1, _CELLS % 4]),
+]
+
+
+@pytest.mark.parametrize("scalar, batch, tag, cols", _SAMPLER_KEYS, ids=lambda v: getattr(v, "__name__", None))
+def test_batch_equals_scalar_calls(scalar, batch, tag, cols):
+    # both sides of SMALL_BATCH: Python ints key by key, and uint64 arrays
+    s = CoinPRF(77)
+    for size in (3, len(cols[0])):
+        part = [c[:size] for c in cols]
+        want = [scalar(s, tag, *key) for key in zip(*(c.tolist() for c in part))]
+        assert batch(s, tag, *part).tolist() == want  # bit for bit
+    assert len(cols[0]) > SMALL_BATCH
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [list(range(1, 30)), [(a, b, i) for a in range(3) for b in range(2) for i in (1, 2, 3)],
+     [(shell, i) for shell in (1, 2, 5) for i in (1, 2, 3, 4, 5, 6)]],
+    ids=["int", "graphex", "rotinv"],
+)
+def test_edge_batch_equals_scalar_calls_and_is_symmetric(keys):
+    s = CoinPRF(78)
+    ids = key_ids(keys)
+    assert ids.tolist() == [key_ids(keys[t : t + 1])[0] for t in range(len(keys))]
+    ii, jj = np.triu_indices(len(keys), 1)
+    for size in (3, len(ii)):
+        got = edge_coin_batch(s, ids[ii[:size]], ids[jj[:size]])
+        assert got.tolist() == [coin(s, "edge", keys[i], keys[j]) for i, j in zip(ii[:size], jj[:size])]
+        assert np.array_equal(got, edge_coin_batch(s, ids[jj[:size]], ids[ii[:size]]))
+    assert len(keys) > SMALL_BATCH
+    assert coin(s, "edge", keys[3], keys[1]) == coin(s, "edge", keys[1], keys[3])
+
+
+def test_coin_does_not_depend_on_batch_position():
+    s = CoinPRF(79)
+    a, b = np.arange(500) % 17, np.arange(500) // 17
+    whole = coin_batch(s, "cnt", a, b)
+    perm = np.random.default_rng(0).permutation(500)
+    assert np.array_equal(coin_batch(s, "cnt", a[perm], b[perm]), whole[perm])
+    for cut in (slice(123, 321), slice(5, 9)):
+        assert np.array_equal(coin_batch(s, "cnt", a[cut], b[cut]), whole[cut])
+    ids = key_ids(np.arange(500))
+    edges = edge_coin_batch(s, ids[:-1], ids[1:])  # entry e is the pair (e, e + 1)
+    order = perm[perm < 499]
+    assert np.array_equal(edge_coin_batch(s, ids[order], ids[order + 1]), edges[order])
+    for cut in (slice(40, 90), slice(7, 10)):
+        assert np.array_equal(edge_coin_batch(s, ids[:-1][cut], ids[1:][cut]), edges[cut])
+
+
+def test_batch_rejects_non_integer_columns():
+    with pytest.raises(TypeError):
+        coin_batch(CoinPRF(0), "u", np.array([1.5]))
+
+
+_MASK = (1 << 64) - 1
+
+
+def _mix_reference(h: int) -> int:
+    h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _MASK
+    return h ^ (h >> 31)
+
+
+def _absorb_reference(h: int, words) -> int:
+    for c in words:
+        h = _mix_reference((h + c * 0x9E3779B97F4A7C15) & _MASK)
+    return h
+
+
+def _hash_reference(seed: int, tag: str, *words) -> int:
+    data = tag.encode()
+    tag_words = [len(data)] + [int.from_bytes(data[i : i + 8], "little") for i in range(0, len(data), 8)]
+    return _absorb_reference(_absorb_reference(_absorb_reference(0, tag_words), [seed]), words)
+
+
+def test_known_answers_coin_version_2():
+    # Pinned outputs: any change to the coin bits must fail here and ship
+    # as a new COIN_VERSION, never as a silent drift.
+    s = CoinPRF(42)
+    assert coin(s, "lat", 7) == 0.1302725118362451
+    assert coin_u64(s, "trial", 1) == 13260724068789866238 == derive_seed(42, 1)
+    assert coin_position(s, "posx", 1, 2, 3) == 0.5134704845422675
+    assert coin(s, "edge", 1, 2) == 0.6679909733958638
+    assert coin(s, "edge", (3, 1, 2), (0, 0, 1)) == 0.30316252694422197
+    assert coin(CoinPRF(0), "rad", 1, 1) == 0.1850645629708617
+    # ... and they follow the written definition: mix(h + c * PHI) from a
+    # (seed, tag) base (the seed absorbed into the tag's word), outputs by
+    # exact shifts, edges keyed by sorted ids.
+    assert coin(s, "lat", 7) == (_hash_reference(42, "lat", 7) >> 11) * 2.0**-53
+    assert coin_u64(s, "trial", 1) == _hash_reference(42, "trial", 1)
+    assert coin_position(s, "posx", 1, 2, 3) == (_hash_reference(42, "posx", 1, 2, 3) >> 21) * 2.0**-43
+    ids = sorted(_absorb_reference(0, key) for key in ((3, 1, 2), (0, 0, 1)))
+    assert coin(s, "edge", (3, 1, 2), (0, 0, 1)) == (_hash_reference(42, "edge", *ids) >> 11) * 2.0**-53

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import math
 import tracemalloc
 
@@ -433,6 +436,17 @@ def test_extend_rejects_foreign_graph():
         extend_sample(other, g, 4, 9)  # wrong source size
 
 
+def test_extend_rejects_graph_from_coin_version_1():
+    # a v1 graph carries the fingerprint of the spec alone, without COIN_VERSION
+    spec = graphon_spec(Constant(0.5), seed=66)
+    blob = json.dumps(spec_to_dict(spec), sort_keys=True, separators=(",", ":"))
+    v1 = dataclasses.replace(
+        sample(spec, 5), fingerprint=hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    )
+    with pytest.raises(SpecMismatchError):
+        extend_sample(spec, v1, 5, 9)
+
+
 def test_extend_keeps_graphex_window_edges():
     spec = graphex_spec(GraphexIndicator(1.5), y_max=2.0, seed=65)
     g1 = sample(spec, 1.0)
@@ -497,3 +511,27 @@ def test_kernel_family_pairing_enforced():
         rotinv_spec(GraphexIndicator(1.0), dim=2, point=PoissonRate(1.0), seed=0)
     with pytest.raises(ValueError):
         rotinv_spec(Constant(0.5), dim=1, point=PoissonRate(1.0), seed=0)
+
+
+# --- label collisions ------------------------------------------------------------
+
+
+def _constant_coins(prf, tag, *cols):
+    return np.full(np.broadcast_shapes(*(np.shape(c) for c in cols)), 0.5)
+
+
+@pytest.mark.parametrize(
+    "patched, spec, n",
+    [
+        ("coin_position_batch", graphex_spec(GraphexIndicator(1.0), y_max=2.0, seed=95), 4.0),
+        ("coin_batch", rotinv_spec(HardDistance(0.5), dim=2, point=PoissonRate(3.0), seed=96), 3.0),
+    ],
+    ids=["graphex", "rotinv"],
+)
+def test_label_collision_is_a_value_error_naming_seed_and_window(monkeypatch, patched, spec, n):
+    monkeypatch.setattr(samplers, patched, _constant_coins)
+    with pytest.raises(samplers.LabelCollisionError) as info:
+        sample(spec, n)
+    assert isinstance(info.value, ValueError)
+    message = str(info.value)
+    assert f"seed {spec.seed}" in message and f"'size': {n}" in message

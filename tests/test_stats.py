@@ -129,3 +129,18 @@ def test_chi_square_power():
     counts = rng.multinomial(40_000, [0.2, 0.3, 0.3, 0.2])
     _, p = chi_square_gof(list(counts), [0.25] * 4, 40_000)
     assert p < 1e-10
+
+
+@pytest.mark.parametrize("n, p, seed", [(12, 0.5, 1), (40, 0.3, 2), (80, 0.1, 3), (60, 0.9, 4)])
+def test_graph_stats_matches_networkx(n, p, seed):
+    nx = pytest.importorskip("networkx")
+    ref = nx.gnp_random_graph(n, p, seed=seed)
+    graph = make_graph(
+        make_window(WindowKind.INTEGER_PREFIX, n), range(1, n + 1), set(ref.edges())
+    )
+    s = graph_stats(graph)
+    degrees = [d for _, d in ref.degree()]
+    assert s.triangle_count == sum(nx.triangles(ref).values()) // 3
+    assert s.edge_count == ref.number_of_edges()
+    assert s.max_degree == max(degrees)
+    assert s.degree_histogram == {d: degrees.count(d) for d in set(degrees)}
