@@ -11,11 +11,8 @@ from .groups import (
     apply_graph,
     apply_label,
     apply_pairs,
-    compose,
     extend_element,
     haar_rotation,
-    identity_permutation,
-    inverse,
     sample_generator,
     serialize_element,
     transposition,
@@ -82,7 +79,6 @@ from .windows import (
     contains,
     make_window,
     unit_ball_volume,
-    window_from_dict,
     window_to_dict,
 )
 

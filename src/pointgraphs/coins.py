@@ -44,7 +44,7 @@ UNORDERED_PAIR_TAGS = frozenset({"edge"})
 
 # Real-line positions are quantized to this many fractional bits so that
 # dyadic-interval translations stay exact in double precision (exact for
-# labels below 2**(53 - POSITION_BITS) = 1024).
+# labels below 2**(53 - POSITION_BITS) = 1024; groups rejects swaps past it).
 POSITION_BITS = 43
 
 # Batches of at most this many keys are hashed in Python ints.

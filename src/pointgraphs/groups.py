@@ -11,7 +11,9 @@ A dyadic swap exchanges the half-open intervals ((i-1)/2^k, i/2^k] and
 ((j-1)/2^k, j/2^k] by translation and fixes everything else.  Boundary
 points belong to the upper interval.  Translations move labels by
 multiples of 2^-k, so on position-quantized labels (see coins) the swap
-is exactly an involution in double precision.
+is exactly an involution in double precision while its support stays
+within 2^(53 - POSITION_BITS) = 1024; swap words and swap generator sets
+reaching past that limit are rejected.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coins import POSITION_BITS
 from .edgelist import fmt_real
 from .pairs import Graph, PairConfiguration, pair_config, relabel_graph
 from .windows import Window, WindowKind
@@ -54,6 +57,11 @@ class DyadicSwapWord:
         for i, j, k in self.word:
             if i == j or i < 1 or j < 1 or k < 0:
                 raise ValueError(f"bad dyadic swap ({i}, {j}, {k})")
+            if max(i, j) * 2.0**-k > 2 ** (53 - POSITION_BITS):
+                raise ValueError(
+                    f"dyadic swap ({i}, {j}, {k}) has support past the exactness "
+                    f"limit {2 ** (53 - POSITION_BITS)}"
+                )
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,10 +87,6 @@ class Rotation:
 
 
 GroupElement = Permutation | DyadicSwapWord | Rotation
-
-
-def identity_permutation(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
 
 
 def transposition(n: int, a: int, b: int) -> Permutation:
@@ -168,33 +172,6 @@ def extend_element(g: GroupElement, window_n: Window, window_m: Window) -> Group
     raise TypeError(f"not a group element: {g!r}")
 
 
-def compose(g: GroupElement, h: GroupElement) -> GroupElement:
-    """Group product: apply h first, then g."""
-    if isinstance(g, Permutation) and isinstance(h, Permutation):
-        n = max(g.degree, h.degree)
-        gm = g.mapping + tuple(range(g.degree + 1, n + 1))
-        hm = h.mapping + tuple(range(h.degree + 1, n + 1))
-        return Permutation(tuple(gm[hm[x - 1] - 1] for x in range(1, n + 1)))
-    if isinstance(g, DyadicSwapWord) and isinstance(h, DyadicSwapWord):
-        return DyadicSwapWord(h.word + g.word)
-    if isinstance(g, Rotation) and isinstance(h, Rotation):
-        return Rotation(g.matrix @ h.matrix)
-    raise TypeError("cannot compose elements of different variants")
-
-
-def inverse(g: GroupElement) -> GroupElement:
-    if isinstance(g, Permutation):
-        inv = [0] * g.degree
-        for x, y in enumerate(g.mapping, start=1):
-            inv[y - 1] = x
-        return Permutation(tuple(inv))
-    if isinstance(g, DyadicSwapWord):
-        return DyadicSwapWord(tuple(reversed(g.word)))  # each swap is an involution
-    if isinstance(g, Rotation):
-        return Rotation(g.matrix.T.copy())
-    raise TypeError(f"not a group element: {g!r}")
-
-
 # ---------------------------------------------------------------------------
 # Generator sets realizing finite characteristic
 
@@ -214,8 +191,11 @@ class DyadicSwaps:
     k_max: int
 
     def __post_init__(self):
-        if self.n <= 0:
-            raise ValueError("window size must be positive")
+        if not (0 < self.n <= 2 ** (53 - POSITION_BITS)):
+            raise ValueError(
+                f"dyadic swaps need a window size in (0, {2 ** (53 - POSITION_BITS)}], "
+                f"their exactness limit; got {self.n!r}"
+            )
         if not (0 <= self.k_max <= 40):
             raise ValueError("k_max must lie in 0..40")
         if math.floor(self.n * 2**self.k_max) < 2:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .windows import Window, WindowKind, contains
+from .windows import Window, contains, contains_each
 
 
 @dataclass(frozen=True)
@@ -126,20 +126,23 @@ def restrict_graph(graph: Graph, window: Window, prune_isolated: bool = False) -
     """Induced subgraph on the vertices inside the window.
 
     Vertex order is preserved.  With ``prune_isolated`` vertices that lose
-    all their edges are dropped as well (graphex output semantics).
+    all their edges are dropped as well (graphex output semantics).  The
+    graph's labels are valid for its own window, so a window of the same
+    kind and dimension needs no per-label checks.
     """
-    keep = [i for i, v in enumerate(graph.vertices) if contains(window, v)]
+    if (window.kind, window.dim) != (graph.window.kind, graph.window.dim):
+        raise ValueError("restriction window must match the graph's window kind and dimension")
+    keep = [i for i, inside in enumerate(contains_each(window, graph.vertices)) if inside]
     keep_set = set(keep)
-    edges = {(i, j) for i, j in graph.edges if i in keep_set and j in keep_set}
+    edges = [(i, j) for i, j in graph.edges if i in keep_set and j in keep_set]
     if prune_isolated:
         touched = {i for e in edges for i in e}
         keep = [i for i in keep if i in touched]
     remap = {old: new for new, old in enumerate(keep)}
-    new_edges = {(remap[i], remap[j]) for i, j in edges}
-    return make_graph(
+    return Graph(
         window,
         tuple(graph.vertices[i] for i in keep),
-        new_edges,
+        frozenset((remap[i], remap[j]) for i, j in edges),
         None if graph.latents is None else tuple(graph.latents[i] for i in keep),
         graph.family,
         graph.fingerprint,
@@ -206,15 +209,6 @@ def count(config: PairConfiguration, box_a, box_b) -> int:
     return sum(
         1 for x, y in config.pairs if box_contains(box_a, x) and box_contains(box_b, y)
     )
-
-
-def window_box(window: Window):
-    """The box covering an entire window (for full-space counts)."""
-    if window.kind is WindowKind.INTEGER_PREFIX:
-        return IntRange(1, int(window.size))
-    if window.kind is WindowKind.REAL_INTERVAL:
-        return RealRange(0.0, window.size)
-    return BallSector(0.0, math.inf)
 
 
 def relabel_graph(graph: Graph, mapping) -> Graph:

@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import compress
 
 import numpy as np
 
@@ -49,8 +50,15 @@ from .kernels import (
     kernel_from_dict,
     kernel_to_dict,
 )
-from .pairs import Graph, make_graph
-from .windows import Window, WindowKind, contains, make_window, unit_ball_volume, window_to_dict
+from .pairs import Graph, prune_isolated
+from .windows import (
+    Window,
+    WindowKind,
+    contains_each,
+    make_window,
+    unit_ball_volume,
+    window_to_dict,
+)
 
 FAMILIES = ("graphon", "graphex", "rotinv")
 
@@ -254,11 +262,11 @@ def sample_graphon(spec: FamilySpec, n: int) -> Graph:
     edges = _draw_edges(
         prf, range(1, n + 1), lambda a, b: graphon_prob_block(spec.kernel, lat[a], lat[b], n)
     )
-    return make_graph(
+    return Graph(
         window_for(spec, n),
         tuple(range(1, n + 1)),
-        edges,
-        lat.tolist(),
+        frozenset(edges),
+        tuple(lat.tolist()),
         "graphon",
         fingerprint(spec),
     )
@@ -292,16 +300,10 @@ def sample_graphex(spec: FamilySpec, n: float) -> Graph:
         raise LabelCollisionError(spec, window)
     keys = list(zip(a[order].tolist(), b[order].tolist(), idx[order].tolist()))
     edges = _draw_edges(prf, keys, lambda r, c: graphex_prob_block(spec.kernel, y[r], y[c]))
-    keep = sorted({i for e in edges for i in e})
-    remap = {old: new for new, old in enumerate(keep)}
-    return make_graph(
-        window,
-        x[keep].tolist(),
-        {(remap[i], remap[j]) for i, j in edges},
-        y[keep].tolist(),
-        "graphex",
-        fingerprint(spec),
+    graph = Graph(
+        window, tuple(x.tolist()), frozenset(edges), tuple(y.tolist()), "graphex", fingerprint(spec)
     )
+    return prune_isolated(graph)
 
 
 def _gaussian_direction(us, dim: int):
@@ -354,11 +356,11 @@ def sample_rotinv(spec: FamilySpec, n: float) -> Graph:
         sh.tolist(), idx.tolist(), coin_batch(prf, "rad", sh, idx).tolist(), ang.tolist()
     ):
         r = (((shell - 1) + u) / vd) ** (1.0 / dim)
-        p = tuple(r * c for c in _gaussian_direction(us, dim))
-        if contains(window, p):
-            points.append(p)
-            radii.append(r)
-            keys.append((shell, i))
+        points.append(tuple(r * c for c in _gaussian_direction(us, dim)))
+        radii.append(r)
+        keys.append((shell, i))
+    inside = contains_each(window, points)
+    points, radii, keys = (list(compress(col, inside)) for col in (points, radii, keys))
     if len(set(points)) != len(points):
         raise LabelCollisionError(spec, window)
     pts = np.asarray(points, dtype=float).reshape(len(points), dim)
@@ -366,7 +368,7 @@ def sample_rotinv(spec: FamilySpec, n: float) -> Graph:
     edges = _draw_edges(
         prf, keys, lambda a, b: geo_prob_block(spec.kernel, pts[a], rad[a], pts[b], rad[b])
     )
-    return make_graph(window, points, edges, radii, "rotinv", fingerprint(spec))
+    return Graph(window, tuple(points), frozenset(edges), tuple(radii), "rotinv", fingerprint(spec))
 
 
 def sample(spec: FamilySpec, n: float) -> Graph:

@@ -95,16 +95,26 @@ def contains(window: Window, label) -> bool:
         raise TypeError(
             f"label {label!r} does not match window kind {window.kind.value}"
         )
-    if window.kind is WindowKind.INTEGER_PREFIX:
-        return 1 <= label <= window.size
-    if window.kind is WindowKind.REAL_INTERVAL:
-        return 0.0 <= label < window.size
-    if len(label) != window.dim:
+    if window.kind is WindowKind.EUCLIDEAN_BALL and len(label) != window.dim:
         raise TypeError(
             f"point of dimension {len(label)} tested against {window.dim}-ball"
         )
+    return contains_each(window, (label,))[0]
+
+
+def contains_each(window: Window, labels) -> list:
+    """Membership of each label, for labels already of the window's kind.
+
+    No type checks: callers pass labels the package built itself (sampler
+    points, vertices of a graph in a window of the same kind).
+    """
+    if window.kind is WindowKind.INTEGER_PREFIX:
+        return [1 <= x <= window.size for x in labels]
+    if window.kind is WindowKind.REAL_INTERVAL:
+        return [0.0 <= x < window.size for x in labels]
     r = ball_radius(window.dim, window.size)
-    return math.fsum(c * c for c in label) < r * r
+    r2 = r * r
+    return [math.fsum(c * c for c in x) < r2 for x in labels]
 
 
 def window_to_dict(window: Window) -> dict:
@@ -113,7 +123,3 @@ def window_to_dict(window: Window) -> dict:
     if window.dim is not None:
         out["dim"] = window.dim
     return out
-
-
-def window_from_dict(data: dict) -> Window:
-    return make_window(WindowKind(data["kind"]), data["size"], data.get("dim"))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -104,6 +105,14 @@ def test_invariance_command(tmp_path):
     assert json.loads(read(out))["verdict"] == "Pass"
 
 
+def test_invariance_past_dyadic_limit_is_one_error_line(capsys):
+    argv = ["test-invariance", "--config", str(CONFIGS / "graphex.json"), "--n", "1500",
+            "--trials", "1"]
+    assert run(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("pointgraphs: error: dyadic swaps need a window size in (0, 1024]")
+
+
 def test_compatibility_command(tmp_path):
     out = tmp_path / "report.json"
     code = run(["test-compatibility", "--config", str(CONFIGS / "graphon.json"),
@@ -129,6 +138,38 @@ def test_identical_invocations_are_byte_identical(tmp_path):
     assert run(["sample", "--config", cfg, "--n", "3", "--out", str(a)]) == 0
     assert run(["sample", "--config", cfg, "--n", "3", "--out", str(b)]) == 0
     assert read(a) == read(b)
+
+
+# sha256 of `pointgraphs sample --seed 42` at n = 3 and n = 12 for every
+# config, plus rotinv at n = 400 with seed 7, under coin version 2.  Only a
+# deliberate coin change may move these; any other change must keep them.
+SAMPLE_PINS = {
+    ("broken_fixed_direction", 3, 42): "e276bb318c80980a29446ec004c2c2fd360852d1ea79b9f4fd5b07eff7e8600c",
+    ("broken_window_scaled", 3, 42): "a554d4e7234ee5c9508affef0ec3689384d798fa3fa8c19ddc61aefa927e6005",
+    ("graphex", 3, 42): "794da4f15fbed80a1bfa7753a51e2a9d85dbde014b38018431f8fa283488a109",
+    ("graphon", 3, 42): "b976df66a5aaa719496dcef6fd54be71ddd51291edff9d5710b579eec8bdba8f",
+    ("graphon_grid", 3, 42): "a8fe554878ce23109565d2770d9855498e7653c50283fbf3c0c6339d3dc387f5",
+    ("rotinv", 3, 42): "0924152862ad6caf8c86815dec866bd5ddeb1b12a1a5df427359c9f085c36804",
+    ("broken_fixed_direction", 12, 42): "5138cf4b592439061d75d177c545a3af7eee83a3ff9f84efc3ef80e96ebf0573",
+    ("broken_window_scaled", 12, 42): "244640c629141117dce4ae8982e5f86edf1c46cd91612793481bc3f5a733cf4f",
+    ("graphex", 12, 42): "dc28944c5020156c9eae69c1321553ffda4efe76744097ff5107704c0d79b525",
+    ("graphon", 12, 42): "52d2fc818bf2ae03e14f6340e40be8a4ed5c4c9005614a62828cdddf549091f8",
+    ("graphon_grid", 12, 42): "b919d3c4a3aaffae5eb45b8fed69cb062dd5c966046d360d5c62a1504d5ddc07",
+    ("rotinv", 12, 42): "7598a818dc6305c31ee8fb352becb6c6819275a336ca57bc8cdeff6b7d564b81",
+    ("rotinv", 400, 7): "dfb03ccb3fac2a36326df0e6771120809ee073ce43c83f6b75482d2d2bb3f915",
+}
+
+
+def test_every_config_is_pinned():
+    assert {p.stem for p in CONFIGS.glob("*.json")} == {c for c, _, _ in SAMPLE_PINS}
+
+
+@pytest.mark.parametrize("config, n, seed", list(SAMPLE_PINS), ids=lambda v: str(v))
+def test_sample_output_matches_pinned_hash(capsys, config, n, seed):
+    argv = ["sample", "--config", str(CONFIGS / f"{config}.json"), "--n", str(n), "--seed", str(seed)]
+    assert run(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == SAMPLE_PINS[(config, n, seed)]
 
 
 def test_unknown_flag_exits_one(capsys):

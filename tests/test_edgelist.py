@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pointgraphs import WindowKind, make_graph, make_window
+from pointgraphs.cli import run
 from pointgraphs.edgelist import dumps_graph, fmt_real, loads_graph
 
 
@@ -55,6 +56,38 @@ def test_seventeen_digit_roundtrip_is_bit_exact(x):
 def test_unknown_line_rejected():
     with pytest.raises(ValueError):
         loads_graph("#window kind=integer_prefix size=2\nq nonsense\n")
+
+
+INT4 = "#window kind=integer_prefix size=4\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        INT4 + "v 0 5\n",
+        INT4 + "v 0 2\nv 1 2\n",
+        INT4 + "v 0 1\nv 1 2\ne 1 1\n",
+        INT4 + "v 0 1\nv 1 2\ne 0 2\n",
+        INT4 + "v 0 1.5\n",
+        "#window kind=euclidean_ball size=10 dim=3\nv 0 0.1 0.2\n",
+    ],
+    ids=[
+        "label-outside-window",
+        "duplicate-label",
+        "self-loop",
+        "edge-to-missing-vertex",
+        "float-label-in-integer-window",
+        "ball-label-of-wrong-dimension",
+    ],
+)
+def test_read_graph_rejects_malformed_edge_list(tmp_path, capsys, text):
+    with pytest.raises((ValueError, TypeError)):
+        loads_graph(text)
+    path = tmp_path / "bad.el"
+    path.write_text(text)
+    assert run(["stats", "--in", str(path)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("pointgraphs: error: ")
 
 
 def test_missing_header_rejected():

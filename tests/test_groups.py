@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pointgraphs import (
     DyadicSwaps,
     DyadicSwapWord,
+    GraphexIndicator,
     Permutation,
     RandomRotations,
     Rotation,
@@ -14,13 +15,11 @@ from pointgraphs import (
     WindowKind,
     apply_label,
     apply_pairs,
-    compose,
     extend_element,
-    haar_rotation,
-    identity_permutation,
-    inverse,
+    graphex_spec,
     make_window,
     pair_config,
+    sample,
     sample_generator,
     serialize_element,
     transposition,
@@ -86,7 +85,7 @@ def test_apply_pairs_relabels_fig_graph():
 
 def test_apply_pairs_identity():
     config = pair_config(FIG_PAIRS)
-    assert apply_pairs(identity_permutation(4), config).pairs == config.pairs
+    assert apply_pairs(Permutation(tuple(range(1, 5))), config).pairs == config.pairs
 
 
 def test_apply_pairs_swap_missing_labels_is_noop():
@@ -132,40 +131,13 @@ def test_extend_rejects_kind_mismatch():
         extend_element(transposition(2, 1, 2), w2, w4)
 
 
-# --- compose / inverse ------------------------------------------------------
+# --- swaps applied twice ---------------------------------------------------
 
 
 def test_swap_composed_with_itself_is_identity():
     theta = DyadicSwapWord(((1, 2, 1),))
-    squared = compose(theta, theta)
     for x in [0.0, 0.125, 0.25, 0.5, 0.625, 1.0, 1.75]:
-        assert apply_label(squared, x) == x
-
-
-def test_permutation_inverse():
-    assert inverse(Permutation((2, 3, 1))) == Permutation((3, 1, 2))
-
-
-def test_rotation_inverse_is_transpose():
-    q = haar_rotation(3, np.random.default_rng(5))
-    assert np.array_equal(inverse(q).matrix, q.matrix.T)
-    prod = compose(q, inverse(q)).matrix
-    assert np.max(np.abs(prod - np.eye(3))) < 1e-12
-
-
-@given(st.permutations(list(range(1, 7))), st.permutations(list(range(1, 7))))
-def test_permutation_compose_pointwise(p, q):
-    g, h = Permutation(tuple(p)), Permutation(tuple(q))
-    gh = compose(g, h)
-    for x in range(1, 7):
-        assert apply_label(gh, x) == apply_label(g, apply_label(h, x))
-
-
-@given(st.permutations(list(range(1, 7))))
-def test_permutation_inverse_pointwise(p):
-    g = Permutation(tuple(p))
-    for x in range(1, 7):
-        assert apply_label(compose(g, inverse(g)), x) == x
+        assert apply_label(theta, apply_label(theta, x)) == x
 
 
 # --- generator sampling -----------------------------------------------------
@@ -222,6 +194,35 @@ def test_swap_involution_exact_on_dyadic_labels(seed, data):
     theta = DyadicSwapWord(((i, j, k),))
     x = dyadic_label(rng, n)
     assert apply_label(theta, apply_label(theta, x)) == x
+
+
+def test_swap_words_past_exactness_limit_rejected():
+    # (1501, 2501, 0) would send 1500 + 2^-42 to 2500.0 and leave it there
+    with pytest.raises(ValueError, match="exactness limit 1024"):
+        DyadicSwapWord(((1501, 2501, 0),))
+    with pytest.raises(ValueError, match="exactness limit 1024"):
+        DyadicSwapWord(((1, 2049, 1),))  # support reaches 1024.5
+    DyadicSwapWord(((1, 1024, 0),))
+    DyadicSwapWord(((1, 2**50, 40),))
+
+
+def test_swap_generators_past_exactness_limit_rejected():
+    DyadicSwaps(1024, 40)
+    with pytest.raises(ValueError, match="1024"):
+        DyadicSwaps(1024.5, 3)
+
+
+def test_swap_twice_restores_every_sampled_label_at_n_1024():
+    labels = sample(graphex_spec(GraphexIndicator(0.25), y_max=1.0, seed=11), 1024).vertices
+    assert len(labels) > 100 and max(labels) > 1000
+    rng = np.random.default_rng(1024)
+    for x in labels:
+        k = int(rng.integers(0, 41))
+        i = max(1, math.ceil(x * 2**k))  # the dyadic interval holding x
+        theta = DyadicSwapWord(((i, 1024 * 2**k + 1 - i, k),))  # and its mirror image
+        y = apply_label(theta, x)
+        assert y != x and 0.0 < y <= 1024.0
+        assert apply_label(theta, y) == x
 
 
 def test_swap_box_count_identity():

@@ -10,13 +10,13 @@ from pointgraphs import (
     GraphexIndicator,
     GraphonGrid,
     HardDistance,
+    Permutation,
     PoissonRate,
     RandomRotations,
     Transpositions,
     WindowScaledConstant,
     graphex_spec,
     graphon_spec,
-    identity_permutation,
     rotinv_spec,
 )
 
@@ -95,7 +95,7 @@ def test_invariance_rotinv_passes():
 def test_invariance_identity_generator_gives_p_one():
     spec = graphon_spec(Constant(0.4), seed=21)
     report = certify.test_invariance(
-        spec, Transpositions(5), 5, 600, fixed_generator=identity_permutation(5)
+        spec, Transpositions(5), 5, 600, fixed_generator=Permutation(tuple(range(1, 6)))
     )
     assert report.passed
     assert all(p == 1.0 for p in report.p_values.values())

@@ -17,7 +17,7 @@ from pointgraphs import (
     restrict,
     restrict_graph,
 )
-from pointgraphs.pairs import box_contains, prune_isolated, window_box
+from pointgraphs.pairs import box_contains, prune_isolated
 
 WIN4 = make_window(WindowKind.INTEGER_PREFIX, 4)
 WIN5 = make_window(WindowKind.INTEGER_PREFIX, 5)
@@ -96,7 +96,7 @@ def test_count_fig_examples():
     config = pair_config(FIG_PAIRS)
     assert count(config, IntRange(2, 2), IntRange(1, 4)) == 3
     assert count(pair_config([]), IntRange(1, 4), IntRange(1, 4)) == 0
-    full = window_box(WIN4)
+    full = IntRange(1, 4)
     assert count(config, full, full) == 2 * FIG_GRAPH.n_edges
 
 

@@ -29,6 +29,7 @@ from pointgraphs import (
     graph_to_pairs,
     graphex_spec,
     graphon_spec,
+    make_graph,
     make_window,
     reseeded,
     restrict,
@@ -191,7 +192,7 @@ def one_sample_ks_vs_uniform(values):
 def test_graphex_point_process_is_unit_rate_poisson():
     # with W identically 1 on the strip, only lone points are pruned, so
     # E[#vertices] = E[K] - P(K = 1) with K ~ Poisson(n * y_max)
-    n, y_max = 2.0, 1.0
+    n, y_max = 8.0, 1.0
     spec = graphex_spec(GraphexIndicator(1.0), y_max=y_max, seed=314)
     sizes, xs = [], []
     for t in range(3000):
@@ -202,7 +203,9 @@ def test_graphex_point_process_is_unit_rate_poisson():
     want = lam - lam * math.exp(-lam)
     mean, se = mc_mean(sizes)
     assert abs(mean - want) < 3 * se
-    # positions are uniform over [0, n)
+    # positions are uniform over [0, n); with >= 20,000 of them a uniform
+    # sample exceeds D = 0.02 with probability ~1e-8 (Kolmogorov tail)
+    assert len(xs) >= 20_000
     assert one_sample_ks_vs_uniform(np.asarray(xs) / n) < 0.02
 
 
@@ -210,13 +213,16 @@ def test_rotinv_volume_coordinates_are_uniform():
     # for a homogeneous process the ball-volume coordinate V_d r^d is U(0, n)
     import pointgraphs
 
-    n = 4.0
+    n = 12.0
     spec = rotinv_spec(Constant(0.0), dim=3, point=PoissonRate(2.0), seed=271)
     vols = []
-    for t in range(800):
+    for t in range(1000):
         g = sample(reseeded(spec, derive_seed(spec.seed, t)), n)
         vd = pointgraphs.unit_ball_volume(3)
         vols.extend(vd * r**3 / n for r in g.latents)
+    # with >= 20,000 points a uniform sample exceeds D = 0.02 with
+    # probability ~1e-8 (Kolmogorov tail)
+    assert len(vols) >= 20_000
     assert one_sample_ks_vs_uniform(vols) < 0.02
 
 
@@ -310,6 +316,48 @@ def test_rotinv_restriction_exact():
         assert got.vertices == small.vertices
         assert got.edges == small.edges
         assert got.latents == small.latents
+
+
+def _scalar_types(graph) -> set:
+    comps = [c for v in graph.vertices for c in (v if isinstance(v, tuple) else (v,))]
+    comps += list(graph.latents or ()) + [i for e in graph.edges for i in e]
+    return {type(c) for c in comps}
+
+
+@pytest.mark.parametrize(
+    "spec, sizes",
+    [
+        (graphon_spec(GraphonGrid(((0.8, 0.2), (0.2, 0.6))), seed=5), (1, 7, 30)),
+        (graphex_spec(GraphexProduct(1.5), y_max=2.0, seed=6), (0.5, 3.0, 9.0)),
+        (rotinv_spec(SoftDistance(0.7, 2.0), dim=2, point=PoissonRate(3.0), seed=7), (1.0, 6.0)),
+        (rotinv_spec(HardDistance(0.5), dim=3, point=RadialTable((2.0, 0.0, 4.0)), seed=8),
+         (0.5, 2.0, 5.0)),
+    ],
+    ids=lambda v: v.family if isinstance(v, FamilySpec) else str(v),
+)
+def test_trusted_construction_matches_validating_constructor(spec, sizes):
+    prune = spec.family == "graphex"
+    for n in sizes:
+        g = sample(spec, n)
+        smaller = (n // 2, n // 3) if spec.family == "graphon" else (n / 2, n / 3)
+        graphs = [g] + [
+            restrict_graph(g, window_for(spec, m), prune_isolated=prune) for m in smaller if m > 0
+        ]
+        for h in graphs:
+            made = make_graph(h.window, h.vertices, h.edges, h.latents, h.family, h.fingerprint)
+            assert made == h
+            assert type(h.vertices) is tuple and type(h.edges) is frozenset
+            assert type(h.latents) is tuple
+            assert _scalar_types(h) <= {int, float}
+
+
+def test_restrict_graph_rejects_window_of_another_kind():
+    g = sample(graphon_spec(Constant(0.5), seed=1), 6)
+    with pytest.raises(ValueError, match="kind"):
+        restrict_graph(g, make_window(WindowKind.REAL_INTERVAL, 3.0))
+    ball = sample(rotinv_spec(Constant(0.5), dim=2, point=PoissonRate(3.0), seed=1), 4.0)
+    with pytest.raises(ValueError, match="dimension"):
+        restrict_graph(ball, make_window(WindowKind.EUCLIDEAN_BALL, 2.0, dim=3))
 
 
 # --- geometric kernel forms ----------------------------------------------------
