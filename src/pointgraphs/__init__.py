@@ -1,6 +1,14 @@
 """Random graphs as point processes on nested label-space windows."""
 
-from .coins import CoinPRF, coin, coin_position, coin_u64, derive_seed, poisson_from_uniform
+from .coins import (
+    CoinPRF,
+    coin,
+    coin_position,
+    coin_u64,
+    derive_seed,
+    derive_seeds,
+    poisson_from_uniform,
+)
 from .groups import (
     DyadicSwaps,
     DyadicSwapWord,
@@ -64,6 +72,7 @@ from .samplers import (
     reseeded,
     rotinv_spec,
     sample,
+    sample_batch,
     sample_graphex,
     sample_graphon,
     sample_rotinv,

@@ -18,7 +18,10 @@ The same few functions run on Python ints and on numpy uint64 arrays
 definition of the bits.  Batches of keys are hashed in one call: large
 batches as arrays, small ones key by key in Python ints, because a numpy
 call costs about a microsecond whatever its size.  Integer arithmetic is
-exact either way, so a key's coin cannot depend on its batch.
+exact either way, so a key's coin cannot depend on its batch.  The seed
+may be a uint64 column too, broadcast against the key columns, so one
+call hashes the keys of many seeds (many trials) at once; a coin is still
+a pure function of (seed, tag, key).
 
 Edge coins are keyed by vertex ids: each vertex key (an int or a flat
 tuple of ints) is hashed to a 64-bit id, and the coin of a pair is keyed
@@ -62,12 +65,16 @@ MAX_POISSON_RATE = -math.log(2.0**-1022)
 
 @dataclass(frozen=True)
 class CoinPRF:
-    """A seed for the keyed coin family; 64-bit unsigned."""
+    """A seed for the keyed coin family: a 64-bit unsigned int, or a uint64
+    array of seeds that broadcasts against the key columns of a batch."""
 
-    seed: int
+    seed: int | np.ndarray
 
     def __post_init__(self):
-        if not (0 <= self.seed <= _MASK64):
+        if isinstance(self.seed, np.ndarray):
+            if self.seed.dtype != np.uint64:
+                raise TypeError(f"seed columns must have dtype uint64, got {self.seed.dtype}")
+        elif not (0 <= self.seed <= _MASK64):
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
@@ -93,12 +100,20 @@ def _position(h):
     return (h >> (64 - POSITION_BITS)) * 2.0**-POSITION_BITS
 
 
-def _absorb_rows(base: int, cols) -> np.ndarray:
-    """Hashes of the keys whose components are the uint64 columns ``cols``."""
-    if len(cols[0]) > SMALL_BATCH:
+def _absorb_rows(base, cols) -> np.ndarray:
+    """Hashes of the keys whose components are the uint64 columns ``cols``,
+    each from its base word; ``base`` is one int or a broadcasting column."""
+    shape = np.broadcast_shapes(np.shape(base), *(c.shape for c in cols))
+    size = math.prod(shape)
+    if size > SMALL_BATCH:
         return _absorb(base, cols)
-    rows = zip(*(c.tolist() for c in cols))
-    return np.array([_absorb(base, row) for row in rows], dtype=np.uint64)
+    if isinstance(base, int):
+        bases = [base] * size
+    else:
+        bases = np.broadcast_to(base, shape).ravel().tolist()
+    rows = zip(*(np.broadcast_to(c, shape).ravel().tolist() for c in cols))
+    hashes = [_absorb(b, row) for b, row in zip(bases, rows)]
+    return np.array(hashes, dtype=np.uint64).reshape(shape)
 
 
 def _words(col) -> np.ndarray:
@@ -127,9 +142,16 @@ def _tag_word(tag: str) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _tag_base(seed: int, tag: str) -> int:
-    """Base word of (seed, tag): the seed absorbed into the tag's own word."""
+def _int_tag_base(seed: int, tag: str) -> int:
     return _absorb(_tag_word(tag), [seed])
+
+
+def _tag_base(seed, tag: str):
+    """Base word of (seed, tag): the seed absorbed into the tag's own word;
+    a uint64 seed column gives the column of its seeds' base words."""
+    if isinstance(seed, np.ndarray):
+        return _absorb(_tag_word(tag), [seed])
+    return _int_tag_base(seed, tag)
 
 
 def _key_id(key) -> int:
@@ -196,6 +218,11 @@ def coin_position(prf: CoinPRF, tag: str, *key) -> float:
 def derive_seed(seed: int, run_index: int) -> int:
     """Per-run seed for batch execution, keyed on (seed, "trial", run_index)."""
     return coin_u64(CoinPRF(seed), "trial", run_index)
+
+
+def derive_seeds(seed: int, run_indices) -> np.ndarray:
+    """derive_seed(seed, t) for every t of an integer column, as uint64."""
+    return _rows(CoinPRF(seed), "trial", [run_indices])
 
 
 def poisson_from_uniform(u: float, rate: float) -> int:

@@ -61,6 +61,7 @@ def read_graph(fh) -> Graph:
     vertices = []
     latents = []
     edges = set()
+    edge_lines = 0
     for raw in fh:
         line = raw.strip()
         if not line:
@@ -95,15 +96,21 @@ def read_graph(fh) -> Graph:
                 ncomp = window.dim
                 label = tuple(float(c) for c in tok[2 : 2 + ncomp])
             rest = tok[2 + ncomp :]
+            if len(rest) > 1:
+                raise ValueError(f"v line has tokens past the latent: {line!r}")
             vertices.append(label)
             latents.append(float(rest[0]) if rest else None)
         elif line.startswith("e "):
             _, i, j = line.split()
-            edges.add((int(i), int(j)))
+            i, j = int(i), int(j)
+            edges.add((i, j) if i < j else (j, i))
+            edge_lines += 1
         else:
             raise ValueError(f"unrecognized line: {line!r}")
     if window is None:
         raise ValueError("missing #window header")
+    if len(edges) != edge_lines:
+        raise ValueError("an edge is listed more than once")
     have_latents = any(l is not None for l in latents)
     if have_latents and any(l is None for l in latents):
         raise ValueError("latent annotations must cover all vertices or none")

@@ -9,7 +9,10 @@ one.  Compatibility checks, exactly, that embedding a group element into a
 larger window and then acting agrees with acting first.
 
 All verdicts are Bonferroni-corrected over the statistics involved, and a
-report is reproducible byte for byte from its seeds.
+report is reproducible byte for byte from its seeds.  Trial t samples with
+the seed derive_seed(seed, t).  Trials are drawn in chunks, each one
+batched sampler call per side that is consumed before the next chunk is
+drawn, so memory stays O(tile) whatever the trial count.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import CoinPRF, coin_u64, derive_seed, POSITION_BITS
+from .coins import CoinPRF, coin_u64, derive_seeds, POSITION_BITS
 from .groups import (
     DyadicSwaps,
     GeneratorSet,
@@ -34,19 +37,17 @@ from .groups import (
     sample_generator,
     serialize_element,
 )
-from .kernels import Constant, GraphonGrid, WindowScaledConstant, graphon_prob_block
+from .kernels import Constant, GraphonGrid, WindowScaledConstant, graphon_edge_prob
 from .pairs import (
     BallSector,
     IntRange,
     RealRange,
     box_contains,
-    count,
-    graph_to_pairs,
     pair_config,
     restrict,
     restrict_graph,
 )
-from .samplers import FamilySpec, fingerprint, reseeded, sample, window_for
+from .samplers import FamilySpec, fingerprint, mean_pairs, sample_batch, window_for
 from .stats import graph_stats, ks_two_sample
 from .windows import WindowKind, make_window, unit_ball_volume
 
@@ -96,6 +97,20 @@ def _scalar_stats(graph) -> tuple:
     return (s.edge_count, s.max_degree, s.triangle_count)
 
 
+# Trials are sampled in chunks of about this many vertex pairs.  A chunk's
+# graphs are Python objects of ~100 bytes an edge, so a chunk is kept to a
+# small part of one sampler tile (samplers.TILE_PAIRS): the harness then
+# holds about as much memory as one sample, however many trials it runs.
+CHUNK_PAIRS = 2**12
+
+
+def _chunks(spec: FamilySpec, size, N: int):
+    """Trial indices 0..N-1 in chunks of about CHUNK_PAIRS pairs at window size."""
+    step = max(1, int(CHUNK_PAIRS // max(1.0, mean_pairs(spec, size))))
+    for lo in range(0, N, step):
+        yield np.arange(lo, min(lo + step, N))
+
+
 def test_projectivity(
     spec: FamilySpec, n, m, N: int, alpha: float = 0.01, mode: str = "exact"
 ) -> TestReport:
@@ -114,13 +129,11 @@ def test_projectivity(
     prune = spec.family == "graphex"
     if mode == "exact":
         mismatches = 0
-        for t in range(N):
-            s = reseeded(spec, derive_seed(spec.seed, t))
-            big = sample(s, m)
-            small = sample(s, n)
-            restricted = restrict_graph(big, win_n, prune_isolated=prune)
-            if restricted != small:
-                mismatches += 1
+        for trials in _chunks(spec, m, N):
+            seeds = derive_seeds(spec.seed, trials)
+            for big, small in zip(sample_batch(spec, m, seeds), sample_batch(spec, n, seeds)):
+                if restrict_graph(big, win_n, prune_isolated=prune) != small:
+                    mismatches += 1
         p_values = {"exact_match": 1.0 if mismatches == 0 else 0.0}
         return TestReport(
             test_name="projectivity_exact",
@@ -137,13 +150,13 @@ def test_projectivity(
         raise ValueError(f"unknown mode {mode!r}")
     restricted_stats = []
     direct_stats = []
-    for t in range(N):
-        s_big = reseeded(spec, derive_seed(spec.seed, 2 * t))
-        restricted_stats.append(
-            _scalar_stats(restrict_graph(sample(s_big, m), win_n, prune_isolated=prune))
-        )
-        s_small = reseeded(spec, derive_seed(spec.seed, 2 * t + 1))
-        direct_stats.append(_scalar_stats(sample(s_small, n)))
+    for trials in _chunks(spec, m, N):
+        for big in sample_batch(spec, m, derive_seeds(spec.seed, 2 * trials)):
+            restricted_stats.append(
+                _scalar_stats(restrict_graph(big, win_n, prune_isolated=prune))
+            )
+        for small in sample_batch(spec, n, derive_seeds(spec.seed, 2 * trials + 1)):
+            direct_stats.append(_scalar_stats(small))
     p_values = {}
     for pos, name in enumerate(_PROJ_STATS):
         _, p = ks_two_sample(
@@ -167,17 +180,27 @@ def test_projectivity(
 # Invariance
 
 
+def _ordered_pairs(graph, in_a: list, in_b: list) -> int:
+    """Ordered pairs (x, y) of edge endpoints with x in box a and y in box b,
+    from each vertex's membership in the two boxes."""
+    return sum((in_a[i] and in_b[j]) + (in_a[j] and in_b[i]) for i, j in graph.edges)
+
+
+def _members(box, graph) -> list:
+    return [box_contains(box, v) for v in graph.vertices]
+
+
 def _invariance_stats(spec: FamilySpec, n):
-    """Label-dependent statistic functions, one dict per graph."""
+    """Label-dependent statistic functions, one dict per graph.  Each box is
+    evaluated once per vertex, and pairs are counted from the edges."""
     if spec.family == "graphon":
-        n_int = int(n)
-        full = IntRange(1, n_int)
+        full = IntRange(1, int(n))
 
         def stats(graph):
-            config = graph_to_pairs(graph)
+            is_1, is_2 = _members(IntRange(1, 1), graph), _members(IntRange(2, 2), graph)
             return {
-                "vertex1_degree": count(config, IntRange(1, 1), full),
-                "edge_12": 1.0 if (1, 2) in config.pairs else 0.0,
+                "vertex1_degree": _ordered_pairs(graph, is_1, _members(full, graph)),
+                "edge_12": 1.0 if _ordered_pairs(graph, is_1, is_2) else 0.0,
             }
 
         return stats
@@ -186,11 +209,11 @@ def _invariance_stats(spec: FamilySpec, n):
         full = RealRange(0.0, float(n))
 
         def stats(graph):
-            config = graph_to_pairs(graph)
+            in_half = _members(half, graph)
             return {
                 "vertices_left_half": sum(1 for v in graph.vertices if v < n / 2.0),
-                "endpoints_left_half": count(config, half, full),
-                "edges_in_left_half": count(config, half, half),
+                "endpoints_left_half": _ordered_pairs(graph, in_half, _members(full, graph)),
+                "edges_in_left_half": _ordered_pairs(graph, in_half, in_half),
             }
 
         return stats
@@ -198,12 +221,10 @@ def _invariance_stats(spec: FamilySpec, n):
     sector = BallSector(0.0, math.inf, axis=axis, min_cos=0.0)
 
     def stats(graph):
-        config = graph_to_pairs(graph)
+        in_sector = _members(sector, graph)
         return {
-            "vertices_half_space": sum(
-                1 for v in graph.vertices if box_contains(sector, v)
-            ),
-            "edges_in_half_space": count(config, sector, sector),
+            "vertices_half_space": sum(in_sector),
+            "edges_in_half_space": _ordered_pairs(graph, in_sector, in_sector),
         }
 
     return stats
@@ -240,18 +261,18 @@ def test_invariance(
     master = CoinPRF(spec.seed)
     base_rows, trans_rows = [], []
     shown = []
-    for t in range(N):
-        s = reseeded(spec, derive_seed(spec.seed, t))
-        graph = sample(s, n)
-        if fixed_generator is not None:
-            g = fixed_generator
-        else:
-            rng = np.random.default_rng(coin_u64(master, "gen", t))
-            g = sample_generator(gen_set, rng)
-        if t < 3:
-            shown.append(serialize_element(g))
-        base_rows.append(stats_fn(graph))
-        trans_rows.append(stats_fn(apply_graph(g, graph)))
+    for trials in _chunks(spec, n, N):
+        graphs = sample_batch(spec, n, derive_seeds(spec.seed, trials))
+        for t, graph in zip(trials.tolist(), graphs):
+            if fixed_generator is not None:
+                g = fixed_generator
+            else:
+                rng = np.random.default_rng(coin_u64(master, "gen", t))
+                g = sample_generator(gen_set, rng)
+            if t < 3:
+                shown.append(serialize_element(g))
+            base_rows.append(stats_fn(graph))
+            trans_rows.append(stats_fn(apply_graph(g, graph)))
     names = tuple(base_rows[0].keys())
     p_values = {}
     for name in names:
@@ -375,7 +396,7 @@ def _exact_mask_probs(spec: FamilySpec, n: int) -> list:
     n_pairs = len(positions)
     kernel = spec.kernel
     if isinstance(kernel, (Constant, WindowScaledConstant)):
-        p = graphon_prob_block(kernel, np.zeros(1), np.zeros(1), n).item()
+        p = graphon_edge_prob(kernel, np.zeros(1), np.zeros(1), n).item()
         return [
             (p ** bin(mask).count("1")) * ((1 - p) ** (n_pairs - bin(mask).count("1")))
             for mask in range(1 << n_pairs)
@@ -410,12 +431,12 @@ def enumerate_labeled_distribution(spec: FamilySpec, n: int, N: int) -> Enumerat
     positions = _edge_positions(n)
     bit_of = {pair: b for b, pair in enumerate(positions)}
     counts = [0] * (1 << len(positions))
-    for t in range(N):
-        graph = sample(reseeded(spec, derive_seed(spec.seed, t)), n)
-        mask = 0
-        for i, j in graph.edges:
-            mask |= 1 << bit_of[(graph.vertices[i], graph.vertices[j])]
-        counts[mask] += 1
+    for trials in _chunks(spec, n, N):
+        for graph in sample_batch(spec, n, derive_seeds(spec.seed, trials)):
+            mask = 0
+            for i, j in graph.edges:
+                mask |= 1 << bit_of[(graph.vertices[i], graph.vertices[j])]
+            counts[mask] += 1
     return EnumeratedDistribution(
         n=n, trials=N, counts=tuple(counts), probs=tuple(_exact_mask_probs(spec, n))
     )

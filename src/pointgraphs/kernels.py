@@ -77,18 +77,19 @@ class WindowScaledConstant:
 GraphonKernel = Constant | GraphonGrid | WindowScaledConstant
 
 
-def graphon_prob_block(
+def graphon_edge_prob(
     kernel: GraphonKernel, xa: np.ndarray, xb: np.ndarray, window_size: int
 ) -> np.ndarray:
-    """Edge probabilities between latents xa (rows) and xb (columns)."""
+    """Edge probabilities between latents xa and xb, broadcast against each other."""
+    shape = np.broadcast_shapes(xa.shape, xb.shape)
     if isinstance(kernel, Constant):
-        return np.full((len(xa), len(xb)), kernel.p)
+        return np.full(shape, kernel.p)
     if isinstance(kernel, GraphonGrid):
         g = len(kernel.values)
         ca, cb = (np.minimum((x * g).astype(np.int64), g - 1) for x in (xa, xb))
-        return np.asarray(kernel.values)[ca[:, None], cb[None, :]]
+        return np.asarray(kernel.values)[ca, cb]
     if isinstance(kernel, WindowScaledConstant):
-        return np.full((len(xa), len(xb)), min(1.0, kernel.p / window_size))
+        return np.full(shape, min(1.0, kernel.p / window_size))
     raise TypeError(f"not a graphon kernel: {kernel!r}")
 
 
@@ -121,13 +122,12 @@ class GraphexProduct:
 GraphexKernel = GraphexIndicator | GraphexProduct
 
 
-def graphex_prob_block(kernel: GraphexKernel, ya: np.ndarray, yb: np.ndarray) -> np.ndarray:
-    """Edge probabilities between marks ya (rows) and yb (columns)."""
+def graphex_edge_prob(kernel: GraphexKernel, ya: np.ndarray, yb: np.ndarray) -> np.ndarray:
+    """Edge probabilities between marks ya and yb, broadcast against each other."""
     if isinstance(kernel, GraphexIndicator):
-        return ((ya <= kernel.c)[:, None] & (yb <= kernel.c)[None, :]).astype(float)
+        return ((ya <= kernel.c) & (yb <= kernel.c)).astype(float)
     if isinstance(kernel, GraphexProduct):
-        ramp_a, ramp_b = (np.maximum(0.0, 1.0 - y / kernel.a) for y in (ya, yb))
-        return ramp_a[:, None] * ramp_b[None, :]
+        return np.maximum(0.0, 1.0 - ya / kernel.a) * np.maximum(0.0, 1.0 - yb / kernel.a)
     raise TypeError(f"not a graphex kernel: {kernel!r}")
 
 
@@ -205,42 +205,49 @@ GeoKernel = (
     Constant | HardDistance | SoftDistance | RadialSum | HyperbolicSoft | FixedDirectionIndicator
 )
 
-# Reductions below stay elementwise/broadcasted on purpose: the value
-# computed for a pair of points must not depend on how many other points
-# share the matrix, or coupled samples at different window sizes would
-# disagree at the last bit.  The same condition makes a pair's value
-# independent of the row and column slices it is evaluated in, so the
-# sampler can walk the pair matrix in tiles and still match, bit for bit,
-# the whole matrix evaluated at once.
+# Every kernel form is elementwise: it broadcasts its operands (points
+# carry their coordinates on a trailing axis) and reduces only over that
+# coordinate axis.  The value computed for a pair of points must not depend
+# on how many other points share the call, or coupled samples at different
+# window sizes would disagree at the last bit.  The same condition makes a
+# pair's value independent of the tile it is evaluated in, so the sampler
+# can walk row blocks of one sample ([:, None] views) or the pairs of many
+# samples at once and still match, bit for bit, the whole matrix evaluated
+# at once.
 
 
 def _pair_dist(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    diff = pa[:, None, :] - pb[None, :, :]
+    diff = pa - pb
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
-def geo_prob_block(
+def geo_edge_prob(
     kernel: GeoKernel, pa: np.ndarray, ra: np.ndarray, pb: np.ndarray, rb: np.ndarray
 ) -> np.ndarray:
-    """Connection probabilities between points pa (radii ra) and pb (radii rb)."""
+    """Connection probabilities between points pa (radii ra) and pb (radii rb).
+
+    Points have shape (..., d) and radii (...); the two sides broadcast.
+    """
     if isinstance(kernel, Constant):
-        return np.full((len(pa), len(pb)), kernel.p)
+        return np.full(np.broadcast_shapes(ra.shape, rb.shape), kernel.p)
     if isinstance(kernel, HardDistance):
         return (_pair_dist(pa, pb) <= kernel.r0).astype(float)
     if isinstance(kernel, SoftDistance):
         d = _pair_dist(pa, pb)
         return np.exp(-((d / kernel.scale) ** kernel.shape))
     if isinstance(kernel, RadialSum):
-        s = ra[:, None] + rb[None, :]
-        return (s <= kernel.threshold).astype(float)
+        return (ra + rb <= kernel.threshold).astype(float)
     if isinstance(kernel, HyperbolicSoft):
-        ua, ub = (p / np.where(r > 0, r, 1.0)[:, None] for p, r in ((pa, ra), (pb, rb)))
-        cos = np.clip((ua[:, None, :] * ub[None, :, :]).sum(axis=-1), -1.0, 1.0)
-        ch = np.outer(np.cosh(ra), np.cosh(rb)) - np.outer(np.sinh(ra), np.sinh(rb)) * cos
+        ua, ub = (p / np.where(r > 0, r, 1.0)[..., None] for p, r in ((pa, ra), (pb, rb)))
+        cos = np.clip((ua * ub).sum(axis=-1), -1.0, 1.0)
+        ch = np.cosh(ra) * np.cosh(rb) - np.sinh(ra) * np.sinh(rb) * cos
         dh = np.arccosh(np.maximum(ch, 1.0))
-        return 1.0 / (1.0 + np.exp((dh - kernel.R) / (2.0 * kernel.T)))
+        # Far pairs at low temperature overflow exp to inf, and 1 / (1 + inf)
+        # is the right value, 0.
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp((dh - kernel.R) / (2.0 * kernel.T)))
     if isinstance(kernel, FixedDirectionIndicator):
-        return ((pa[:, 0] > 0)[:, None] & (pb[:, 0] > 0)[None, :]).astype(float)
+        return ((pa[..., 0] > 0) & (pb[..., 0] > 0)).astype(float)
     raise TypeError(f"not a geometric kernel: {kernel!r}")
 
 

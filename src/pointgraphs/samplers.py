@@ -25,7 +25,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import compress
+from collections import Counter
+from itertools import chain
 
 import numpy as np
 
@@ -43,10 +44,10 @@ from .kernels import (
     GeoKernel,
     GraphexKernel,
     GraphonKernel,
-    geo_prob_block,
-    graphex_prob_block,
+    geo_edge_prob,
+    graphex_edge_prob,
     graphex_support_bound,
-    graphon_prob_block,
+    graphon_edge_prob,
     kernel_from_dict,
     kernel_to_dict,
 )
@@ -59,8 +60,6 @@ from .windows import (
     unit_ball_volume,
     window_to_dict,
 )
-
-FAMILIES = ("graphon", "graphex", "rotinv")
 
 # The pair matrix is evaluated in row tiles of about this many pairs, so a
 # sample's working memory grows with the point count, not with its square.
@@ -193,9 +192,26 @@ def spec_from_dict(data: dict) -> FamilySpec:
 def fingerprint(spec: FamilySpec) -> str:
     """Hash of the canonicalized spec (kernel, sizes, seed) and the coin
     version; embedded in outputs."""
+    return _fingerprints(spec, [spec.seed])[0]
+
+
+def _fingerprints(spec: FamilySpec, seeds) -> list:
+    """fingerprint(reseeded(spec, s)) for each int seed s.
+
+    The hashed blob is the spec's canonical JSON (sorted keys, no spaces)
+    with the coin version.  The keys sorting before and after "seed" are
+    encoded once, and each seed is spliced in between.
+    """
     data = dict(spec_to_dict(spec), coin_version=COIN_VERSION)
-    blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    del data["seed"]
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    head = encode({k: v for k, v in data.items() if k < "seed"})[:-1]
+    tail = encode({k: v for k, v in data.items() if k > "seed"})[1:]
+    tail = tail if tail == "}" else "," + tail
+    return [
+        hashlib.sha256(f'{head},"seed":{int(seed)}{tail}'.encode("utf-8")).hexdigest()[:16]
+        for seed in seeds
+    ]
 
 
 def reseeded(spec: FamilySpec, seed: int) -> FamilySpec:
@@ -204,37 +220,141 @@ def reseeded(spec: FamilySpec, seed: int) -> FamilySpec:
 
 # ---------------------------------------------------------------------------
 # Samplers
+#
+# Each family has one sampler over a seed column: it draws the graphs of
+# many seeds (trials) in one pass, each coin call covering every trial,
+# with the trials' points laid out one after another and ragged point
+# counts held as segment offsets.  sample(spec, n) is the batch of the one
+# seed spec.seed.
 
 
-def _draw_edges(prf: CoinPRF, keys, block) -> set:
-    """Bernoulli edges over all index pairs i < j.
+@dataclass(frozen=True)
+class _TrialKeys:
+    """Vertex keys of consecutive trials, as the rows of an int64 array (one
+    column per key component); trial t owns rows starts[t]:starts[t + 1]."""
 
-    ``block(rows, cols)`` gives the edge probabilities between two index
-    slices; the upper triangle is walked in row tiles of about TILE_PAIRS
-    pairs, and each tile's edge coins are drawn in one batch, keyed by the
-    ids of the vertex keys.  Certain edges (p >= 1) and impossible ones
-    (p <= 0) consume no coin; since coins are keyed rather than sequential,
-    skipping them cannot perturb any other decision.
+    rows: np.ndarray
+    starts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        """Vertex i's key as the coins take it: an int or a tuple of ints."""
+        key = self.rows[i].tolist()
+        return tuple(key) if isinstance(key, list) else key
+
+
+def _pair_views(x: np.ndarray, rows, cols):
+    """x[rows] and x[cols] shaped so that an elementwise kernel gives the
+    pair matrix indexed the numpy way, P[rows, cols]: two slices give the
+    block rows x cols, two index arrays the pairs (rows[p], cols[p])."""
+    if isinstance(rows, slice):
+        return x[rows][:, None], x[cols][None, :]
+    return x[rows], x[cols]
+
+
+def _triangles(starts: np.ndarray):
+    """Index pairs i < j within each trial whose vertices run from starts[t]
+    to starts[t + 1], row by row."""
+    v = np.arange(starts[0], starts[-1])
+    per_row = np.repeat(starts[1:], np.diff(starts)) - v - 1
+    ii = np.repeat(v, per_row)
+    jj = np.arange(len(ii)) + np.repeat(v + 1 - (np.cumsum(per_row) - per_row), per_row)
+    return ii, jj
+
+
+def _add_edges(edges: set, seed, ids, ii, jj, q) -> None:
+    """Add the pairs (ii, jj) of probabilities q > 0 that their edge coins
+    accept; ``seed`` is an int or the column of each pair's trial seed."""
+    hit = q >= 1.0
+    unsure = ~hit
+    prf = CoinPRF(seed if isinstance(seed, int) else seed[unsure])
+    hit[unsure] = edge_coin_batch(prf, ids[ii[unsure]], ids[jj[unsure]]) < q[unsure]
+    edges.update(zip(ii[hit].tolist(), jj[hit].tolist()))
+
+
+def _draw_edges(prf: CoinPRF, keys: _TrialKeys, block) -> set:
+    """Bernoulli edges over the index pairs i < j within each trial.
+
+    Trial t owns keys[starts[t]:starts[t + 1]] and keys its edge coins with
+    its own seed: prf.seed is an int for a batch of one, or the uint64
+    column of the trials' seeds.  ``block(rows, cols)`` gives the edge
+    probabilities of P[rows, cols] (see _pair_views).  The upper triangles
+    are walked in tiles of about TILE_PAIRS pairs: consecutive trials that
+    fit one tile together are packed into it whole, and a trial that fills
+    a tile by itself (a batch of one, say) is cut into row blocks.  Each
+    tile's edge coins are drawn in one batch, keyed by the ids of the
+    vertex keys.  Certain edges (p >= 1) and impossible ones (p <= 0)
+    consume no coin; since coins are keyed rather than sequential, skipping
+    them cannot perturb any other decision.  Returns the edges as pairs of
+    indices into ``keys``.
     """
-    k = len(keys)
+    starts = keys.starts
+    seeds = _seed_column(prf.seed)
+    sizes = np.diff(starts)
+    pairs = sizes * (sizes - 1) // 2
+    before = np.concatenate(([0], np.cumsum(pairs)))  # pairs of the trials before t
     edges = set()
-    if k < 2:
+    if before[-1] == 0:
         return edges
-    ids = key_ids(keys)
-    step = max(1, TILE_PAIRS // k)
-    for lo in range(0, k - 1, step):
-        p = block(slice(lo, min(lo + step, k - 1)), slice(lo, k))
-        ii, jj = np.nonzero(p > 0.0)
-        upper = jj > ii  # tile entry (a, b) is the pair (lo + a, lo + b)
-        ii, jj = ii[upper], jj[upper]
-        q = p[ii, jj]
-        ii += lo
-        jj += lo
-        hit = q >= 1.0
-        unsure = ~hit
-        hit[unsure] = edge_coin_batch(prf, ids[ii[unsure]], ids[jj[unsure]]) < q[unsure]
-        edges.update(zip(ii[hit].tolist(), jj[hit].tolist()))
+    ids = key_ids(keys.rows)
+    trial_of = np.repeat(np.arange(len(sizes)), sizes)
+    t = 0
+    while t < len(sizes):
+        u = int(np.searchsorted(before, before[t] + TILE_PAIRS, side="right")) - 1
+        if u > t + 1:  # trials t..u-1 share one tile
+            ii, jj = _triangles(starts[t : u + 1])
+            p = block(ii, jj)
+            keep = np.flatnonzero(p > 0.0)
+            ii, jj = ii[keep], jj[keep]
+            _add_edges(edges, seeds[trial_of[ii]], ids, ii, jj, p[keep])
+            t = u
+            continue
+        lo, hi = int(starts[t]), int(starts[t + 1])
+        step = max(1, TILE_PAIRS // max(1, hi - lo))
+        for r in range(lo, hi - 1, step):
+            p = block(slice(r, min(r + step, hi - 1)), slice(r, hi))
+            ii, jj = np.nonzero(p > 0.0)
+            upper = jj > ii  # tile entry (a, b) is the pair (r + a, r + b)
+            ii, jj = ii[upper], jj[upper]
+            q = p[ii, jj]
+            ii += r
+            jj += r
+            _add_edges(edges, int(seeds[t]), ids, ii, jj, q)
+        t += 1
     return edges
+
+
+def _trial_edges(edges: set, starts: np.ndarray) -> list:
+    """Each trial's edges, reindexed from the batch's vertices to its own."""
+    if len(starts) == 2:
+        return [frozenset(edges)]
+    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+    flat = flat.reshape(-1, 2)
+    flat = flat[np.argsort(flat[:, 0], kind="stable")]
+    bounds = np.searchsorted(flat[:, 0], starts)
+    flat -= np.repeat(starts[:-1], np.diff(bounds))[:, None]
+    ii, jj = flat[:, 0].tolist(), flat[:, 1].tolist()
+    return [frozenset(zip(ii[a:b], jj[a:b])) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _seed_column(seeds) -> np.ndarray:
+    """The uint64 column of a batch's seeds; one int seed is a column of one."""
+    return np.atleast_1d(np.asarray(CoinPRF(seeds).seed, dtype=np.uint64))
+
+
+def _trial_graphs(spec, window, seeds, keys: _TrialKeys, block, labels, latents) -> list:
+    """Draw a batch's edges and cut it into one Graph per seed; ``labels``
+    and ``latents`` list the batch's vertices trial after trial."""
+    edges = _trial_edges(_draw_edges(CoinPRF(seeds), keys, block), keys.starts)
+    starts = keys.starts.tolist()
+    return [
+        Graph(window, tuple(labels[lo:hi]), e, tuple(latents[lo:hi]), spec.family, fp)
+        for lo, hi, e, fp in zip(
+            starts, starts[1:], edges, _fingerprints(spec, _seed_column(seeds).tolist())
+        )
+    ]
 
 
 def _cell_points(counts, *cells: np.ndarray):
@@ -245,8 +365,15 @@ def _cell_points(counts, *cells: np.ndarray):
     return points, np.arange(len(starts)) - starts + 1
 
 
-def sample_graphon(spec: FamilySpec, n: int) -> Graph:
-    """Latent-variable graph on vertices 1..n.
+def _trial_cells(n_trials: int, *cells: np.ndarray):
+    """The trial index and cell columns of every (trial, cell) pair."""
+    return (np.repeat(np.arange(n_trials), len(cells[0])),) + tuple(
+        np.tile(c, n_trials) for c in cells
+    )
+
+
+def _graphon_batch(spec: FamilySpec, n: int, seeds) -> list:
+    """Latent-variable graphs on vertices 1..n, one per seed.
 
     Vertex i's latent and every pair's edge coin are keyed by the absolute
     vertex ids, so the sample at n is the induced subgraph of the sample
@@ -257,23 +384,23 @@ def sample_graphon(spec: FamilySpec, n: int) -> Graph:
     if n != int(n) or n < 1:
         raise ValueError("graphon windows need a positive integer size")
     n = int(n)
-    prf = CoinPRF(spec.seed)
-    lat = coin_batch(prf, "lat", np.arange(1, n + 1))
-    edges = _draw_edges(
-        prf, range(1, n + 1), lambda a, b: graphon_prob_block(spec.kernel, lat[a], lat[b], n)
-    )
-    return Graph(
+    col = _seed_column(seeds)
+    labels = np.arange(1, n + 1)
+    lat = coin_batch(CoinPRF(col[:, None]), "lat", labels[None, :]).ravel()
+    return _trial_graphs(
+        spec,
         window_for(spec, n),
-        tuple(range(1, n + 1)),
-        frozenset(edges),
-        tuple(lat.tolist()),
-        "graphon",
-        fingerprint(spec),
+        seeds,
+        _TrialKeys(np.tile(labels, len(col)), np.arange(len(col) + 1) * n),
+        lambda r, c: graphon_edge_prob(spec.kernel, *_pair_views(lat, r, c), n),
+        list(range(1, n + 1)) * len(col),
+        lat.tolist(),
     )
 
 
-def sample_graphex(spec: FamilySpec, n: float) -> Graph:
-    """Graphex-style graph on [0, n): Poisson points with marks, kernel edges.
+def _graphex_batch(spec: FamilySpec, n: float, seeds) -> list:
+    """Graphex-style graphs on [0, n), one per seed: Poisson points with
+    marks, kernel edges.
 
     The point process is assembled from independent unit cells of
     [0, n) x [0, y_max], each cell keyed by its absolute lattice
@@ -285,25 +412,36 @@ def sample_graphex(spec: FamilySpec, n: float) -> Graph:
         raise ValueError("spec is not a graphex family")
     if n <= 0:
         raise ValueError("window size must be positive")
-    prf = CoinPRF(spec.seed)
+    col = _seed_column(seeds)
     window = window_for(spec, n)
     rows = math.ceil(spec.y_max)
     a, b = np.divmod(np.arange(math.ceil(n) * rows), rows)
-    counts = [poisson_from_uniform(u, 1.0) for u in coin_batch(prf, "cnt", a, b).tolist()]
-    (a, b), idx = _cell_points(counts, a, b)
-    x = a + coin_position_batch(prf, "posx", a, b, idx)
-    y = b + coin_position_batch(prf, "posy", a, b, idx)
-    inside = (x < window.size) & (y < spec.y_max)  # x >= 0 by construction
-    order = np.flatnonzero(inside)[np.argsort(x[inside], kind="stable")]
-    x, y = x[order], y[order]
-    if np.any(x[1:] == x[:-1]):
-        raise LabelCollisionError(spec, window)
-    keys = list(zip(a[order].tolist(), b[order].tolist(), idx[order].tolist()))
-    edges = _draw_edges(prf, keys, lambda r, c: graphex_prob_block(spec.kernel, y[r], y[c]))
-    graph = Graph(
-        window, tuple(x.tolist()), frozenset(edges), tuple(y.tolist()), "graphex", fingerprint(spec)
+    u_cnt = coin_batch(CoinPRF(col[:, None]), "cnt", a[None, :], b[None, :])
+    counts = [poisson_from_uniform(u, 1.0) for u in u_cnt.ravel().tolist()]
+    (trial, a, b), idx = _cell_points(counts, *_trial_cells(len(col), a, b))
+    point_prf = CoinPRF(col[trial])
+    x = a + coin_position_batch(point_prf, "posx", a, b, idx)
+    y = b + coin_position_batch(point_prf, "posy", a, b, idx)
+    inside = np.flatnonzero((x < window.size) & (y < spec.y_max))  # x >= 0 by construction
+    order = inside[np.lexsort((x[inside], trial[inside]))]
+    trial, x, y = trial[order], x[order], y[order]
+    tied = np.flatnonzero((x[1:] == x[:-1]) & (trial[1:] == trial[:-1]))
+    if len(tied):
+        raise LabelCollisionError(reseeded(spec, int(col[trial[tied[0]]])), window)
+    keys = _TrialKeys(
+        np.column_stack((a[order], b[order], idx[order])),
+        np.searchsorted(trial, np.arange(len(col) + 1)),
     )
-    return prune_isolated(graph)
+    graphs = _trial_graphs(
+        spec,
+        window,
+        seeds,
+        keys,
+        lambda r, c: graphex_edge_prob(spec.kernel, *_pair_views(y, r, c)),
+        x.tolist(),
+        y.tolist(),
+    )
+    return [prune_isolated(graph) for graph in graphs]
 
 
 def _gaussian_direction(us, dim: int):
@@ -320,8 +458,8 @@ def _gaussian_direction(us, dim: int):
     return tuple(g / norm for g in gs)
 
 
-def sample_rotinv(spec: FamilySpec, n: float) -> Graph:
-    """Rotation-invariant geometric graph in the ball of volume n.
+def _rotinv_batch(spec: FamilySpec, n: float, seeds) -> list:
+    """Rotation-invariant geometric graphs in the ball of volume n, one per seed.
 
     Radial coordinates are sampled shell by shell (unit-volume annuli, so
     the volume coordinate within a shell is uniform) and directions
@@ -334,7 +472,7 @@ def sample_rotinv(spec: FamilySpec, n: float) -> Graph:
     if n <= 0:
         raise ValueError("window volume must be positive")
     dim = spec.dim
-    prf = CoinPRF(spec.seed)
+    col = _seed_column(seeds)
     window = window_for(spec, n)
     vd = unit_ball_volume(dim)
     # One shell past ceil(n) so boundary rounding can never differ between
@@ -344,31 +482,69 @@ def sample_rotinv(spec: FamilySpec, n: float) -> Graph:
         rates = [spec.point.rate] * len(shells)
     else:
         rates = [spec.point.rate(shell) for shell in shells.tolist()]
-    u_cnt = coin_batch(prf, "cnt", shells).tolist()
-    counts = [poisson_from_uniform(u, rate) for u, rate in zip(u_cnt, rates)]
-    (sh,), idx = _cell_points(counts, shells)
+    u_cnt = coin_batch(CoinPRF(col[:, None]), "cnt", shells[None, :]).ravel().tolist()
+    counts = [poisson_from_uniform(u, rate) for u, rate in zip(u_cnt, rates * len(col))]
+    (trial, sh), idx = _cell_points(counts, *_trial_cells(len(col), shells))
     n_ang = 2 * ((dim + 1) // 2)  # Box-Muller pairs cover dim coordinates
     ang = coin_batch(
-        prf, "ang", np.repeat(sh, n_ang), np.repeat(idx, n_ang), np.tile(np.arange(n_ang), len(sh))
+        CoinPRF(np.repeat(col[trial], n_ang)),
+        "ang",
+        np.repeat(sh, n_ang),
+        np.repeat(idx, n_ang),
+        np.tile(np.arange(n_ang), len(sh)),
     ).reshape(len(sh), n_ang)
-    points, radii, keys = [], [], []
-    for shell, i, u, us in zip(
-        sh.tolist(), idx.tolist(), coin_batch(prf, "rad", sh, idx).tolist(), ang.tolist()
-    ):
+    u_rad = coin_batch(CoinPRF(col[trial]), "rad", sh, idx)
+    points, radii = [], []
+    for shell, u, us in zip(sh.tolist(), u_rad.tolist(), ang.tolist()):
         r = (((shell - 1) + u) / vd) ** (1.0 / dim)
         points.append(tuple(r * c for c in _gaussian_direction(us, dim)))
         radii.append(r)
-        keys.append((shell, i))
-    inside = contains_each(window, points)
-    points, radii, keys = (list(compress(col, inside)) for col in (points, radii, keys))
-    if len(set(points)) != len(points):
-        raise LabelCollisionError(spec, window)
+    inside = np.flatnonzero(contains_each(window, points))
+    points, radii = [points[i] for i in inside], [radii[i] for i in inside]
+    trial = trial[inside]
+    labels = Counter(zip(trial.tolist(), points))
+    if len(labels) != len(points):
+        t = next(label for label, k in labels.items() if k > 1)[0]
+        raise LabelCollisionError(reseeded(spec, int(col[t])), window)
     pts = np.asarray(points, dtype=float).reshape(len(points), dim)
     rad = np.asarray(radii)
-    edges = _draw_edges(
-        prf, keys, lambda a, b: geo_prob_block(spec.kernel, pts[a], rad[a], pts[b], rad[b])
+
+    def block(r, c):
+        pa, pb = _pair_views(pts, r, c)
+        ra, rb = _pair_views(rad, r, c)
+        return geo_edge_prob(spec.kernel, pa, ra, pb, rb)
+
+    keys = _TrialKeys(
+        np.column_stack((sh, idx))[inside], np.searchsorted(trial, np.arange(len(col) + 1))
     )
-    return Graph(window, tuple(points), frozenset(edges), tuple(radii), "rotinv", fingerprint(spec))
+    return _trial_graphs(spec, window, seeds, keys, block, points, radii)
+
+
+_BATCH_SAMPLERS = {"graphon": _graphon_batch, "graphex": _graphex_batch, "rotinv": _rotinv_batch}
+
+
+def sample_batch(spec: FamilySpec, n: float, seeds) -> list:
+    """The graphs of ``spec`` at window n for each seed of a uint64 column
+    (or of one int seed), each equal to sample(reseeded(spec, seed), n)."""
+    if spec.family not in _BATCH_SAMPLERS:
+        raise ValueError(f"unknown family {spec.family!r}")
+    return _BATCH_SAMPLERS[spec.family](spec, n, seeds)
+
+
+def sample_graphon(spec: FamilySpec, n: int) -> Graph:
+    """The graphon graph of spec.seed on vertices 1..n: the batch of one."""
+    return _graphon_batch(spec, n, spec.seed)[0]
+
+
+def sample_graphex(spec: FamilySpec, n: float) -> Graph:
+    """The graphex graph of spec.seed on [0, n): the batch of one."""
+    return _graphex_batch(spec, n, spec.seed)[0]
+
+
+def sample_rotinv(spec: FamilySpec, n: float) -> Graph:
+    """The rotation-invariant graph of spec.seed in the ball of volume n:
+    the batch of one."""
+    return _rotinv_batch(spec, n, spec.seed)[0]
 
 
 def sample(spec: FamilySpec, n: float) -> Graph:
@@ -379,6 +555,21 @@ def sample(spec: FamilySpec, n: float) -> Graph:
     if spec.family == "rotinv":
         return sample_rotinv(spec, n)
     raise ValueError(f"unknown family {spec.family!r}")
+
+
+def mean_pairs(spec: FamilySpec, n: float) -> float:
+    """Expected number of vertex pairs the edge draw of a sample at window n
+    walks, counting the points drawn before any cut to the window."""
+    if spec.family == "graphon":
+        return n * (n - 1) / 2
+    shells = range(1, math.ceil(n) + 2)
+    if spec.family == "graphex":
+        points = math.ceil(n) * math.ceil(spec.y_max)  # unit-rate cells
+    elif isinstance(spec.point, PoissonRate):
+        points = spec.point.rate * len(shells)
+    else:
+        points = sum(spec.point.rate(shell) for shell in shells)
+    return points * points / 2  # E[K (K - 1)] / 2 for K ~ Poisson(points)
 
 
 def extend_sample(spec: FamilySpec, graph: Graph, n: float, m: float) -> Graph:

@@ -172,6 +172,64 @@ def test_sample_output_matches_pinned_hash(capsys, config, n, seed):
     assert digest == SAMPLE_PINS[(config, n, seed)]
 
 
+# sha256 of certification reports at --seed 42 under coin version 2,
+# recorded before the harness drew its trials in batches.  How the trials
+# are drawn must not move a report's bytes.
+REPORT_PINS = {
+    "projectivity-exact-graphon": (
+        ["test-projectivity", "--config", "graphon", "--n", "5", "--m", "20", "--trials", "500"],
+        0,
+        "4ad4a23ab73a5307f33891508f3d4738dac8ceb92e9aebf639f524a4e46c4bdf",
+    ),
+    "projectivity-distributional-window-scaled": (
+        ["test-projectivity", "--config", "broken_window_scaled", "--n", "3", "--m", "6",
+         "--trials", "1000", "--mode", "distributional"],
+        2,
+        "324a658fdcafd14f219b9b55ba5ea36b3eb97d3641cbab5d0b64000fe471731b",
+    ),
+    "invariance-graphex-dyadic-swaps": (
+        ["test-invariance", "--config", "graphex", "--n", "2", "--trials", "250"],
+        0,
+        "59bc4119b9bd2613d44beee965b2a81793208ef42b187f359f22ae3cf57cce79",
+    ),
+    "invariance-rotinv-d2-rotations": (
+        ["test-invariance", "--config", "rotinv", "--n", "8", "--trials", "100"],
+        0,
+        "82f2a04e82c94100c993fd065274bfaa9937e9201956b62cc578a054518595b3",
+    ),
+    "enumerate-graphon-grid": (
+        ["enumerate", "--config", "graphon_grid", "--n", "3", "--trials", "2000"],
+        0,
+        "e8443a59ce2c640798c0e3750b34b748acf1977385443de134f5fbea5c4c34cf",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REPORT_PINS))
+def test_report_matches_pinned_hash(capsys, name):
+    argv, code, digest = REPORT_PINS[name]
+    at = argv.index("--config") + 1
+    argv = argv[:at] + [str(CONFIGS / f"{argv[at]}.json")] + argv[at + 1 :] + ["--seed", "42"]
+    assert run(argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+def test_hyperbolic_overflow_is_silent_and_keeps_its_bytes(tmp_path, capsys):
+    # At T = 0.001 far pairs overflow exp to inf; 1 / (1 + inf) = 0 is the
+    # right probability, so the sample must neither warn nor change.
+    config = tmp_path / "hyperbolic.json"
+    config.write_text(json.dumps({
+        "family": "rotinv", "kernel": {"type": "hyperbolic_soft", "R": 1.0, "T": 0.001},
+        "dim": 2, "point": {"type": "poisson", "rate": 3.0}, "seed": 42,
+    }))
+    assert run(["sample", "--config", str(config), "--n", "6"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "9a46ae3472de7e68db053e2a741a59e9b6cddfeaeaaf3a35c5d9d805c22e44d1"
+    )
+
+
 def test_unknown_flag_exits_one(capsys):
     assert run(["sample", "--bogus", "x"]) == 1
     assert "error" in capsys.readouterr().err

@@ -19,6 +19,7 @@ from pointgraphs.coins import (
     SMALL_BATCH,
     coin_batch,
     coin_position_batch,
+    derive_seeds,
     edge_coin_batch,
     key_ids,
 )
@@ -196,6 +197,41 @@ def test_coin_does_not_depend_on_batch_position():
     assert np.array_equal(edge_coin_batch(s, ids[order], ids[order + 1]), edges[order])
     for cut in (slice(40, 90), slice(7, 10)):
         assert np.array_equal(edge_coin_batch(s, ids[:-1][cut], ids[1:][cut]), edges[cut])
+
+
+_SEEDS = np.array([0, 1, 42, 2**63, 2**64 - 1], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("n_keys", [2, 3, 40])  # both sides of SMALL_BATCH
+def test_seed_column_broadcasts_against_key_columns(n_keys):
+    keys = np.arange(n_keys)
+    got = coin_batch(CoinPRF(_SEEDS[:, None]), "cnt", keys[None, :], (keys % 3)[None, :])
+    assert got.shape == (len(_SEEDS), n_keys)
+    for row, seed in zip(got.tolist(), _SEEDS.tolist()):
+        assert row == [coin(CoinPRF(seed), "cnt", k, k % 3) for k in keys.tolist()]
+    per_key = np.resize(_SEEDS, n_keys)  # one seed per key, aligned
+    assert coin_position_batch(CoinPRF(per_key), "posx", keys, keys).tolist() == [
+        coin_position(CoinPRF(s), "posx", k, k) for s, k in zip(per_key.tolist(), keys.tolist())
+    ]
+    ids = key_ids(keys + 1)
+    assert edge_coin_batch(CoinPRF(per_key), ids, ids[::-1]).tolist() == [
+        coin(CoinPRF(s), "edge", a, b)
+        for s, a, b in zip(per_key.tolist(), (keys + 1).tolist(), (keys + 1)[::-1].tolist())
+    ]
+
+
+def test_seed_columns_must_be_uint64():
+    with pytest.raises(TypeError):
+        CoinPRF(np.array([1, 2]))
+
+
+@pytest.mark.parametrize("n_trials", [1, 5, 300])
+def test_derive_seeds_is_derive_seed_per_trial(n_trials):
+    trials = np.arange(n_trials) * 7
+    for seed in (0, 42, 2**64 - 1):
+        got = derive_seeds(seed, trials)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [derive_seed(seed, t) for t in trials.tolist()]
 
 
 def test_batch_rejects_non_integer_columns():

@@ -70,6 +70,10 @@ INT4 = "#window kind=integer_prefix size=4\n"
         INT4 + "v 0 1\nv 1 2\ne 0 2\n",
         INT4 + "v 0 1.5\n",
         "#window kind=euclidean_ball size=10 dim=3\nv 0 0.1 0.2\n",
+        INT4 + "v 0 1 0.5 junk\nv 1 2 0.25\n",
+        INT4 + "v 0 1 0.5\nv 1 2 0.25 7\ne 0 1\n",
+        INT4 + "v 0 1\nv 1 2\ne 0 1\ne 1 0\n",
+        INT4 + "v 0 1\nv 1 2\ne 0 1\ne 0 1\n",
     ],
     ids=[
         "label-outside-window",
@@ -78,6 +82,10 @@ INT4 = "#window kind=integer_prefix size=4\n"
         "edge-to-missing-vertex",
         "float-label-in-integer-window",
         "ball-label-of-wrong-dimension",
+        "token-past-latent",
+        "number-past-latent",
+        "repeated-edge-reversed",
+        "repeated-edge",
     ],
 )
 def test_read_graph_rejects_malformed_edge_list(tmp_path, capsys, text):

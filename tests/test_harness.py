@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -184,3 +185,37 @@ def test_bonferroni_verdict_rule():
     assert certify._verdict({"a": 0.004, "b": 0.9}, 0.01) == "Fail"
     assert certify._verdict({"a": 0.006, "b": 0.9}, 0.01) == "Pass"
     assert certify._verdict({"a": 1.0}, 0.01) == "Pass"
+
+
+@pytest.mark.parametrize("chunk", [1, 64, 2**20])
+def test_reports_do_not_depend_on_the_trial_chunks(monkeypatch, chunk):
+    cases = [
+        lambda: certify.test_projectivity(graphon_spec(Constant(0.5), seed=21), 3, 7, 500),
+        lambda: certify.test_projectivity(
+            graphex_spec(GraphexIndicator(1.0), y_max=1.0, seed=22), 1.0, 2.0, 500,
+            mode="distributional",
+        ),
+        lambda: certify.test_invariance(
+            rotinv_spec(HardDistance(0.5), dim=2, point=PoissonRate(2.0), seed=23),
+            RandomRotations(2), 3.0, 100,
+        ),
+    ]
+    want = [case().to_json() for case in cases]
+    monkeypatch.setattr(certify, "CHUNK_PAIRS", chunk)
+    assert [case().to_json() for case in cases] == want
+
+
+def test_harness_memory_does_not_grow_with_trials():
+    spec = graphon_spec(Constant(0.5), seed=24)
+    peaks = []
+    for trials in (500, 2000):
+        tracemalloc.start()
+        try:
+            report = certify.test_projectivity(spec, 5, 20, trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+    # chunks of ~CHUNK_PAIRS pairs: well under 2 MiB at any trial count
+    assert max(peaks) < 2 * 2**20
+    assert peaks[1] < 1.5 * peaks[0]

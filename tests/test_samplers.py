@@ -42,7 +42,7 @@ from pointgraphs import (
 )
 from pointgraphs import samplers
 from pointgraphs.coins import coin, derive_seed
-from pointgraphs.kernels import FixedDirectionIndicator, geo_prob_block
+from pointgraphs.kernels import FixedDirectionIndicator, geo_edge_prob
 
 
 def mc_mean(values):
@@ -363,24 +363,29 @@ def test_restrict_graph_rejects_window_of_another_kind():
 # --- geometric kernel forms ----------------------------------------------------
 
 
+def geo_prob_matrix(kernel, pts, radii):
+    """The whole pair matrix: the broadcasting kernel on [:, None] views."""
+    return geo_edge_prob(kernel, pts[:, None], radii[:, None], pts[None, :], radii[None, :])
+
+
 def test_geo_kernel_matrices():
     pts = np.array([[1.0, 0.0], [0.0, 2.0], [-1.5, 0.0]])
     radii = np.array([1.0, 2.0, 1.5])
-    hard = geo_prob_block(HardDistance(2.3), pts, radii, pts, radii)
+    hard = geo_prob_matrix(HardDistance(2.3), pts, radii)
     assert hard[0, 1] == 1.0  # dist sqrt(5) ~ 2.236
     assert hard[0, 2] == 0.0 and hard[1, 2] == 0.0  # dists 2.5 exactly
-    soft = geo_prob_block(SoftDistance(1.0, 2.0), pts, radii, pts, radii)
+    soft = geo_prob_matrix(SoftDistance(1.0, 2.0), pts, radii)
     assert soft[0, 1] == pytest.approx(math.exp(-5.0))
-    rad = geo_prob_block(RadialSum(3.0), pts, radii, pts, radii)
+    rad = geo_prob_matrix(RadialSum(3.0), pts, radii)
     assert rad[0, 1] == 1.0 and rad[1, 2] == 0.0
-    fixed = geo_prob_block(FixedDirectionIndicator(), pts, radii, pts, radii)
+    fixed = geo_prob_matrix(FixedDirectionIndicator(), pts, radii)
     assert fixed[0, 1] == 0.0 and fixed[0, 0] == 1.0 and fixed[0, 2] == 0.0
 
 
 def test_hyperbolic_kernel_formula():
     pts = np.array([[1.0, 0.0], [0.0, 2.0]])  # right angle between directions
     radii = np.array([1.0, 2.0])
-    got = geo_prob_block(HyperbolicSoft(R=2.0, T=0.5), pts, radii, pts, radii)[0, 1]
+    got = geo_prob_matrix(HyperbolicSoft(R=2.0, T=0.5), pts, radii)[0, 1]
     dh = math.acosh(math.cosh(1.0) * math.cosh(2.0))  # cos(pi/2) kills the second term
     want = 1.0 / (1.0 + math.exp((dh - 2.0) / 1.0))
     assert got == pytest.approx(want, rel=1e-12)
@@ -441,6 +446,58 @@ def test_tiled_edges_match_whole_matrix_reference(monkeypatch, spec, n):
             if p >= 1.0 or (p > 0.0 and coin(prf, "edge", keys[i], keys[j]) < p):
                 want.add((i, j))
     assert edges == want
+
+
+_BATCH_CASES = [
+    (graphon_spec(Constant(0.4), seed=81), (1, 2, 30)),
+    (graphon_spec(GraphonGrid(((0.9, 0.1, 1.0), (0.1, 0.0, 0.5), (1.0, 0.5, 0.3))), 82),
+     (1, 2, 30)),
+    (graphon_spec(WindowScaledConstant(1.0), seed=83), (1, 2, 30)),
+    (graphex_spec(GraphexIndicator(0.5), y_max=2.0, seed=84), (0.5, 12.0)),
+    (graphex_spec(GraphexProduct(1.5), y_max=2.0, seed=85), (0.5, 12.0)),
+    (_rotinv(Constant(0.2)), (0.3, 10.0)),
+    (_rotinv(HardDistance(0.6)), (0.3, 10.0)),
+    (_rotinv(SoftDistance(0.5, 1.5)), (0.3, 10.0)),
+    (_rotinv(RadialSum(2.0)), (0.3, 10.0)),
+    (_rotinv(HyperbolicSoft(2.5, 0.4)), (0.3, 10.0)),
+    (_rotinv(FixedDirectionIndicator()), (0.3, 10.0)),
+    (rotinv_spec(SoftDistance(1.0, 2.0), dim=9, point=PoissonRate(2.0), seed=86), (0.5, 6.0)),
+]
+
+
+@pytest.mark.parametrize("tile", [64, samplers.TILE_PAIRS])
+@pytest.mark.parametrize(
+    "spec, sizes",
+    _BATCH_CASES,
+    ids=lambda v: f"{v.family}-{type(v.kernel).__name__}" if isinstance(v, FamilySpec) else None,
+)
+def test_batch_sampler_matches_batch_of_one(monkeypatch, spec, sizes, tile):
+    """One batched call gives, seed for seed, the graphs of sample(reseeded(spec, s), n)."""
+    monkeypatch.setattr(samplers, "TILE_PAIRS", tile)
+    draw, triangles = samplers._draw_edges, samplers._triangles
+    points, packed = set(), []
+
+    def draw_spy(prf, keys, block):
+        points.update(np.diff(keys.starts).tolist())
+        return draw(prf, keys, block)
+
+    def triangles_spy(starts):
+        packed.append(len(starts) - 1)
+        return triangles(starts)
+
+    monkeypatch.setattr(samplers, "_draw_edges", draw_spy)
+    monkeypatch.setattr(samplers, "_triangles", triangles_spy)
+    seeds = np.array([derive_seed(spec.seed, t) for t in range(40)] + [0, 2**64 - 1], np.uint64)
+    for n in sizes:
+        batch = samplers.sample_batch(spec, n, seeds)
+        assert len(batch) == len(seeds)
+        for s, graph in zip(seeds.tolist(), batch):
+            assert graph == sample(reseeded(spec, s), n)
+            assert graph.fingerprint == fingerprint(reseeded(spec, s))
+    # trials with no point and with one point, and a tile holding the whole
+    # triangles of several trials
+    assert {1} <= points if spec.family == "graphon" else {0, 1} <= points
+    assert max(packed) > 2
 
 
 def test_rotinv_sampling_memory_is_tiled():
@@ -522,6 +579,20 @@ def test_fingerprint_tracks_seed_and_kernel():
     assert fingerprint(a) == fingerprint(graphon_spec(Constant(0.5), seed=1))
     assert fingerprint(a) != fingerprint(graphon_spec(Constant(0.5), seed=2))
     assert fingerprint(a) != fingerprint(graphon_spec(Constant(0.6), seed=1))
+
+
+def test_fingerprint_hashes_the_canonical_spec_json():
+    specs = [
+        graphon_spec(GraphonGrid(((0.8, 0.2), (0.2, 0.6))), seed=1),
+        graphex_spec(GraphexProduct(1.5), y_max=2.0, seed=2),
+        rotinv_spec(HyperbolicSoft(3.0, 0.4), dim=2, point=PoissonRate(1.5), seed=3),
+        rotinv_spec(RadialSum(2.0), dim=3, point=RadialTable((1.0, 2.0)), seed=4),
+    ]
+    for spec in specs:
+        for seed in (0, 7, 2**64 - 1):
+            data = dict(spec_to_dict(reseeded(spec, seed)), coin_version=2)
+            blob = json.dumps(data, sort_keys=True, separators=(",", ":")).encode("utf-8")
+            assert fingerprint(reseeded(spec, seed)) == hashlib.sha256(blob).hexdigest()[:16]
 
 
 @pytest.mark.parametrize(

@@ -144,3 +144,40 @@ def test_graph_stats_matches_networkx(n, p, seed):
     assert s.edge_count == ref.number_of_edges()
     assert s.max_degree == max(degrees)
     assert s.degree_histogram == {d: degrees.count(d) for d in set(degrees)}
+
+
+# --- independent oracles (scipy) -----------------------------------------------
+
+
+def _ks_samples():
+    rng = np.random.default_rng(31)
+    yield rng.random(300), rng.random(450)
+    yield rng.normal(0.0, 1.0, 200), rng.normal(0.3, 1.0, 200)
+    # integer statistics with heavy ties, as the harness feeds them
+    yield rng.integers(0, 3, 500), rng.integers(0, 3, 500)
+    yield rng.integers(0, 3, 1000), rng.binomial(2, 0.55, 1000)
+    yield rng.integers(0, 50, 250), rng.integers(0, 50, 400)
+    yield rng.poisson(20.0, 1000), rng.poisson(21.0, 1000)
+
+
+@pytest.mark.parametrize("xs, ys", list(_ks_samples()))
+def test_ks_matches_scipy(xs, ys):
+    stats = pytest.importorskip("scipy.stats")
+    d, p = ks_two_sample(xs, ys)
+    # The same largest gap between the two empirical CDFs, a multiple of
+    # 1 / (n1 n2); the two codes round its division differently.
+    want = stats.ks_2samp(xs, ys).statistic
+    scale = len(xs) * len(ys)
+    assert round(d * scale) == round(want * scale)
+    assert d == pytest.approx(want, rel=0.0, abs=1e-12)
+    assert abs(p - stats.ks_2samp(xs, ys, method="asymp").pvalue) < 0.01
+
+
+@pytest.mark.parametrize(
+    "x, k",
+    [(0.5, 1), (3.841, 1), (1.0, 2), (5.991, 2), (2.0, 3), (7.815, 3), (200.0, 3),
+     (18.475, 7), (30.0, 10), (5.0, 31), (80.0, 31), (1e-3, 4)],
+)
+def test_chi2_sf_matches_scipy(x, k):
+    stats = pytest.importorskip("scipy.stats")
+    assert chi2_sf(x, k) == pytest.approx(stats.chi2.sf(x, k), rel=1e-10, abs=0.0)
