@@ -13,15 +13,15 @@ component c is then absorbed as h = mix(h + c * PHI) mod 2^64, where mix
 is the SplitMix64 finalizer, a bijection of 64-bit words.  A coin is
 (h >> 11) * 2^-53 and a position coin (h >> 21) * 2^-43, both exact.
 
-The same few functions run on Python ints and on numpy uint64 arrays
-(where the arithmetic wraps and is masked all the same), so there is one
-definition of the bits.  Batches of keys are hashed in one call: large
-batches as arrays, small ones key by key in Python ints, because a numpy
-call costs about a microsecond whatever its size.  Integer arithmetic is
-exact either way, so a key's coin cannot depend on its batch.  The seed
-may be a uint64 column too, broadcast against the key columns, so one
-call hashes the keys of many seeds (many trials) at once; a coin is still
-a pure function of (seed, tag, key).
+The same few functions run on Python ints, one key at a time (coin,
+coin_u64, coin_position), and on numpy uint64 columns, where the batch
+functions hash every key of a batch in one pass of array arithmetic that
+wraps and is masked all the same.  So there is one definition of the bits,
+and since integer arithmetic is exact either way, a key's coin depends on
+neither the size of its batch nor its place in it.  The seed may be a
+uint64 column too, broadcast against the key columns, so one call hashes
+the keys of many seeds (many trials) at once; a coin is still a pure
+function of (seed, tag, key).
 
 Edge coins are keyed by vertex ids: each vertex key (an int or a flat
 tuple of ints) is hashed to a 64-bit id, and the coin of a pair is keyed
@@ -49,9 +49,6 @@ UNORDERED_PAIR_TAGS = frozenset({"edge"})
 # dyadic-interval translations stay exact in double precision (exact for
 # labels below 2**(53 - POSITION_BITS) = 1024; groups rejects swaps past it).
 POSITION_BITS = 43
-
-# Batches of at most this many keys are hashed in Python ints.
-SMALL_BATCH = 16
 
 _MASK64 = (1 << 64) - 1
 _PHI = 0x9E3779B97F4A7C15
@@ -100,22 +97,6 @@ def _position(h):
     return (h >> (64 - POSITION_BITS)) * 2.0**-POSITION_BITS
 
 
-def _absorb_rows(base, cols) -> np.ndarray:
-    """Hashes of the keys whose components are the uint64 columns ``cols``,
-    each from its base word; ``base`` is one int or a broadcasting column."""
-    shape = np.broadcast_shapes(np.shape(base), *(c.shape for c in cols))
-    size = math.prod(shape)
-    if size > SMALL_BATCH:
-        return _absorb(base, cols)
-    if isinstance(base, int):
-        bases = [base] * size
-    else:
-        bases = np.broadcast_to(base, shape).ravel().tolist()
-    rows = zip(*(np.broadcast_to(c, shape).ravel().tolist() for c in cols))
-    hashes = [_absorb(b, row) for b, row in zip(bases, rows)]
-    return np.array(hashes, dtype=np.uint64).reshape(shape)
-
-
 def _words(col) -> np.ndarray:
     """A batch column of integer key components as a 1-d uint64 array."""
     a = np.atleast_1d(np.asarray(col))
@@ -162,11 +143,11 @@ def _key_id(key) -> int:
 def key_ids(keys) -> np.ndarray:
     """64-bit ids of vertex keys: ints, or flat int tuples all of one length."""
     a = np.asarray(keys)
-    return _absorb_rows(0, [_words(c) for c in ([a] if a.ndim == 1 else a.T)])
+    return _absorb(0, [_words(c) for c in ([a] if a.ndim == 1 else a.T)])
 
 
 def _rows(prf: CoinPRF, tag: str, cols) -> np.ndarray:
-    return _absorb_rows(_tag_base(prf.seed, tag), [_words(c) for c in cols])
+    return _absorb(_tag_base(prf.seed, tag), [_words(c) for c in cols])
 
 
 def coin_batch(prf: CoinPRF, tag: str, *cols) -> np.ndarray:
@@ -182,7 +163,7 @@ def coin_position_batch(prf: CoinPRF, tag: str, *cols) -> np.ndarray:
 def edge_coin_batch(prf: CoinPRF, ids_a, ids_b) -> np.ndarray:
     """Edge coins of the pairs (ids_a[t], ids_b[t]) of key_ids values."""
     pair = [np.minimum(ids_a, ids_b), np.maximum(ids_a, ids_b)]
-    return _unit(_absorb_rows(_tag_base(prf.seed, "edge"), pair))
+    return _unit(_absorb(_tag_base(prf.seed, "edge"), pair))
 
 
 def _scalar_hash(prf: CoinPRF, tag: str, key: tuple) -> int:

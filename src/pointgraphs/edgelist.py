@@ -60,8 +60,7 @@ def read_graph(fh) -> Graph:
     fingerprint = None
     vertices = []
     latents = []
-    edges = set()
-    edge_lines = 0
+    edges = []
     for raw in fh:
         line = raw.strip()
         if not line:
@@ -102,15 +101,11 @@ def read_graph(fh) -> Graph:
             latents.append(float(rest[0]) if rest else None)
         elif line.startswith("e "):
             _, i, j = line.split()
-            i, j = int(i), int(j)
-            edges.add((i, j) if i < j else (j, i))
-            edge_lines += 1
+            edges.append((int(i), int(j)))
         else:
             raise ValueError(f"unrecognized line: {line!r}")
     if window is None:
         raise ValueError("missing #window header")
-    if len(edges) != edge_lines:
-        raise ValueError("an edge is listed more than once")
     have_latents = any(l is not None for l in latents)
     if have_latents and any(l is None for l in latents):
         raise ValueError("latent annotations must cover all vertices or none")

@@ -117,7 +117,9 @@ def test_projectivity(
     """Certify that restricting samples at window m reproduces window n.
 
     mode="exact" couples both sides through one seed per trial and demands
-    bit-identical graphs (edge configurations, for pruning families).
+    bit-identical graphs (edge configurations, for pruning families).  A
+    failing exact report names its first mismatching trial and that trial's
+    seed, with which `pointgraphs sample` at n and at m reproduces it.
     mode="distributional" uses disjoint seed streams and compares graph
     statistics by KS.
     """
@@ -129,11 +131,15 @@ def test_projectivity(
     prune = spec.family == "graphex"
     if mode == "exact":
         mismatches = 0
+        details = {}
         for trials in _chunks(spec, m, N):
             seeds = derive_seeds(spec.seed, trials)
-            for big, small in zip(sample_batch(spec, m, seeds), sample_batch(spec, n, seeds)):
+            bigs, smalls = sample_batch(spec, m, seeds), sample_batch(spec, n, seeds)
+            for t, s, big, small in zip(trials.tolist(), seeds.tolist(), bigs, smalls):
                 if restrict_graph(big, win_n, prune_isolated=prune) != small:
                     mismatches += 1
+                    details.setdefault("first_mismatch", {"trial": t, "seed": s})
+        details["mismatches"] = mismatches
         p_values = {"exact_match": 1.0 if mismatches == 0 else 0.0}
         return TestReport(
             test_name="projectivity_exact",
@@ -144,7 +150,7 @@ def test_projectivity(
             verdict="Pass" if mismatches == 0 else "Fail",
             alpha=alpha,
             seeds={"seed": spec.seed},
-            details={"mismatches": mismatches},
+            details=details,
         )
     if mode != "distributional":
         raise ValueError(f"unknown mode {mode!r}")

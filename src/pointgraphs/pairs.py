@@ -64,8 +64,10 @@ class Graph:
 
 
 def make_graph(window, vertices, edges, latents=None, family=None, fingerprint=None) -> Graph:
-    """Validated Graph constructor."""
+    """Validated Graph constructor.  Edges may be given in either orientation
+    and are stored as (i, j) with i < j; an edge given twice is an error."""
     vertices = tuple(vertices)
+    edges = tuple(edges)
     if len(set(vertices)) != len(vertices):
         raise ValueError("vertex labels must be distinct")
     for v in vertices:
@@ -78,6 +80,8 @@ def make_graph(window, vertices, edges, latents=None, family=None, fingerprint=N
         if not (0 <= i < len(vertices) and 0 <= j < len(vertices)):
             raise ValueError(f"edge ({i}, {j}) references a missing vertex")
         norm.add((min(i, j), max(i, j)))
+    if len(norm) != len(edges):
+        raise ValueError("an edge is listed more than once")
     if latents is not None:
         latents = tuple(latents)
         if len(latents) != len(vertices):

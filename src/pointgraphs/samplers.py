@@ -26,7 +26,6 @@ import json
 import math
 from dataclasses import dataclass, replace
 from collections import Counter
-from itertools import chain
 
 import numpy as np
 
@@ -264,17 +263,17 @@ def _triangles(starts: np.ndarray):
     return ii, jj
 
 
-def _add_edges(edges: set, seed, ids, ii, jj, q) -> None:
-    """Add the pairs (ii, jj) of probabilities q > 0 that their edge coins
-    accept; ``seed`` is an int or the column of each pair's trial seed."""
+def _accepted(seed, ids, ii, jj, q):
+    """The pairs (ii, jj) of probabilities q > 0 that their edge coins accept,
+    in order; ``seed`` is an int or the column of each pair's trial seed."""
     hit = q >= 1.0
     unsure = ~hit
     prf = CoinPRF(seed if isinstance(seed, int) else seed[unsure])
     hit[unsure] = edge_coin_batch(prf, ids[ii[unsure]], ids[jj[unsure]]) < q[unsure]
-    edges.update(zip(ii[hit].tolist(), jj[hit].tolist()))
+    return ii[hit], jj[hit]
 
 
-def _draw_edges(prf: CoinPRF, keys: _TrialKeys, block) -> set:
+def _draw_edges(prf: CoinPRF, keys: _TrialKeys, block):
     """Bernoulli edges over the index pairs i < j within each trial.
 
     Trial t owns keys[starts[t]:starts[t + 1]] and keys its edge coins with
@@ -287,19 +286,23 @@ def _draw_edges(prf: CoinPRF, keys: _TrialKeys, block) -> set:
     tile's edge coins are drawn in one batch, keyed by the ids of the
     vertex keys.  Certain edges (p >= 1) and impossible ones (p <= 0)
     consume no coin; since coins are keyed rather than sequential, skipping
-    them cannot perturb any other decision.  Returns the edges as pairs of
-    indices into ``keys``.
+    them cannot perturb any other decision.
+
+    Returns the edges as int64 arrays (ii, jj) of indices into ``keys``,
+    ii < jj.  Tiles are walked in increasing row order, each row-major, so
+    the pairs strictly increase and each trial's edges form one run.
     """
     starts = keys.starts
     seeds = _seed_column(prf.seed)
     sizes = np.diff(starts)
     pairs = sizes * (sizes - 1) // 2
     before = np.concatenate(([0], np.cumsum(pairs)))  # pairs of the trials before t
-    edges = set()
     if before[-1] == 0:
-        return edges
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
     ids = key_ids(keys.rows)
     trial_of = np.repeat(np.arange(len(sizes)), sizes)
+    hits = []
     t = 0
     while t < len(sizes):
         u = int(np.searchsorted(before, before[t] + TILE_PAIRS, side="right")) - 1
@@ -308,7 +311,7 @@ def _draw_edges(prf: CoinPRF, keys: _TrialKeys, block) -> set:
             p = block(ii, jj)
             keep = np.flatnonzero(p > 0.0)
             ii, jj = ii[keep], jj[keep]
-            _add_edges(edges, seeds[trial_of[ii]], ids, ii, jj, p[keep])
+            hits.append(_accepted(seeds[trial_of[ii]], ids, ii, jj, p[keep]))
             t = u
             continue
         lo, hi = int(starts[t]), int(starts[t + 1])
@@ -319,24 +322,10 @@ def _draw_edges(prf: CoinPRF, keys: _TrialKeys, block) -> set:
             upper = jj > ii  # tile entry (a, b) is the pair (r + a, r + b)
             ii, jj = ii[upper], jj[upper]
             q = p[ii, jj]
-            ii += r
-            jj += r
-            _add_edges(edges, int(seeds[t]), ids, ii, jj, q)
+            hits.append(_accepted(int(seeds[t]), ids, ii + r, jj + r, q))
         t += 1
-    return edges
-
-
-def _trial_edges(edges: set, starts: np.ndarray) -> list:
-    """Each trial's edges, reindexed from the batch's vertices to its own."""
-    if len(starts) == 2:
-        return [frozenset(edges)]
-    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
-    flat = flat.reshape(-1, 2)
-    flat = flat[np.argsort(flat[:, 0], kind="stable")]
-    bounds = np.searchsorted(flat[:, 0], starts)
-    flat -= np.repeat(starts[:-1], np.diff(bounds))[:, None]
-    ii, jj = flat[:, 0].tolist(), flat[:, 1].tolist()
-    return [frozenset(zip(ii[a:b], jj[a:b])) for a, b in zip(bounds[:-1], bounds[1:])]
+    ii, jj = zip(*hits)
+    return np.concatenate(ii), np.concatenate(jj)
 
 
 def _seed_column(seeds) -> np.ndarray:
@@ -345,14 +334,18 @@ def _seed_column(seeds) -> np.ndarray:
 
 
 def _trial_graphs(spec, window, seeds, keys: _TrialKeys, block, labels, latents) -> list:
-    """Draw a batch's edges and cut it into one Graph per seed; ``labels``
+    """Draw a batch's edges and cut them into one Graph per seed; ``labels``
     and ``latents`` list the batch's vertices trial after trial."""
-    edges = _trial_edges(_draw_edges(CoinPRF(seeds), keys, block), keys.starts)
-    starts = keys.starts.tolist()
+    ii, jj = _draw_edges(CoinPRF(seeds), keys, block)
+    cuts = np.searchsorted(ii, keys.starts)  # trial t's edges are cuts[t]:cuts[t + 1]
+    shift = np.repeat(keys.starts[:-1], np.diff(cuts))
+    ii, jj = (ii - shift).tolist(), (jj - shift).tolist()
+    starts, cuts = keys.starts.tolist(), cuts.tolist()
     return [
-        Graph(window, tuple(labels[lo:hi]), e, tuple(latents[lo:hi]), spec.family, fp)
-        for lo, hi, e, fp in zip(
-            starts, starts[1:], edges, _fingerprints(spec, _seed_column(seeds).tolist())
+        Graph(window, tuple(labels[lo:hi]), frozenset(zip(ii[a:b], jj[a:b])),
+              tuple(latents[lo:hi]), spec.family, fp)
+        for lo, hi, a, b, fp in zip(
+            starts, starts[1:], cuts, cuts[1:], _fingerprints(spec, _seed_column(seeds).tolist())
         )
     ]
 

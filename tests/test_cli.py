@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pointgraphs.cli import run
+from pointgraphs.coins import derive_seed
 from pointgraphs.edgelist import loads_graph
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -95,6 +96,23 @@ def test_projectivity_command_fails_on_broken_family(tmp_path):
                 "--out", str(out)])
     assert code == 2
     assert json.loads(read(out))["verdict"] == "Fail"
+
+
+def test_failing_exact_projectivity_names_a_reproducible_trial(tmp_path):
+    out, big, small, direct = (tmp_path / name for name in ("r.json", "g6.el", "g3.el", "d3.el"))
+    cfg = str(CONFIGS / "broken_window_scaled.json")
+    code = run(["test-projectivity", "--config", cfg, "--n", "3", "--m", "6",
+                "--trials", "500", "--out", str(out)])
+    assert code == 2
+    details = json.loads(read(out))["details"]
+    assert details["mismatches"] > 0
+    first = details["first_mismatch"]
+    assert first["seed"] == derive_seed(json.loads(read(Path(cfg)))["seed"], first["trial"])
+    seed = str(first["seed"])
+    assert run(["sample", "--config", cfg, "--n", "6", "--seed", seed, "--out", str(big)]) == 0
+    assert run(["restrict", "--in", str(big), "--n", "3", "--out", str(small)]) == 0
+    assert run(["sample", "--config", cfg, "--n", "3", "--seed", seed, "--out", str(direct)]) == 0
+    assert loads_graph(read(small)) != loads_graph(read(direct))
 
 
 def test_invariance_command(tmp_path):

@@ -16,7 +16,6 @@ from pointgraphs import (
 from pointgraphs.coins import (
     MAX_POISSON_RATE,
     POSITION_BITS,
-    SMALL_BATCH,
     coin_batch,
     coin_position_batch,
     derive_seeds,
@@ -155,13 +154,11 @@ _SAMPLER_KEYS = [
 
 @pytest.mark.parametrize("scalar, batch, tag, cols", _SAMPLER_KEYS, ids=lambda v: getattr(v, "__name__", None))
 def test_batch_equals_scalar_calls(scalar, batch, tag, cols):
-    # both sides of SMALL_BATCH: Python ints key by key, and uint64 arrays
     s = CoinPRF(77)
-    for size in (3, len(cols[0])):
+    for size in (0, 1, 3, len(cols[0])):
         part = [c[:size] for c in cols]
         want = [scalar(s, tag, *key) for key in zip(*(c.tolist() for c in part))]
         assert batch(s, tag, *part).tolist() == want  # bit for bit
-    assert len(cols[0]) > SMALL_BATCH
 
 
 @pytest.mark.parametrize(
@@ -175,11 +172,10 @@ def test_edge_batch_equals_scalar_calls_and_is_symmetric(keys):
     ids = key_ids(keys)
     assert ids.tolist() == [key_ids(keys[t : t + 1])[0] for t in range(len(keys))]
     ii, jj = np.triu_indices(len(keys), 1)
-    for size in (3, len(ii)):
+    for size in (0, 1, 3, len(ii)):
         got = edge_coin_batch(s, ids[ii[:size]], ids[jj[:size]])
         assert got.tolist() == [coin(s, "edge", keys[i], keys[j]) for i, j in zip(ii[:size], jj[:size])]
         assert np.array_equal(got, edge_coin_batch(s, ids[jj[:size]], ids[ii[:size]]))
-    assert len(keys) > SMALL_BATCH
     assert coin(s, "edge", keys[3], keys[1]) == coin(s, "edge", keys[1], keys[3])
 
 
@@ -202,7 +198,7 @@ def test_coin_does_not_depend_on_batch_position():
 _SEEDS = np.array([0, 1, 42, 2**63, 2**64 - 1], dtype=np.uint64)
 
 
-@pytest.mark.parametrize("n_keys", [2, 3, 40])  # both sides of SMALL_BATCH
+@pytest.mark.parametrize("n_keys", [2, 3, 40])
 def test_seed_column_broadcasts_against_key_columns(n_keys):
     keys = np.arange(n_keys)
     got = coin_batch(CoinPRF(_SEEDS[:, None]), "cnt", keys[None, :], (keys % 3)[None, :])

@@ -193,3 +193,6 @@ def test_make_graph_validations():
         make_graph(WIN4, (1, 2), {(0, 5)})
     with pytest.raises(ValueError):
         make_graph(WIN4, (1, 9), set())
+    with pytest.raises(ValueError, match="more than once"):
+        make_graph(WIN4, (1, 2), [(0, 1), (1, 0)])
+    assert make_graph(WIN4, (1, 2), [(1, 0)]).edges == {(0, 1)}

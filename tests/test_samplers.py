@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pointgraphs import (
     Constant,
@@ -318,6 +319,56 @@ def test_rotinv_restriction_exact():
         assert got.latents == small.latents
 
 
+@st.composite
+def _projective_cases(draw):
+    """A valid spec of any family (broken fixtures aside) and windows n < m."""
+    seed = draw(st.integers(0, 2**64 - 1))
+    family = draw(st.sampled_from(["graphon", "graphex", "rotinv"]))
+    if family == "graphon":
+        g = draw(st.integers(1, 3))
+        cells = draw(st.lists(st.floats(0, 1), min_size=g * g, max_size=g * g))
+        grid = tuple(tuple(cells[min(a, b) * g + max(a, b)] for b in range(g)) for a in range(g))
+        kernel = draw(st.sampled_from([Constant(cells[0]), GraphonGrid(grid)]))
+        n = draw(st.integers(1, 30))
+        return graphon_spec(kernel, seed), n, draw(st.integers(n + 1, 40))
+    if family == "graphex":
+        y_max = draw(st.floats(1e-3, 3.0))
+        kernel = draw(draw(st.sampled_from([
+            st.builds(GraphexIndicator, st.floats(0, y_max)),
+            st.builds(GraphexProduct, st.floats(1e-3, y_max)),
+        ])))
+        n = draw(st.floats(1e-3, 6.0))
+        return graphex_spec(kernel, y_max, seed), n, draw(st.floats(n, 8.0, exclude_min=True))
+    kernel = draw(draw(st.sampled_from([
+        st.builds(HardDistance, st.sampled_from([0.0, 1e-9]) | st.floats(0, 2.0)),
+        st.builds(SoftDistance, st.floats(1e-3, 3.0), st.floats(0.1, 4.0)),
+        st.builds(RadialSum, st.floats(-1.0, 4.0)),
+        st.builds(HyperbolicSoft, st.floats(0.0, 5.0), st.just(1e-3) | st.floats(1e-3, 2.0)),
+        st.just(FixedDirectionIndicator()),
+    ])))
+    point = draw(draw(st.sampled_from([
+        st.builds(PoissonRate, st.just(50.0) | st.floats(1e-3, 50.0)),
+        st.builds(RadialTable, st.lists(st.floats(0.0, 50.0), min_size=1, max_size=6)),
+    ])))
+    n = draw(st.floats(1e-3, 3.0))
+    spec = rotinv_spec(kernel, draw(st.integers(2, 6)), point, seed)
+    return spec, n, draw(st.floats(n, 4.0, exclude_min=True))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_projective_cases())
+@example((rotinv_spec(HardDistance(1e-9), 6, PoissonRate(50.0), seed=1), 1.5, 4.0))
+@example((rotinv_spec(HyperbolicSoft(1.0, 1e-3), 3, PoissonRate(50.0), seed=2), 0.7, 3.2))
+@example((rotinv_spec(SoftDistance(0.05, 4.0), 6, RadialTable((50.0, 0.0, 50.0)), seed=2**64 - 1),
+          2.5, 4.0))
+@example((graphex_spec(GraphexProduct(2.5), y_max=3.0, seed=3), 2.7, 7.9))
+def test_sample_at_m_restricts_to_sample_at_n(case):
+    spec, n, m = case
+    prune = spec.family == "graphex"
+    restricted = restrict_graph(sample(spec, m), window_for(spec, n), prune_isolated=prune)
+    assert restricted == sample(spec, n)
+
+
 def _scalar_types(graph) -> set:
     comps = [c for v in graph.vertices for c in (v if isinstance(v, tuple) else (v,))]
     comps += list(graph.latents or ()) + [i for e in graph.edges for i in e]
@@ -439,13 +490,18 @@ def test_tiled_edges_match_whole_matrix_reference(monkeypatch, spec, n):
     assert len(tiles) >= 3
     for rows, cols, tile in tiles:
         assert np.array_equal(tile, pmat[rows, cols])  # bit for bit
-    want = set()
+    want = []
     for i in range(k):
         for j in range(i + 1, k):
             p = pmat[i, j]
             if p >= 1.0 or (p > 0.0 and coin(prf, "edge", keys[i], keys[j]) < p):
-                want.add((i, j))
-    assert edges == want
+                want.append((i, j))
+    ii, jj = edges
+    assert ii.dtype == jj.dtype == np.int64
+    assert list(zip(ii.tolist(), jj.tolist())) == want
+    # the per-trial cut by searchsorted needs the pairs strictly increasing
+    assert np.all(ii < jj)
+    assert np.all((np.diff(ii) > 0) | ((np.diff(ii) == 0) & (np.diff(jj) > 0)))
 
 
 _BATCH_CASES = [
