@@ -16,7 +16,6 @@ import sys
 
 from . import harness
 from .edgelist import dumps_graph, read_graph
-from .groups import DyadicSwaps, RandomRotations, Transpositions
 from .pairs import restrict_graph
 from .samplers import FamilySpec, extend_sample, fingerprint, sample, spec_from_dict
 from .stats import chi_square_gof, graph_stats
@@ -48,7 +47,6 @@ def _build_parser() -> _Parser:
             p.add_argument("--m", type=float, required=True, help="larger window size")
         if trials:
             p.add_argument("--trials", type=int, default=2000)
-            p.add_argument("--alpha", type=float, default=0.01)
         p.add_argument("--out", help="output path (default: stdout)")
 
     common(sub.add_parser("sample", help="draw one graph"), n=True)
@@ -60,13 +58,15 @@ def _build_parser() -> _Parser:
            config=False, infile=True)
     p = sub.add_parser("test-projectivity", help="restriction-consistency certification")
     common(p, n=True, m=True, trials=True)
+    p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--mode", choices=["exact", "distributional"], default="exact")
     p = sub.add_parser("test-invariance", help="symmetry certification")
     common(p, n=True, trials=True)
+    p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--kmax", type=int, default=3, help="dyadic depth bound (graphex)")
     p = sub.add_parser("test-compatibility", help="embedding/action commutation check")
     common(p, n=True, m=True, trials=True)
-    p.add_argument("--kmax", type=int, default=3)
+    p.add_argument("--kmax", type=int, default=3, help="dyadic depth bound (graphex)")
     p = sub.add_parser("enumerate", help="labeled-graph distribution at small n")
     common(p, n=True, trials=True)
     return parser
@@ -93,14 +93,6 @@ def _emit(text: str, out_path) -> None:
 def _graph_text(graph, seed: int) -> str:
     lines = dumps_graph(graph).splitlines(keepends=True)
     return lines[0] + f"#seed {seed}\n" + "".join(lines[1:])
-
-
-def _generator_set(spec: FamilySpec, n: float, k_max: int):
-    if spec.family == "graphon":
-        return Transpositions(int(n))
-    if spec.family == "graphex":
-        return DyadicSwaps(n, k_max)
-    return RandomRotations(spec.dim)
 
 
 def _finish_report(report, out_path) -> int:
@@ -163,15 +155,11 @@ def _dispatch(args) -> int:
         return _finish_report(report, args.out)
     if cmd == "test-invariance":
         spec = _load_spec(args)
-        gen_set = _generator_set(spec, args.n, args.kmax)
-        report = harness.test_invariance(spec, gen_set, args.n, args.trials, args.alpha)
+        report = harness.test_invariance(spec, args.n, args.trials, args.alpha, args.kmax)
         return _finish_report(report, args.out)
     if cmd == "test-compatibility":
         spec = _load_spec(args)
-        gen_set = _generator_set(spec, args.n, args.kmax)
-        report = harness.test_compatibility(
-            gen_set, args.n, args.m, args.trials, seed=spec.seed
-        )
+        report = harness.test_compatibility(spec, args.n, args.m, args.trials, args.kmax)
         return _finish_report(report, args.out)
     if cmd == "enumerate":
         spec = _load_spec(args)

@@ -49,7 +49,7 @@ from .pairs import (
 )
 from .samplers import FamilySpec, fingerprint, mean_pairs, sample_batch, window_for
 from .stats import graph_stats, ks_two_sample
-from .windows import WindowKind, make_window, unit_ball_volume
+from .windows import WindowKind, unit_ball_volume
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,38 @@ def _verdict(p_values: dict, alpha: float) -> str:
     return "Pass" if min(corrected) >= alpha else "Fail"
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+
+
+def _ks_report(test_name, spec, sizes, seeds, alpha, rows_a, rows_b) -> TestReport:
+    """Two-sample KS per statistic between two lists of statistic dicts,
+    with the Bonferroni verdict over all of them."""
+    names = tuple(rows_a[0])
+    p_values = {
+        name: ks_two_sample([r[name] for r in rows_a], [r[name] for r in rows_b])[1]
+        for name in names
+    }
+    return TestReport(
+        test_name=test_name,
+        fingerprint=fingerprint(spec),
+        sizes=sizes,
+        statistics=names,
+        p_values=p_values,
+        verdict=_verdict(p_values, alpha),
+        alpha=alpha,
+        seeds=seeds,
+        details={},
+    )
+
+
 _PROJ_STATS = ("edge_count", "max_degree", "triangle_count")
 
 
-def _scalar_stats(graph) -> tuple:
+def _scalar_stats(graph) -> dict:
     s = graph_stats(graph)
-    return (s.edge_count, s.max_degree, s.triangle_count)
+    return {name: getattr(s, name) for name in _PROJ_STATS}
 
 
 # Trials are sampled in chunks of about this many vertex pairs.  A chunk's
@@ -127,6 +153,7 @@ def test_projectivity(
         raise ValueError("need n < m")
     if N < 500:
         raise ValueError("need at least 500 trials")
+    _check_alpha(alpha)
     win_n = window_for(spec, n)
     prune = spec.family == "graphex"
     if mode == "exact":
@@ -163,22 +190,9 @@ def test_projectivity(
             )
         for small in sample_batch(spec, n, derive_seeds(spec.seed, 2 * trials + 1)):
             direct_stats.append(_scalar_stats(small))
-    p_values = {}
-    for pos, name in enumerate(_PROJ_STATS):
-        _, p = ks_two_sample(
-            [row[pos] for row in restricted_stats], [row[pos] for row in direct_stats]
-        )
-        p_values[name] = p
-    return TestReport(
-        test_name="projectivity_distributional",
-        fingerprint=fingerprint(spec),
-        sizes={"N": N, "n": n, "m": m},
-        statistics=_PROJ_STATS,
-        p_values=p_values,
-        verdict=_verdict(p_values, alpha),
-        alpha=alpha,
-        seeds={"seed": spec.seed},
-        details={},
+    sizes, seeds = {"N": N, "n": n, "m": m}, {"seed": spec.seed}
+    return _ks_report(
+        "projectivity_distributional", spec, sizes, seeds, alpha, restricted_stats, direct_stats
     )
 
 
@@ -217,7 +231,7 @@ def _invariance_stats(spec: FamilySpec, n):
         def stats(graph):
             in_half = _members(half, graph)
             return {
-                "vertices_left_half": sum(1 for v in graph.vertices if v < n / 2.0),
+                "vertices_left_half": sum(in_half),
                 "endpoints_left_half": _ordered_pairs(graph, in_half, _members(full, graph)),
                 "edges_in_left_half": _ordered_pairs(graph, in_half, in_half),
             }
@@ -236,33 +250,31 @@ def _invariance_stats(spec: FamilySpec, n):
     return stats
 
 
-def _check_generator_family(spec: FamilySpec, gen_set: GeneratorSet, n) -> None:
+def _generator_set(spec: FamilySpec, n, k_max: int) -> GeneratorSet:
+    """The generators of the family's group at window size n.  The family
+    fixes its projective system and so the group; k_max bounds the dyadic
+    depth of graphex swaps and is ignored by the other families."""
     if spec.family == "graphon":
-        if not isinstance(gen_set, Transpositions) or gen_set.n > n:
-            raise ValueError("graphon invariance needs Transpositions within the window")
-    elif spec.family == "graphex":
-        if not isinstance(gen_set, DyadicSwaps) or gen_set.n > n:
-            raise ValueError("graphex invariance needs DyadicSwaps within the window")
-    else:
-        if not isinstance(gen_set, RandomRotations) or gen_set.dim != spec.dim:
-            raise ValueError("rotinv invariance needs RandomRotations of the same dim")
+        return Transpositions(int(n))
+    if spec.family == "graphex":
+        return DyadicSwaps(n, k_max)
+    return RandomRotations(spec.dim)
 
 
 def test_invariance(
-    spec: FamilySpec,
-    gen_set: GeneratorSet,
-    n,
-    N: int,
-    alpha: float = 0.01,
-    fixed_generator=None,
+    spec: FamilySpec, n, N: int, alpha: float = 0.01, k_max: int = 3
 ) -> TestReport:
     """Compare statistics of g . sample against sample, one generator per trial.
 
+    The generators come from the family's own group (see _generator_set).
     The comparison is paired (the same sample appears transformed and
     untransformed), which can only make the KS test conservative under the
     null while leaving gross violations detectable.
     """
-    _check_generator_family(spec, gen_set, n)
+    if N < 1:
+        raise ValueError("need at least one trial")
+    _check_alpha(alpha)
+    gen_set = _generator_set(spec, n, k_max)
     stats_fn = _invariance_stats(spec, n)
     master = CoinPRF(spec.seed)
     base_rows, trans_rows = [], []
@@ -270,44 +282,25 @@ def test_invariance(
     for trials in _chunks(spec, n, N):
         graphs = sample_batch(spec, n, derive_seeds(spec.seed, trials))
         for t, graph in zip(trials.tolist(), graphs):
-            if fixed_generator is not None:
-                g = fixed_generator
-            else:
-                rng = np.random.default_rng(coin_u64(master, "gen", t))
-                g = sample_generator(gen_set, rng)
+            rng = np.random.default_rng(coin_u64(master, "gen", t))
+            g = sample_generator(gen_set, rng)
             if t < 3:
                 shown.append(serialize_element(g))
             base_rows.append(stats_fn(graph))
             trans_rows.append(stats_fn(apply_graph(g, graph)))
-    names = tuple(base_rows[0].keys())
-    p_values = {}
-    for name in names:
-        _, p = ks_two_sample(
-            [row[name] for row in base_rows], [row[name] for row in trans_rows]
-        )
-        p_values[name] = p
-    return TestReport(
-        test_name="invariance",
-        fingerprint=fingerprint(spec),
-        sizes={"N": N, "n": n, "m": None},
-        statistics=names,
-        p_values=p_values,
-        verdict=_verdict(p_values, alpha),
-        alpha=alpha,
-        seeds={"seed": spec.seed, "generators": shown},
-        details={},
-    )
+    sizes, seeds = {"N": N, "n": n, "m": None}, {"seed": spec.seed, "generators": shown}
+    return _ks_report("invariance", spec, sizes, seeds, alpha, base_rows, trans_rows)
 
 
 # ---------------------------------------------------------------------------
 # Compatibility
 
 
-def _gen_label(gen_set: GeneratorSet, window, rng: np.random.Generator):
-    """Random label in the window matching the generator family."""
-    if isinstance(gen_set, Transpositions):
+def _window_label(window, rng: np.random.Generator):
+    """Random label in the window."""
+    if window.kind is WindowKind.INTEGER_PREFIX:
         return int(rng.integers(1, int(window.size) + 1))
-    if isinstance(gen_set, DyadicSwaps):
+    if window.kind is WindowKind.REAL_INTERVAL:
         while True:
             a = int(rng.integers(0, math.ceil(window.size)))
             x = a + int(rng.integers(0, 1 << POSITION_BITS)) * 2.0**-POSITION_BITS
@@ -320,40 +313,32 @@ def _gen_label(gen_set: GeneratorSet, window, rng: np.random.Generator):
     return tuple(float(r * c) for c in g)
 
 
-def _compat_windows(gen_set: GeneratorSet, n, m):
-    if isinstance(gen_set, Transpositions):
-        kind, dim = WindowKind.INTEGER_PREFIX, None
-    elif isinstance(gen_set, DyadicSwaps):
-        kind, dim = WindowKind.REAL_INTERVAL, None
-    else:
-        kind, dim = WindowKind.EUCLIDEAN_BALL, gen_set.dim
-    return make_window(kind, n, dim), make_window(kind, m, dim)
-
-
-def test_compatibility(
-    gen_set: GeneratorSet, n, m, trials: int, seed: int = 0
-) -> TestReport:
+def test_compatibility(spec: FamilySpec, n, m, trials: int, k_max: int = 3) -> TestReport:
     """Exact commutation of embeddings with actions and with restriction.
 
-    For random labels x in the small window and random generators g,
-    asserts apply(extend(g), x) == apply(g, x) bit for bit, and that
-    restricting after acting equals acting after restricting for pair
-    configurations with labels in the large window.
+    For random labels x in the family's window at n and random generators g
+    of its group, asserts apply(extend(g), x) == apply(g, x) bit for bit,
+    and that restricting after acting equals acting after restricting for
+    pair configurations with labels in the window at m.  Labels and
+    generators are drawn from spec.seed.
     """
     if n > m:
         raise ValueError("need n <= m")
-    win_n, win_m = _compat_windows(gen_set, n, m)
-    rng = np.random.default_rng(seed)
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    gen_set = _generator_set(spec, n, k_max)
+    win_n, win_m = window_for(spec, n), window_for(spec, m)
+    rng = np.random.default_rng(spec.seed)
     label_mismatch = 0
     pair_mismatch = 0
     for _ in range(trials):
         g = sample_generator(gen_set, rng)
-        x = _gen_label(gen_set, win_n, rng)
+        x = _window_label(win_n, rng)
         g_ext = extend_element(g, win_n, win_m)
         if apply_label(g_ext, x) != apply_label(g, x):
             label_mismatch += 1
-        a = _gen_label(gen_set, win_m, rng)
-        b = _gen_label(gen_set, win_m, rng)
+        a = _window_label(win_m, rng)
+        b = _window_label(win_m, rng)
         if a == b:
             continue
         config = pair_config([(a, b), (b, a)])
@@ -374,7 +359,7 @@ def test_compatibility(
         p_values=p_values,
         verdict=_verdict(p_values, alpha),
         alpha=alpha,
-        seeds={"seed": seed},
+        seeds={"seed": spec.seed},
         details={"label_mismatches": label_mismatch, "pair_mismatches": pair_mismatch},
     )
 

@@ -132,10 +132,16 @@ def restrict_graph(graph: Graph, window: Window, prune_isolated: bool = False) -
     Vertex order is preserved.  With ``prune_isolated`` vertices that lose
     all their edges are dropped as well (graphex output semantics).  The
     graph's labels are valid for its own window, so a window of the same
-    kind and dimension needs no per-label checks.
+    kind and dimension needs no per-label checks.  The window may not be
+    larger than the graph's own: a restriction cannot grow a sample.
     """
     if (window.kind, window.dim) != (graph.window.kind, graph.window.dim):
         raise ValueError("restriction window must match the graph's window kind and dimension")
+    if window.size > graph.window.size:
+        raise ValueError(
+            f"restriction window size {window.size!r} exceeds the graph's "
+            f"window size {graph.window.size!r}"
+        )
     keep = [i for i, inside in enumerate(contains_each(window, graph.vertices)) if inside]
     keep_set = set(keep)
     edges = [(i, j) for i, j in graph.edges if i in keep_set and j in keep_set]

@@ -22,9 +22,7 @@ from pointgraphs import (
     GraphexProduct,
     HardDistance,
     PoissonRate,
-    RandomRotations,
     SoftDistance,
-    Transpositions,
     WindowScaledConstant,
     apply_label,
     ball_radius,
@@ -88,21 +86,14 @@ def test_criterion_2_small_n_oracle_equivalence():
 def test_criterion_3_invariance_with_power_guards():
     t0 = time.time()
     checks = {}
-    report = certify.test_invariance(
-        graphon_spec(Constant(0.5), seed=301), Transpositions(6), 6, 2000, alpha=0.01
-    )
+    report = certify.test_invariance(graphon_spec(Constant(0.5), seed=301), 6, 2000, alpha=0.01)
     checks["graphon/transpositions"] = report.verdict
     report = certify.test_invariance(
-        graphex_spec(GraphexIndicator(1.0), y_max=1.0, seed=302),
-        DyadicSwaps(2.0, 3),
-        2.0,
-        2000,
-        alpha=0.01,
+        graphex_spec(GraphexIndicator(1.0), y_max=1.0, seed=302), 2.0, 2000, alpha=0.01
     )
     checks["graphex/dyadic"] = report.verdict
     report = certify.test_invariance(
         rotinv_spec(HardDistance(0.5), dim=2, point=PoissonRate(3.0), seed=303),
-        RandomRotations(2),
         8.0,
         2000,
         alpha=0.01,
@@ -120,7 +111,6 @@ def test_criterion_3_invariance_with_power_guards():
     checks["window-scaled graphon"] = report.verdict
     report = certify.test_invariance(
         rotinv_spec(FixedDirectionIndicator(), dim=2, point=PoissonRate(3.0), seed=305),
-        RandomRotations(2),
         8.0,
         2000,
         alpha=0.01,
@@ -141,12 +131,13 @@ def test_criterion_3_invariance_with_power_guards():
 def test_criterion_4_compatibility_exact():
     t0 = time.time()
     results = {}
-    for name, gen_set, n, m in [
-        ("transpositions", Transpositions(6), 6, 12),
-        ("dyadic_swaps", DyadicSwaps(2.0, 3), 2.0, 8.0),
-        ("rotations", RandomRotations(2), 2.0, 8.0),
+    for name, spec, n, m in [
+        ("transpositions", graphon_spec(Constant(0.5), seed=401), 6, 12),
+        ("dyadic_swaps", graphex_spec(GraphexIndicator(1.0), y_max=1.0, seed=401), 2.0, 8.0),
+        ("rotations", rotinv_spec(HardDistance(0.5), dim=2, point=PoissonRate(3.0), seed=401),
+         2.0, 8.0),
     ]:
-        report = certify.test_compatibility(gen_set, n, m, 10_000, seed=401)
+        report = certify.test_compatibility(spec, n, m, 10_000)
         results[name] = (
             report.details["label_mismatches"],
             report.details["pair_mismatches"],

@@ -131,6 +131,45 @@ def test_invariance_past_dyadic_limit_is_one_error_line(capsys):
     assert line.startswith("pointgraphs: error: dyadic swaps need a window size in (0, 1024]")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["test-invariance", "--config", "graphon", "--n", "5", "--trials", "0"],
+         "need at least one trial"),
+        (["test-compatibility", "--config", "graphon", "--n", "4", "--m", "9", "--trials", "0"],
+         "need at least one trial"),
+        (["test-invariance", "--config", "graphon", "--n", "5", "--alpha", "0"], "alpha"),
+        (["test-invariance", "--config", "rotinv", "--n", "4", "--alpha", "1"], "alpha"),
+        (["test-projectivity", "--config", "graphon", "--n", "3", "--m", "6", "--trials", "500",
+          "--alpha", "0"], "alpha"),
+        (["test-projectivity", "--config", "graphon", "--n", "3", "--m", "6", "--trials", "500",
+          "--mode", "distributional", "--alpha", "nan"], "alpha"),
+    ],
+    ids=["invariance-trials", "compatibility-trials", "invariance-alpha-0",
+         "invariance-alpha-1", "projectivity-alpha-0", "projectivity-alpha-nan"],
+)
+def test_bad_trials_or_alpha_is_one_error_line(capsys, argv, message):
+    at = argv.index("--config") + 1
+    argv = argv[:at] + [str(CONFIGS / f"{argv[at]}.json")] + argv[at + 1 :]
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("pointgraphs: error: ") and message in line
+
+
+def test_restrict_to_a_larger_window_is_one_error_line(tmp_path, capsys):
+    g = tmp_path / "g.el"
+    cfg = str(CONFIGS / "graphon.json")
+    assert run(["sample", "--config", cfg, "--n", "5", "--seed", "3", "--out", str(g)]) == 0
+    assert run(["restrict", "--in", str(g), "--n", "50"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "pointgraphs: error: restriction window size 50 exceeds the graph's window size 5"
+    ]
+
+
 def test_compatibility_command(tmp_path):
     out = tmp_path / "report.json"
     code = run(["test-compatibility", "--config", str(CONFIGS / "graphon.json"),
@@ -219,6 +258,28 @@ REPORT_PINS = {
         ["enumerate", "--config", "graphon_grid", "--n", "3", "--trials", "2000"],
         0,
         "e8443a59ce2c640798c0e3750b34b748acf1977385443de134f5fbea5c4c34cf",
+    ),
+    # recorded while the CLI still built each family's group itself; moving
+    # the family-to-group mapping into the harness must keep these bytes
+    "invariance-graphon-transpositions": (
+        ["test-invariance", "--config", "graphon", "--n", "5", "--trials", "250"],
+        0,
+        "4284039ef19ae7094e8f352cb58ce31611f2ac91c2fa25d8e9fd182c45f2257c",
+    ),
+    "compatibility-graphon-transpositions": (
+        ["test-compatibility", "--config", "graphon", "--n", "4", "--m", "9", "--trials", "1000"],
+        0,
+        "110c5e400e6b164e9c7472976a29b46b56706cfa1c938efa44b1d4e92bc4701d",
+    ),
+    "compatibility-graphex-dyadic-swaps": (
+        ["test-compatibility", "--config", "graphex", "--n", "4", "--m", "9", "--trials", "1000"],
+        0,
+        "6f089a56274ba4ca8f9002a4761f8e825be6aa745cb490d3b6d5919385572b0c",
+    ),
+    "compatibility-rotinv-d2-rotations": (
+        ["test-compatibility", "--config", "rotinv", "--n", "4", "--m", "9", "--trials", "1000"],
+        0,
+        "5ce3a99f6fcf0ba363e1718bca72f187a4d53b4179dbf7ec9b764351ebf9a030",
     ),
 }
 

@@ -6,15 +6,12 @@ import pytest
 from pointgraphs import harness as certify
 from pointgraphs import (
     Constant,
-    DyadicSwaps,
     FixedDirectionIndicator,
     GraphexIndicator,
     GraphonGrid,
     HardDistance,
     Permutation,
     PoissonRate,
-    RandomRotations,
-    Transpositions,
     WindowScaledConstant,
     graphex_spec,
     graphon_spec,
@@ -67,7 +64,7 @@ def test_projectivity_validates_arguments():
 
 def test_invariance_graphon_passes():
     spec = graphon_spec(Constant(0.4), seed=17)
-    report = certify.test_invariance(spec, Transpositions(5), 5, 600)
+    report = certify.test_invariance(spec, 5, 600)
     assert report.passed
     assert set(report.statistics) == {"vertex1_degree", "edge_12"}
     assert report.seeds["generators"][0].startswith("perm:")
@@ -75,64 +72,49 @@ def test_invariance_graphon_passes():
 
 def test_invariance_graphon_grid_passes():
     spec = graphon_spec(GraphonGrid(((0.7, 0.1), (0.1, 0.5))), seed=18)
-    report = certify.test_invariance(spec, Transpositions(5), 5, 600)
+    report = certify.test_invariance(spec, 5, 600)
     assert report.passed
 
 
 def test_invariance_graphex_passes():
     spec = graphex_spec(GraphexIndicator(1.0), y_max=1.0, seed=19)
-    report = certify.test_invariance(spec, DyadicSwaps(2.0, 3), 2.0, 600)
+    report = certify.test_invariance(spec, 2.0, 600, k_max=3)
     assert report.passed
     assert "edges_in_left_half" in report.statistics
 
 
 def test_invariance_rotinv_passes():
     spec = rotinv_spec(HardDistance(0.4), dim=2, point=PoissonRate(2.0), seed=20)
-    report = certify.test_invariance(spec, RandomRotations(2), 4.0, 600)
+    report = certify.test_invariance(spec, 4.0, 600)
     assert report.passed
     assert report.seeds["generators"][0].startswith("rot:")
 
 
-def test_invariance_identity_generator_gives_p_one():
+def test_invariance_identity_generator_gives_p_one(monkeypatch):
     spec = graphon_spec(Constant(0.4), seed=21)
-    report = certify.test_invariance(
-        spec, Transpositions(5), 5, 600, fixed_generator=Permutation(tuple(range(1, 6)))
-    )
+    identity = Permutation(tuple(range(1, 6)))
+    monkeypatch.setattr(certify, "sample_generator", lambda gen_set, rng: identity)
+    report = certify.test_invariance(spec, 5, 600)
     assert report.passed
     assert all(p == 1.0 for p in report.p_values.values())
 
 
 def test_invariance_rejects_fixed_direction_kernel():
     spec = rotinv_spec(FixedDirectionIndicator(), dim=2, point=PoissonRate(3.0), seed=22)
-    report = certify.test_invariance(spec, RandomRotations(2), 8.0, 800)
+    report = certify.test_invariance(spec, 8.0, 800)
     assert report.verdict == "Fail"
 
 
-def test_invariance_generator_family_must_match():
-    spec = graphon_spec(Constant(0.4), seed=23)
-    with pytest.raises(ValueError):
-        certify.test_invariance(spec, RandomRotations(2), 5, 600)
-    geo = rotinv_spec(HardDistance(0.4), dim=2, point=PoissonRate(2.0), seed=24)
-    with pytest.raises(ValueError):
-        certify.test_invariance(geo, RandomRotations(3), 4.0, 600)
-    with pytest.raises(ValueError):
-        certify.test_invariance(
-            graphex_spec(GraphexIndicator(1.0), y_max=1.0, seed=25),
-            DyadicSwaps(4.0, 3),
-            2.0,
-            600,
-        )
-
-
 def test_compatibility_all_families_exact():
-    for gen_set, n, m in [
-        (Transpositions(4), 4, 9),
-        (DyadicSwaps(2.0, 4), 2.0, 6.0),
-        (RandomRotations(2), 2.0, 8.0),
-        (RandomRotations(3), 1.5, 4.0),
+    graphex = graphex_spec(GraphexIndicator(1.0), y_max=1.0, seed=3)
+    for spec, n, m, k_max in [
+        (graphon_spec(Constant(0.5), seed=3), 4, 9, 3),
+        (graphex, 2.0, 6.0, 4),
+        (rotinv_spec(HardDistance(0.5), dim=2, point=PoissonRate(2.0), seed=3), 2.0, 8.0, 3),
+        (rotinv_spec(HardDistance(0.5), dim=3, point=PoissonRate(2.0), seed=3), 1.5, 4.0, 3),
     ]:
-        report = certify.test_compatibility(gen_set, n, m, 2000, seed=3)
-        assert report.passed, (gen_set, report.details)
+        report = certify.test_compatibility(spec, n, m, 2000, k_max=k_max)
+        assert report.passed, (spec, report.details)
         assert report.details["label_mismatches"] == 0
         assert report.details["pair_mismatches"] == 0
 
@@ -196,8 +178,7 @@ def test_reports_do_not_depend_on_the_trial_chunks(monkeypatch, chunk):
             mode="distributional",
         ),
         lambda: certify.test_invariance(
-            rotinv_spec(HardDistance(0.5), dim=2, point=PoissonRate(2.0), seed=23),
-            RandomRotations(2), 3.0, 100,
+            rotinv_spec(HardDistance(0.5), dim=2, point=PoissonRate(2.0), seed=23), 3.0, 100
         ),
     ]
     want = [case().to_json() for case in cases]

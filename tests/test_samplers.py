@@ -409,6 +409,9 @@ def test_restrict_graph_rejects_window_of_another_kind():
     ball = sample(rotinv_spec(Constant(0.5), dim=2, point=PoissonRate(3.0), seed=1), 4.0)
     with pytest.raises(ValueError, match="dimension"):
         restrict_graph(ball, make_window(WindowKind.EUCLIDEAN_BALL, 2.0, dim=3))
+    with pytest.raises(ValueError, match="exceeds"):
+        restrict_graph(g, make_window(WindowKind.INTEGER_PREFIX, 7))
+    assert restrict_graph(ball, ball.window) == ball  # the graph's own window is allowed
 
 
 # --- geometric kernel forms ----------------------------------------------------
