@@ -80,7 +80,14 @@ from .samplers import (
     spec_to_dict,
     window_for,
 )
-from .stats import chi2_sf, chi_square_gof, graph_stats, kolmogorov_sf, ks_two_sample
+from .stats import (
+    chi2_sf,
+    chi_square_gof,
+    graph_stats,
+    graph_stats_batch,
+    kolmogorov_sf,
+    ks_two_sample,
+)
 from .windows import (
     Window,
     WindowKind,

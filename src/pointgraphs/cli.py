@@ -91,8 +91,9 @@ def _emit(text: str, out_path) -> None:
 
 
 def _graph_text(graph, seed: int) -> str:
-    lines = dumps_graph(graph).splitlines(keepends=True)
-    return lines[0] + f"#seed {seed}\n" + "".join(lines[1:])
+    text = dumps_graph(graph)
+    cut = text.index("\n") + 1  # after the #window header
+    return f"{text[:cut]}#seed {seed}\n{text[cut:]}"
 
 
 def _finish_report(report, out_path) -> int:

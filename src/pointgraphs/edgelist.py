@@ -2,16 +2,33 @@
 
 Layout: a header comment naming the window, optional family and
 fingerprint comments, one ``v`` line per vertex and one ``e`` line per
-edge (endpoint indices, smaller first).  Real numbers are written with 17
-significant digits so the decimal round-trip is bit-exact.
+edge (endpoint indices, smaller first).  The ``e`` lines come last: from
+the first of them to the end of the file, every non-blank line is an
+``e`` line.  Real numbers are written with 17 significant digits so the
+decimal round-trip is bit-exact.
+
+Header and ``v`` lines are read and written one line at a time; the ``e``
+block is parsed and formatted in bulk, as integer columns.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
+import warnings
 
-from .pairs import Graph, make_graph
+import numpy as np
+
+from .pairs import Graph, edge_array, make_graph
 from .windows import Window, WindowKind, make_window
+
+# e lines are formatted in blocks of this many, so the formatting
+# temporaries (about 0.5 MiB of ints, tuple and text) do not grow with the
+# edge count.
+_E_LINES = 2**12
+# One e line as loadtxt reads it; a two-character tag field keeps a longer
+# tag such as "ex" distinguishable from "e".
+_E_LINE = np.dtype([("tag", "U2"), ("i", np.int64), ("j", np.int64)])
 
 
 def fmt_real(x: float) -> str:
@@ -44,8 +61,15 @@ def write_graph(graph: Graph, fh) -> None:
         if graph.latents is not None:
             line += f" {fmt_real(graph.latents[i])}"
         fh.write(line + "\n")
-    for i, j in sorted(graph.edges):
-        fh.write(f"e {i} {j}\n")
+    n = graph.n_vertices
+    ends = edge_array([graph])
+    keys = ends[:, 0] * n  # edge (i, j) sorts as i * n + j
+    keys += ends[:, 1]
+    del ends
+    keys.sort()
+    for lo in range(0, len(keys), _E_LINES):
+        block = np.stack(np.divmod(keys[lo : lo + _E_LINES], n), axis=1)
+        fh.write("e %d %d\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def dumps_graph(graph: Graph) -> str:
@@ -54,14 +78,33 @@ def dumps_graph(graph: Graph) -> str:
     return buf.getvalue()
 
 
+def _read_edges(lines) -> np.ndarray:
+    """Parse the e block, an iterable of lines each "e i j", into an (E, 2)
+    int64 array in one loadtxt call.  Any parser complaint, warning
+    included, is a ValueError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows = np.loadtxt(lines, dtype=_E_LINE, comments=None, ndmin=1)
+        except (ValueError, Warning) as exc:
+            reason = str(exc).split(";")[0]  # drop numpy's hint about usecols
+            raise ValueError(
+                f"malformed e line, not 'e i j' with integer i, j: {reason}"
+            ) from None
+    if np.any(rows["tag"] != "e"):
+        raise ValueError("every line after the first e line must be an e line")
+    return np.stack((rows["i"], rows["j"]), axis=1)
+
+
 def read_graph(fh) -> Graph:
     window = None
     family = None
     fingerprint = None
     vertices = []
     latents = []
-    edges = []
-    for raw in fh:
+    edges = ()
+    lines = iter(fh)
+    for raw in lines:
         line = raw.strip()
         if not line:
             continue
@@ -100,8 +143,10 @@ def read_graph(fh) -> Graph:
             vertices.append(label)
             latents.append(float(rest[0]) if rest else None)
         elif line.startswith("e "):
-            _, i, j = line.split()
-            edges.append((int(i), int(j)))
+            if window is None:
+                raise ValueError("e line before #window header")
+            edges = _read_edges(itertools.chain([raw], lines))
+            break
         else:
             raise ValueError(f"unrecognized line: {line!r}")
     if window is None:

@@ -48,7 +48,7 @@ from .pairs import (
     restrict_graph,
 )
 from .samplers import FamilySpec, fingerprint, mean_pairs, sample_batch, window_for
-from .stats import graph_stats, ks_two_sample
+from .stats import graph_stats_batch, ks_two_sample
 from .windows import WindowKind, unit_ball_volume
 
 
@@ -118,9 +118,11 @@ def _ks_report(test_name, spec, sizes, seeds, alpha, rows_a, rows_b) -> TestRepo
 _PROJ_STATS = ("edge_count", "max_degree", "triangle_count")
 
 
-def _scalar_stats(graph) -> dict:
-    s = graph_stats(graph)
-    return {name: getattr(s, name) for name in _PROJ_STATS}
+def _scalar_stats(graphs) -> list:
+    """One dict of the _PROJ_STATS per graph, from one batched stats call."""
+    return [
+        {name: getattr(s, name) for name in _PROJ_STATS} for s in graph_stats_batch(graphs)
+    ]
 
 
 # Trials are sampled in chunks of about this many vertex pairs.  A chunk's
@@ -184,12 +186,13 @@ def test_projectivity(
     restricted_stats = []
     direct_stats = []
     for trials in _chunks(spec, m, N):
-        for big in sample_batch(spec, m, derive_seeds(spec.seed, 2 * trials)):
-            restricted_stats.append(
-                _scalar_stats(restrict_graph(big, win_n, prune_isolated=prune))
-            )
-        for small in sample_batch(spec, n, derive_seeds(spec.seed, 2 * trials + 1)):
-            direct_stats.append(_scalar_stats(small))
+        restricted = [
+            restrict_graph(big, win_n, prune_isolated=prune)
+            for big in sample_batch(spec, m, derive_seeds(spec.seed, 2 * trials))
+        ]
+        restricted_stats += _scalar_stats(restricted)
+        smalls = sample_batch(spec, n, derive_seeds(spec.seed, 2 * trials + 1))
+        direct_stats += _scalar_stats(smalls)
     sizes, seeds = {"N": N, "n": n, "m": m}, {"seed": spec.seed}
     return _ks_report(
         "projectivity_distributional", spec, sizes, seeds, alpha, restricted_stats, direct_stats
@@ -206,6 +209,12 @@ def _ordered_pairs(graph, in_a: list, in_b: list) -> int:
     return sum((in_a[i] and in_b[j]) + (in_a[j] and in_b[i]) for i, j in graph.edges)
 
 
+def _endpoints(graph, in_a: list) -> int:
+    """Edge endpoints in box a, from each vertex's membership in it: the
+    degree of a one-vertex box, the endpoint count of a larger one."""
+    return sum(in_a[i] + in_a[j] for i, j in graph.edges)
+
+
 def _members(box, graph) -> list:
     return [box_contains(box, v) for v in graph.vertices]
 
@@ -214,25 +223,23 @@ def _invariance_stats(spec: FamilySpec, n):
     """Label-dependent statistic functions, one dict per graph.  Each box is
     evaluated once per vertex, and pairs are counted from the edges."""
     if spec.family == "graphon":
-        full = IntRange(1, int(n))
 
         def stats(graph):
             is_1, is_2 = _members(IntRange(1, 1), graph), _members(IntRange(2, 2), graph)
             return {
-                "vertex1_degree": _ordered_pairs(graph, is_1, _members(full, graph)),
+                "vertex1_degree": _endpoints(graph, is_1),
                 "edge_12": 1.0 if _ordered_pairs(graph, is_1, is_2) else 0.0,
             }
 
         return stats
     if spec.family == "graphex":
         half = RealRange(0.0, n / 2.0)
-        full = RealRange(0.0, float(n))
 
         def stats(graph):
             in_half = _members(half, graph)
             return {
                 "vertices_left_half": sum(in_half),
-                "endpoints_left_half": _ordered_pairs(graph, in_half, _members(full, graph)),
+                "endpoints_left_half": _endpoints(graph, in_half),
                 "edges_in_left_half": _ordered_pairs(graph, in_half, in_half),
             }
 
@@ -353,7 +360,7 @@ def test_compatibility(spec: FamilySpec, n, m, trials: int, k_max: int = 3) -> T
     alpha = 0.01  # nominal; the p-values are 0/1 indicators of exactness
     return TestReport(
         test_name="compatibility",
-        fingerprint=f"{type(gen_set).__name__.lower()}:{gen_set!r}",
+        fingerprint=fingerprint(spec),
         sizes={"N": trials, "n": n, "m": m},
         statistics=("labels_exact", "pairs_exact"),
         p_values=p_values,

@@ -178,6 +178,17 @@ def test_compatibility_command(tmp_path):
     assert json.loads(read(out))["verdict"] == "Pass"
 
 
+def test_compatibility_reports_name_their_config(capsys):
+    # graphon, graphon_grid and broken_window_scaled share one group and one
+    # window, so only the fingerprint tells their reports apart
+    reports = set()
+    for config in ("graphon", "graphon_grid", "broken_window_scaled"):
+        assert run(["test-compatibility", "--config", str(CONFIGS / f"{config}.json"),
+                    "--n", "4", "--m", "9", "--trials", "200"]) == 0
+        reports.add(capsys.readouterr().out)
+    assert len(reports) == 3
+
+
 def test_enumerate_command(tmp_path):
     out = tmp_path / "enum.json"
     code = run(["enumerate", "--config", str(CONFIGS / "graphon.json"),
@@ -266,20 +277,22 @@ REPORT_PINS = {
         0,
         "4284039ef19ae7094e8f352cb58ce31611f2ac91c2fa25d8e9fd182c45f2257c",
     ),
+    # re-recorded when compatibility reports took the spec fingerprint in
+    # place of the generator set's repr; every other field kept its bytes
     "compatibility-graphon-transpositions": (
         ["test-compatibility", "--config", "graphon", "--n", "4", "--m", "9", "--trials", "1000"],
         0,
-        "110c5e400e6b164e9c7472976a29b46b56706cfa1c938efa44b1d4e92bc4701d",
+        "4054077683a17e8a39ac92f3abf3bade71b778e3f1dd6039e6fb0ebf25a17659",
     ),
     "compatibility-graphex-dyadic-swaps": (
         ["test-compatibility", "--config", "graphex", "--n", "4", "--m", "9", "--trials", "1000"],
         0,
-        "6f089a56274ba4ca8f9002a4761f8e825be6aa745cb490d3b6d5919385572b0c",
+        "17ba01a3c13fd967b245f54a16ffb8c64a328ea91cc48bc1ae30c2d545cebfa3",
     ),
     "compatibility-rotinv-d2-rotations": (
         ["test-compatibility", "--config", "rotinv", "--n", "4", "--m", "9", "--trials", "1000"],
         0,
-        "5ce3a99f6fcf0ba363e1718bca72f187a4d53b4179dbf7ec9b764351ebf9a030",
+        "32ada14d4aba3890cdb101cf5712f4a4b30d3b6e47f29beb0245f443603572ad",
     ),
 }
 
@@ -291,6 +304,19 @@ def test_report_matches_pinned_hash(capsys, name):
     argv = argv[:at] + [str(CONFIGS / f"{argv[at]}.json")] + argv[at + 1 :] + ["--seed", "42"]
     assert run(argv) == code
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+def test_stats_of_the_dense_graphon_matches_pinned_hash(tmp_path, capsys):
+    # The dense-graphon benchmark's config at n = 300: 19,906 edges.  Recorded
+    # while graph_stats still intersected Python sets; a faster count and a
+    # bulk edge-list reader must keep these bytes.
+    path = tmp_path / "dense.el"
+    assert run(["sample", "--config", str(CONFIGS / "graphon_grid.json"), "--n", "300",
+                "--seed", "42", "--out", str(path)]) == 0
+    assert run(["stats", "--in", str(path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == (
+        "b85565f6aab587d497328e65a3619cc1e268b148eae42b65a1b521181daad0ff"
+    )
 
 
 def test_hyperbolic_overflow_is_silent_and_keeps_its_bytes(tmp_path, capsys):

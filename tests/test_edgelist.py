@@ -74,6 +74,15 @@ INT4 = "#window kind=integer_prefix size=4\n"
         INT4 + "v 0 1 0.5\nv 1 2 0.25 7\ne 0 1\n",
         INT4 + "v 0 1\nv 1 2\ne 0 1\ne 1 0\n",
         INT4 + "v 0 1\nv 1 2\ne 0 1\ne 0 1\n",
+        INT4 + "v 0 1\nv 1 2\ne 0\n",
+        INT4 + "v 0 1\nv 1 2\ne 0 1 2\n",
+        INT4 + "v 0 1\nv 1 2\ne 0 x\n",
+        INT4 + "v 0 1\nv 1 2\ne -1 0\n",
+        INT4 + "v 0 1\nv 1 2\ne 0 1.0\n",
+        "e 0 1\n" + INT4 + "v 0 1\nv 1 2\n",
+        INT4 + "v 0 1\nv 1 2\nv 2 3\ne 0 1\ne 1 2 3\n",
+        INT4 + "v 0 1\nv 1 2\nv 2 3\ne 0 1\nv 3 4\n",
+        INT4 + "v 0 1\nv 1 2\nv 2 3\ne 0 1\nex 1 2\n",
     ],
     ids=[
         "label-outside-window",
@@ -86,6 +95,15 @@ INT4 = "#window kind=integer_prefix size=4\n"
         "number-past-latent",
         "repeated-edge-reversed",
         "repeated-edge",
+        "e-line-missing-endpoint",
+        "e-line-extra-token",
+        "e-line-non-integer",
+        "e-line-negative-index",
+        "e-line-float-index",
+        "e-line-before-window",
+        "later-e-line-extra-token",
+        "v-line-after-e-lines",
+        "unknown-tag-after-e-lines",
     ],
 )
 def test_read_graph_rejects_malformed_edge_list(tmp_path, capsys, text):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -195,4 +196,9 @@ def test_make_graph_validations():
         make_graph(WIN4, (1, 9), set())
     with pytest.raises(ValueError, match="more than once"):
         make_graph(WIN4, (1, 2), [(0, 1), (1, 0)])
+    with pytest.raises(TypeError, match="integer"):
+        make_graph(WIN4, (1, 2, 3), [(0.5, 2)])  # a fractional index is no vertex
+    with pytest.raises(ValueError, match="pairs"):
+        make_graph(WIN4, (1, 2, 3), [(0, 1, 2)])
     assert make_graph(WIN4, (1, 2), [(1, 0)]).edges == {(0, 1)}
+    assert make_graph(WIN4, (1, 2, 3), np.array([[2, 0], [1, 2]])).edges == {(0, 2), (1, 2)}

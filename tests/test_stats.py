@@ -1,17 +1,30 @@
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pointgraphs import (
+    Graph,
     WindowKind,
     chi2_sf,
     chi_square_gof,
+    derive_seeds,
     graph_stats,
+    graph_stats_batch,
     kolmogorov_sf,
     ks_two_sample,
     make_graph,
     make_window,
+    sample,
+    sample_batch,
+    spec_from_dict,
 )
+from pointgraphs.stats import TILE_COLUMNS
 from tests.test_pairs import FIG_GRAPH
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_graph_stats_fig_graph():
@@ -131,19 +144,82 @@ def test_chi_square_power():
     assert p < 1e-10
 
 
-@pytest.mark.parametrize("n, p, seed", [(12, 0.5, 1), (40, 0.3, 2), (80, 0.1, 3), (60, 0.9, 4)])
-def test_graph_stats_matches_networkx(n, p, seed):
+def _gnp(n: int, p: float, seed: int):
     nx = pytest.importorskip("networkx")
     ref = nx.gnp_random_graph(n, p, seed=seed)
-    graph = make_graph(
-        make_window(WindowKind.INTEGER_PREFIX, n), range(1, n + 1), set(ref.edges())
-    )
+    return make_graph(make_window(WindowKind.INTEGER_PREFIX, n), range(1, n + 1), ref.edges())
+
+
+def _sampled(config: str, n: float, seed: int):
+    data = json.loads((CONFIGS / f"{config}.json").read_text())
+    return sample(spec_from_dict(dict(data, seed=seed)), n)
+
+
+INT6 = make_window(WindowKind.INTEGER_PREFIX, 6)
+# G(n, p) graphs keyed "n-p-seed", then sampled and edge-case graphs
+ORACLE_GRAPHS = {
+    **{f"{n}-{p}-{seed}": (lambda n=n, p=p, seed=seed: _gnp(n, p, seed))
+       for n, p, seed in [(12, 0.5, 1), (40, 0.3, 2), (80, 0.1, 3), (60, 0.9, 4)]},
+    "dense-graphon-300": lambda: _sampled("graphon_grid", 300, 42),
+    "sparse-rotinv-400": lambda: _sampled("rotinv", 400.0, 7),
+    "isolated-vertices": lambda: make_graph(INT6, range(1, 7), {(1, 4), (4, 5), (1, 5)}),
+    "no-edges": lambda: make_graph(INT6, range(1, 7), ()),
+    "no-vertices": lambda: make_graph(INT6, (), ()),
+    "wider-than-one-tile": lambda: _gnp(2 * TILE_COLUMNS + 37, 0.02, 5),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_GRAPHS))
+def test_graph_stats_matches_networkx(name):
+    nx = pytest.importorskip("networkx")
+    graph = ORACLE_GRAPHS[name]()
+    ref = nx.Graph()
+    ref.add_nodes_from(range(graph.n_vertices))
+    ref.add_edges_from(graph.edges)
     s = graph_stats(graph)
     degrees = [d for _, d in ref.degree()]
     assert s.triangle_count == sum(nx.triangles(ref).values()) // 3
     assert s.edge_count == ref.number_of_edges()
-    assert s.max_degree == max(degrees)
+    assert s.max_degree == max(degrees, default=0)
     assert s.degree_histogram == {d: degrees.count(d) for d in set(degrees)}
+
+
+def test_wide_oracle_graph_spans_several_tiles_and_has_triangles():
+    graph = ORACLE_GRAPHS["wider-than-one-tile"]()
+    assert graph.n_vertices > 2 * TILE_COLUMNS
+    assert graph_stats(graph).triangle_count > 0
+
+
+def test_graph_stats_batch_equals_per_graph_calls():
+    graphs = [build() for build in ORACLE_GRAPHS.values()]
+    spec = spec_from_dict({"family": "graphon", "kernel": {"type": "constant", "p": 0.5},
+                           "seed": 3})
+    graphs += sample_batch(spec, 6, derive_seeds(3, np.arange(200)))
+    graphs += graphs[:4][::-1]
+    assert graph_stats_batch(graphs) == [graph_stats(g) for g in graphs]
+    assert graph_stats_batch([]) == []
+
+
+def test_graph_stats_memory_is_linear_in_vertices_and_edges():
+    # A random graph with 10^5 vertices and 3 * 10^5 edges.  The counts take
+    # ~53 bytes per vertex and edge (numpy 2.4); an n x n bit matrix would
+    # take 1.2 GB.  The bound allows 80 bytes per vertex and edge.
+    n, m = 10**5, 3 * 10**5
+    rng = np.random.default_rng(11)
+    ends = np.sort(rng.integers(0, n, size=(2 * m, 2)), axis=1)
+    keys = np.unique(ends[:, 0] * n + ends[:, 1])
+    keys = rng.permutation(keys[keys // n < keys % n])[:m]
+    ii, jj = np.divmod(keys, n)
+    graph = Graph(make_window(WindowKind.INTEGER_PREFIX, n), tuple(range(1, n + 1)),
+                  frozenset(zip(ii.tolist(), jj.tolist())))
+    tracemalloc.start()
+    try:
+        s = graph_stats(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.edge_count == m and sum(s.degree_histogram.values()) == n
+    assert peak < 80 * (n + m)
 
 
 # --- independent oracles (scipy) -----------------------------------------------
