@@ -18,7 +18,6 @@ from .groups import (
     Transpositions,
     apply_graph,
     apply_label,
-    apply_pairs,
     extend_element,
     haar_rotation,
     sample_generator,
@@ -49,15 +48,8 @@ from .pairs import (
     BallSector,
     Graph,
     IntRange,
-    PairConfiguration,
     RealRange,
-    count,
-    graph_to_pairs,
     make_graph,
-    pair_config,
-    pairs_to_graph,
-    prune_isolated,
-    restrict,
     restrict_graph,
 )
 from .samplers import (

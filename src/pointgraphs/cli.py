@@ -134,10 +134,7 @@ def _dispatch(args) -> int:
             graph = read_graph(fh)
         size = int(args.n) if graph.window.kind is WindowKind.INTEGER_PREFIX else args.n
         window = make_window(graph.window.kind, size, graph.window.dim)
-        restricted = restrict_graph(
-            graph, window, prune_isolated=graph.family == "graphex"
-        )
-        _emit(dumps_graph(restricted), args.out)
+        _emit(dumps_graph(restrict_graph(graph, window)), args.out)
         return 0
     if cmd == "stats":
         with open(args.infile) as fh:

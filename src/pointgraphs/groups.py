@@ -1,4 +1,4 @@
-"""Symmetry-group elements acting on labels, pairs, and graphs.
+"""Symmetry-group elements acting on labels and graphs.
 
 Three families, one per label space: finite permutations of {1..n},
 finite words of dyadic-interval swaps of the half line, and rotations of
@@ -19,13 +19,13 @@ reaching past that limit are rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .coins import POSITION_BITS
 from .edgelist import fmt_real
-from .pairs import Graph, PairConfiguration, pair_config, relabel_graph
+from .pairs import Graph
 from .windows import Window, WindowKind
 
 ORTHO_TOL = 1e-10
@@ -126,19 +126,9 @@ def apply_label(g: GroupElement, label):
     raise TypeError(f"not a group element: {g!r}")
 
 
-def apply_pairs(g: GroupElement, config: PairConfiguration) -> PairConfiguration:
-    """Apply g to both coordinates of every pair."""
-    out = pair_config(
-        (apply_label(g, x), apply_label(g, y)) for x, y in config.pairs
-    )
-    if len(out) != len(config):
-        raise RuntimeError("group action collapsed distinct pairs")
-    return out
-
-
 def apply_graph(g: GroupElement, graph: Graph) -> Graph:
     """Relabel a graph's vertices by g; edges and latents ride along."""
-    return relabel_graph(graph, lambda v: apply_label(g, v))
+    return replace(graph, vertices=tuple(apply_label(g, v) for v in graph.vertices))
 
 
 def extend_element(g: GroupElement, window_n: Window, window_m: Window) -> GroupElement:

@@ -32,21 +32,12 @@ from .groups import (
     Transpositions,
     apply_graph,
     apply_label,
-    apply_pairs,
     extend_element,
     sample_generator,
     serialize_element,
 )
 from .kernels import Constant, GraphonGrid, WindowScaledConstant, graphon_edge_prob
-from .pairs import (
-    BallSector,
-    IntRange,
-    RealRange,
-    box_contains,
-    pair_config,
-    restrict,
-    restrict_graph,
-)
+from .pairs import BallSector, Graph, IntRange, RealRange, box_contains, restrict_graph
 from .samplers import FamilySpec, fingerprint, mean_pairs, sample_batch, window_for
 from .stats import graph_stats_batch, ks_two_sample
 from .windows import WindowKind, unit_ball_volume
@@ -145,7 +136,8 @@ def test_projectivity(
     """Certify that restricting samples at window m reproduces window n.
 
     mode="exact" couples both sides through one seed per trial and demands
-    bit-identical graphs (edge configurations, for pruning families).  A
+    bit-identical graphs (restrict_graph drops graphex vertices left
+    without an edge, as the graphex sampler does).  A
     failing exact report names its first mismatching trial and that trial's
     seed, with which `pointgraphs sample` at n and at m reproduces it.
     mode="distributional" uses disjoint seed streams and compares graph
@@ -157,7 +149,6 @@ def test_projectivity(
         raise ValueError("need at least 500 trials")
     _check_alpha(alpha)
     win_n = window_for(spec, n)
-    prune = spec.family == "graphex"
     if mode == "exact":
         mismatches = 0
         details = {}
@@ -165,7 +156,7 @@ def test_projectivity(
             seeds = derive_seeds(spec.seed, trials)
             bigs, smalls = sample_batch(spec, m, seeds), sample_batch(spec, n, seeds)
             for t, s, big, small in zip(trials.tolist(), seeds.tolist(), bigs, smalls):
-                if restrict_graph(big, win_n, prune_isolated=prune) != small:
+                if restrict_graph(big, win_n) != small:
                     mismatches += 1
                     details.setdefault("first_mismatch", {"trial": t, "seed": s})
         details["mismatches"] = mismatches
@@ -186,10 +177,8 @@ def test_projectivity(
     restricted_stats = []
     direct_stats = []
     for trials in _chunks(spec, m, N):
-        restricted = [
-            restrict_graph(big, win_n, prune_isolated=prune)
-            for big in sample_batch(spec, m, derive_seeds(spec.seed, 2 * trials))
-        ]
+        bigs = sample_batch(spec, m, derive_seeds(spec.seed, 2 * trials))
+        restricted = [restrict_graph(big, win_n) for big in bigs]
         restricted_stats += _scalar_stats(restricted)
         smalls = sample_batch(spec, n, derive_seeds(spec.seed, 2 * trials + 1))
         direct_stats += _scalar_stats(smalls)
@@ -326,8 +315,10 @@ def test_compatibility(spec: FamilySpec, n, m, trials: int, k_max: int = 3) -> T
     For random labels x in the family's window at n and random generators g
     of its group, asserts apply(extend(g), x) == apply(g, x) bit for bit,
     and that restricting after acting equals acting after restricting for
-    pair configurations with labels in the window at m.  Labels and
-    generators are drawn from spec.seed.
+    one-edge graphs on two labels in the window at m.  The restriction and
+    the action are restrict_graph and apply_graph, the ones projectivity
+    and invariance run; an action that merges the two labels counts as a
+    pair mismatch.  Labels and generators are drawn from spec.seed.
     """
     if n > m:
         raise ValueError("need n <= m")
@@ -348,10 +339,11 @@ def test_compatibility(spec: FamilySpec, n, m, trials: int, k_max: int = 3) -> T
         b = _window_label(win_m, rng)
         if a == b:
             continue
-        config = pair_config([(a, b), (b, a)])
-        left = restrict(apply_pairs(g_ext, config), win_n)
-        right = apply_pairs(g_ext, restrict(config, win_n))
-        if left.pairs != right.pairs:
+        pair = Graph(win_m, (a, b), frozenset({(0, 1)}), family=spec.family)
+        moved = apply_graph(g_ext, pair)
+        left = restrict_graph(moved, win_n)
+        right = apply_graph(g_ext, restrict_graph(pair, win_n))
+        if moved.vertices[0] == moved.vertices[1] or left != right:
             pair_mismatch += 1
     p_values = {
         "labels_exact": 1.0 if label_mismatch == 0 else 0.0,
@@ -396,7 +388,7 @@ def _exact_mask_probs(spec: FamilySpec, n: int) -> list:
     if isinstance(kernel, (Constant, WindowScaledConstant)):
         p = graphon_edge_prob(kernel, np.zeros(1), np.zeros(1), n).item()
         return [
-            (p ** bin(mask).count("1")) * ((1 - p) ** (n_pairs - bin(mask).count("1")))
+            (p ** mask.bit_count()) * ((1 - p) ** (n_pairs - mask.bit_count()))
             for mask in range(1 << n_pairs)
         ]
     if isinstance(kernel, GraphonGrid):

@@ -50,7 +50,7 @@ from .kernels import (
     kernel_from_dict,
     kernel_to_dict,
 )
-from .pairs import Graph, prune_isolated
+from .pairs import Graph, restrict_graph
 from .windows import (
     Window,
     WindowKind,
@@ -342,7 +342,7 @@ def _trial_graphs(spec, window, seeds, keys: _TrialKeys, block, labels, latents)
     ii, jj = (ii - shift).tolist(), (jj - shift).tolist()
     starts, cuts = keys.starts.tolist(), cuts.tolist()
     return [
-        Graph(window, tuple(labels[lo:hi]), frozenset(zip(ii[a:b], jj[a:b])),
+        Graph(window, tuple(labels[lo:hi]), frozenset(set(zip(ii[a:b], jj[a:b]))),
               tuple(latents[lo:hi]), spec.family, fp)
         for lo, hi, a, b, fp in zip(
             starts, starts[1:], cuts, cuts[1:], _fingerprints(spec, _seed_column(seeds).tolist())
@@ -434,7 +434,8 @@ def _graphex_batch(spec: FamilySpec, n: float, seeds) -> list:
         x.tolist(),
         y.tolist(),
     )
-    return [prune_isolated(graph) for graph in graphs]
+    # restricting a graphex graph to its own window drops its isolated vertices
+    return [restrict_graph(graph, window) for graph in graphs]
 
 
 def _gaussian_direction(us, dim: int):
@@ -570,8 +571,8 @@ def extend_sample(spec: FamilySpec, graph: Graph, n: float, m: float) -> Graph:
 
     The window-n randomness is re-derived from the same keyed coins, so
     restricting the result back to window n reproduces ``graph`` exactly
-    (for graphex families: its edge configuration; vertices isolated at n
-    may gain edges at m).
+    (for graphex families the restriction drops the points of window n
+    that have edges only to points beyond it).
     """
     if m < n:
         raise ValueError("target window must not shrink")

@@ -1,0 +1,32 @@
+"""The public surface: no public function or class that only tests use."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# scalar forms kept as oracles for the batched coin engine in tests/test_coins.py
+TEST_ORACLES = {"coin", "coin_position", "derive_seed"}
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    files = sorted((ROOT / "src" / "pointgraphs").glob("*.py")) + sorted(
+        (ROOT / "perfbench").glob("*.py")
+    )
+    defined, referenced = {}, set()
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[node.name] = path.relative_to(ROOT).as_posix()
+        # names and attributes only: a re-export in an import list is no caller
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unused = {
+        name: where
+        for name, where in defined.items()
+        if name not in referenced and name not in TEST_ORACLES
+    }
+    assert not unused, unused

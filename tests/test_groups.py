@@ -13,19 +13,19 @@ from pointgraphs import (
     Rotation,
     Transpositions,
     WindowKind,
+    apply_graph,
     apply_label,
-    apply_pairs,
     extend_element,
     graphex_spec,
+    make_graph,
     make_window,
-    pair_config,
     sample,
     sample_generator,
     serialize_element,
     transposition,
 )
 from pointgraphs.coins import POSITION_BITS
-from tests.test_pairs import FIG_PAIRS
+from tests.test_pairs import FIG_GRAPH, label_edges
 
 ROT90 = Rotation(np.array([[0.0, -1.0], [1.0, 0.0]]))
 
@@ -74,24 +74,25 @@ def test_apply_label_variant_mismatch():
         apply_label(ROT90, 1)
 
 
-# --- apply_pairs ------------------------------------------------------------
+# --- apply_graph ------------------------------------------------------------
 
 
-def test_apply_pairs_relabels_fig_graph():
-    got = apply_pairs(transposition(4, 1, 2), pair_config(FIG_PAIRS))
-    want = {(2, 1), (1, 2), (1, 3), (3, 1), (3, 4), (4, 3), (4, 1), (1, 4)}
-    assert got.pairs == frozenset(want)
+def test_apply_graph_relabels_fig_graph():
+    got = apply_graph(transposition(4, 1, 2), FIG_GRAPH)
+    assert got.vertices == (2, 1, 3, 4)
+    assert got.edges == FIG_GRAPH.edges and got.window == FIG_GRAPH.window
+    assert label_edges(got) == {frozenset(e) for e in [(2, 1), (1, 3), (3, 4), (4, 1)]}
 
 
-def test_apply_pairs_identity():
-    config = pair_config(FIG_PAIRS)
-    assert apply_pairs(Permutation(tuple(range(1, 5))), config).pairs == config.pairs
+def test_apply_graph_identity():
+    assert apply_graph(Permutation(tuple(range(1, 5))), FIG_GRAPH) == FIG_GRAPH
 
 
-def test_apply_pairs_swap_missing_labels_is_noop():
-    config = pair_config([(0.1, 1.9), (1.9, 0.1)])
+def test_apply_graph_swap_missing_labels_is_noop():
+    w2 = make_window(WindowKind.REAL_INTERVAL, 2.0)
+    g = make_graph(w2, (0.1, 1.9), [(0, 1)], latents=(0.5, 0.25), family="graphex")
     theta = DyadicSwapWord(((2, 3, 2),))  # swaps (0.25,0.5] and (0.5,0.75]
-    assert apply_pairs(theta, config).pairs == config.pairs
+    assert apply_graph(theta, g) == g
 
 
 # --- extend_element ---------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from pointgraphs import harness as certify
 from pointgraphs import (
     Constant,
+    DyadicSwapWord,
     FixedDirectionIndicator,
     GraphexIndicator,
     GraphonGrid,
@@ -13,6 +14,7 @@ from pointgraphs import (
     Permutation,
     PoissonRate,
     WindowScaledConstant,
+    extend_element,
     graphex_spec,
     graphon_spec,
     rotinv_spec,
@@ -117,6 +119,36 @@ def test_compatibility_all_families_exact():
         assert report.passed, (spec, report.details)
         assert report.details["label_mismatches"] == 0
         assert report.details["pair_mismatches"] == 0
+
+
+def _leaky_extension(g, window_n, window_m):
+    """A wrong embedding: the canonical extension, then a swap of the unit
+    just below n with the unit just above it, which moves labels across
+    the boundary of window n."""
+    ext = extend_element(g, window_n, window_m)
+    n = int(window_n.size)
+    if isinstance(ext, Permutation):
+        swap = {n: n + 1, n + 1: n}
+        return Permutation(tuple(swap.get(y, y) for y in ext.mapping))
+    return DyadicSwapWord(ext.word + ((n, n + 1, 0),))
+
+
+@pytest.mark.parametrize(
+    "spec, n, m",
+    [
+        (graphon_spec(Constant(0.5), seed=3), 4, 9),
+        (graphex_spec(GraphexIndicator(1.0), y_max=1.0, seed=3), 2.0, 6.0),
+    ],
+    ids=["graphon", "graphex"],
+)
+def test_compatibility_fails_on_a_leaky_embedding(monkeypatch, spec, n, m):
+    canonical = certify.test_compatibility(spec, n, m, 1000)
+    assert canonical.passed
+    monkeypatch.setattr(certify, "extend_element", _leaky_extension)
+    report = certify.test_compatibility(spec, n, m, 1000)
+    assert report.verdict == "Fail"
+    assert report.details["label_mismatches"] > 0
+    assert report.details["pair_mismatches"] > 0
 
 
 def test_enumerate_constant_half_is_uniform():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -27,13 +28,11 @@ from pointgraphs import (
     contains,
     extend_sample,
     fingerprint,
-    graph_to_pairs,
     graphex_spec,
     graphon_spec,
     make_graph,
     make_window,
     reseeded,
-    restrict,
     restrict_graph,
     rotinv_spec,
     sample,
@@ -242,7 +241,7 @@ def test_graphex_restriction_preserves_edge_configuration():
         big = sample(s, 4.0)
         small = sample(s, 1.0)
         w1 = window_for(s, 1.0)
-        assert restrict(graph_to_pairs(big), w1).pairs == graph_to_pairs(small).pairs
+        assert restrict_graph(big, w1) == small
 
 
 # --- rotation-invariant -------------------------------------------------------
@@ -364,8 +363,7 @@ def _projective_cases(draw):
 @example((graphex_spec(GraphexProduct(2.5), y_max=3.0, seed=3), 2.7, 7.9))
 def test_sample_at_m_restricts_to_sample_at_n(case):
     spec, n, m = case
-    prune = spec.family == "graphex"
-    restricted = restrict_graph(sample(spec, m), window_for(spec, n), prune_isolated=prune)
+    restricted = restrict_graph(sample(spec, m), window_for(spec, n))
     assert restricted == sample(spec, n)
 
 
@@ -387,12 +385,11 @@ def _scalar_types(graph) -> set:
     ids=lambda v: v.family if isinstance(v, FamilySpec) else str(v),
 )
 def test_trusted_construction_matches_validating_constructor(spec, sizes):
-    prune = spec.family == "graphex"
     for n in sizes:
         g = sample(spec, n)
         smaller = (n // 2, n // 3) if spec.family == "graphon" else (n / 2, n / 3)
         graphs = [g] + [
-            restrict_graph(g, window_for(spec, m), prune_isolated=prune) for m in smaller if m > 0
+            restrict_graph(g, window_for(spec, m)) for m in smaller if m > 0
         ]
         for h in graphs:
             made = make_graph(h.window, h.vertices, h.edges, h.latents, h.family, h.fingerprint)
@@ -400,6 +397,22 @@ def test_trusted_construction_matches_validating_constructor(spec, sizes):
             assert type(h.vertices) is tuple and type(h.edges) is frozenset
             assert type(h.latents) is tuple
             assert _scalar_types(h) <= {int, float}
+
+
+def test_edge_tables_are_sized_for_their_contents():
+    # copied from a set, a frozenset's table holds at most 4 slots of 16 bytes
+    # per edge; grown edge by edge it can keep 6.7 (2 MiB at 19,906 edges)
+    spec = graphon_spec(GraphonGrid(((0.8, 0.2), (0.2, 0.6))), seed=42)
+    g = sample(spec, 300)
+    graphs = [
+        g,
+        restrict_graph(g, window_for(spec, 299)),
+        make_graph(g.window, g.vertices, g.edges),
+        sample(graphex_spec(GraphexProduct(2.0), y_max=2.0, seed=42), 60.0),
+    ]
+    assert g.n_edges > 19_000
+    for h in graphs:
+        assert sys.getsizeof(h.edges) <= 64 * h.n_edges + 1024
 
 
 def test_restrict_graph_rejects_window_of_another_kind():
@@ -616,7 +629,7 @@ def test_extend_keeps_graphex_window_edges():
     g1 = sample(spec, 1.0)
     g4 = extend_sample(spec, g1, 1.0, 4.0)
     w1 = window_for(spec, 1.0)
-    assert restrict(graph_to_pairs(g4), w1).pairs == graph_to_pairs(g1).pairs
+    assert restrict_graph(g4, w1) == g1
 
 
 # --- specs and fingerprints ------------------------------------------------------
