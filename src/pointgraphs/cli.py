@@ -10,6 +10,7 @@ Identical argv plus identical config produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import secrets
 import sys
@@ -31,7 +32,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = _Parser(prog="pointgraphs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

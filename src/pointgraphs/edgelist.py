@@ -2,7 +2,8 @@
 
 Layout: a header comment naming the window, optional family and
 fingerprint comments, one ``v`` line per vertex and one ``e`` line per
-edge (endpoint indices, smaller first).  The ``e`` lines come last: from
+edge (endpoint indices, smaller first), in the graph's increasing edge
+order.  The ``e`` lines come last: from
 the first of them to the end of the file, every non-blank line is an
 ``e`` line.  Real numbers are written with 17 significant digits so the
 decimal round-trip is bit-exact.
@@ -19,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .pairs import Graph, edge_array, make_graph
+from .pairs import Graph, make_graph
 from .windows import Window, WindowKind, make_window
 
 # e lines are formatted in blocks of this many, so the formatting
@@ -61,14 +62,8 @@ def write_graph(graph: Graph, fh) -> None:
         if graph.latents is not None:
             line += f" {fmt_real(graph.latents[i])}"
         fh.write(line + "\n")
-    n = graph.n_vertices
-    ends = edge_array([graph])
-    keys = ends[:, 0] * n  # edge (i, j) sorts as i * n + j
-    keys += ends[:, 1]
-    del ends
-    keys.sort()
-    for lo in range(0, len(keys), _E_LINES):
-        block = np.stack(np.divmod(keys[lo : lo + _E_LINES], n), axis=1)
+    for lo in range(0, graph.n_edges, _E_LINES):
+        block = graph.ends[lo : lo + _E_LINES]
         fh.write("e %d %d\n" * len(block) % tuple(block.ravel().tolist()))
 
 

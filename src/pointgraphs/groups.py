@@ -19,7 +19,7 @@ reaching past that limit are rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,7 +128,8 @@ def apply_label(g: GroupElement, label):
 
 def apply_graph(g: GroupElement, graph: Graph) -> Graph:
     """Relabel a graph's vertices by g; edges and latents ride along."""
-    return replace(graph, vertices=tuple(apply_label(g, v) for v in graph.vertices))
+    vertices = tuple(apply_label(g, v) for v in graph.vertices)
+    return Graph(graph.window, vertices, graph.ends, graph.latents, graph.family, graph.fingerprint)
 
 
 def extend_element(g: GroupElement, window_n: Window, window_m: Window) -> GroupElement:

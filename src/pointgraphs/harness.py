@@ -117,9 +117,10 @@ def _scalar_stats(graphs) -> list:
 
 
 # Trials are sampled in chunks of about this many vertex pairs.  A chunk's
-# graphs are Python objects of ~100 bytes an edge, so a chunk is kept to a
-# small part of one sampler tile (samplers.TILE_PAIRS): the harness then
-# holds about as much memory as one sample, however many trials it runs.
+# graphs hold 16 bytes an edge plus their Python vertex labels, so a chunk
+# is kept to a small part of one sampler tile (samplers.TILE_PAIRS): the
+# harness then holds about as much memory as one sample, however many
+# trials it runs.
 CHUNK_PAIRS = 2**12
 
 
@@ -192,20 +193,24 @@ def test_projectivity(
 # Invariance
 
 
-def _ordered_pairs(graph, in_a: list, in_b: list) -> int:
+def _ordered_pairs(graph, in_a: np.ndarray, in_b: np.ndarray) -> int:
     """Ordered pairs (x, y) of edge endpoints with x in box a and y in box b,
     from each vertex's membership in the two boxes."""
-    return sum((in_a[i] and in_b[j]) + (in_a[j] and in_b[i]) for i, j in graph.edges)
+    if not graph.n_edges:
+        return 0
+    # row (i, j) against its reverse (j, i): the pairs (i, j) and (j, i)
+    return int(np.count_nonzero(in_a[graph.ends] & in_b[graph.ends[:, ::-1]]))
 
 
-def _endpoints(graph, in_a: list) -> int:
+def _endpoints(graph, in_a: np.ndarray) -> int:
     """Edge endpoints in box a, from each vertex's membership in it: the
     degree of a one-vertex box, the endpoint count of a larger one."""
-    return sum(in_a[i] + in_a[j] for i, j in graph.edges)
+    return int(np.count_nonzero(in_a[graph.ends])) if graph.n_edges else 0
 
 
-def _members(box, graph) -> list:
-    return [box_contains(box, v) for v in graph.vertices]
+def _members(box, graph) -> np.ndarray:
+    """Each vertex's membership in the box, as a bool column."""
+    return np.array([box_contains(box, v) for v in graph.vertices], dtype=bool)
 
 
 def _invariance_stats(spec: FamilySpec, n):
@@ -227,7 +232,7 @@ def _invariance_stats(spec: FamilySpec, n):
         def stats(graph):
             in_half = _members(half, graph)
             return {
-                "vertices_left_half": sum(in_half),
+                "vertices_left_half": int(np.count_nonzero(in_half)),
                 "endpoints_left_half": _endpoints(graph, in_half),
                 "edges_in_left_half": _ordered_pairs(graph, in_half, in_half),
             }
@@ -239,7 +244,7 @@ def _invariance_stats(spec: FamilySpec, n):
     def stats(graph):
         in_sector = _members(sector, graph)
         return {
-            "vertices_half_space": sum(in_sector),
+            "vertices_half_space": int(np.count_nonzero(in_sector)),
             "edges_in_half_space": _ordered_pairs(graph, in_sector, in_sector),
         }
 
@@ -309,6 +314,10 @@ def _window_label(window, rng: np.random.Generator):
     return tuple(float(r * c) for c in g)
 
 
+_ONE_EDGE = np.array([[0, 1]], dtype=np.int64)
+_ONE_EDGE.flags.writeable = False
+
+
 def test_compatibility(spec: FamilySpec, n, m, trials: int, k_max: int = 3) -> TestReport:
     """Exact commutation of embeddings with actions and with restriction.
 
@@ -339,7 +348,7 @@ def test_compatibility(spec: FamilySpec, n, m, trials: int, k_max: int = 3) -> T
         b = _window_label(win_m, rng)
         if a == b:
             continue
-        pair = Graph(win_m, (a, b), frozenset({(0, 1)}), family=spec.family)
+        pair = Graph(win_m, (a, b), _ONE_EDGE, family=spec.family)
         moved = apply_graph(g_ext, pair)
         left = restrict_graph(moved, win_n)
         right = apply_graph(g_ext, restrict_graph(pair, win_n))
@@ -419,14 +428,19 @@ def enumerate_labeled_distribution(spec: FamilySpec, n: int, N: int) -> Enumerat
     if n > 5:
         raise ValueError("enumeration is limited to n <= 5")
     positions = _edge_positions(n)
-    bit_of = {pair: b for b, pair in enumerate(positions)}
-    counts = [0] * (1 << len(positions))
+    # the bit of each vertex pair: vertex i of a graphon sample is label i + 1
+    bit = np.zeros((n, n), dtype=np.int64)
+    for b, (x, y) in enumerate(positions):
+        bit[x - 1, y - 1] = 1 << b
+    counts = np.zeros(1 << len(positions), dtype=np.int64)
     for trials in _chunks(spec, n, N):
-        for graph in sample_batch(spec, n, derive_seeds(spec.seed, trials)):
-            mask = 0
-            for i, j in graph.edges:
-                mask |= 1 << bit_of[(graph.vertices[i], graph.vertices[j])]
-            counts[mask] += 1
+        graphs = sample_batch(spec, n, derive_seeds(spec.seed, trials))
+        ends = np.concatenate([g.ends for g in graphs])
+        owner = np.repeat(np.arange(len(graphs)), [g.n_edges for g in graphs])
+        # distinct bits, so each graph's mask is the sum of its edges' bits
+        masks = np.zeros(len(graphs), dtype=np.int64)
+        np.add.at(masks, owner, bit[ends[:, 0], ends[:, 1]])
+        counts += np.bincount(masks, minlength=len(counts))
     return EnumeratedDistribution(
-        n=n, trials=N, counts=tuple(counts), probs=tuple(_exact_mask_probs(spec, n))
+        n=n, trials=N, counts=tuple(counts.tolist()), probs=tuple(_exact_mask_probs(spec, n))
     )

@@ -50,7 +50,7 @@ from .kernels import (
     kernel_from_dict,
     kernel_to_dict,
 )
-from .pairs import Graph, restrict_graph
+from .pairs import Graph
 from .windows import (
     Window,
     WindowKind,
@@ -333,17 +333,17 @@ def _seed_column(seeds) -> np.ndarray:
     return np.atleast_1d(np.asarray(CoinPRF(seeds).seed, dtype=np.uint64))
 
 
-def _trial_graphs(spec, window, seeds, keys: _TrialKeys, block, labels, latents) -> list:
-    """Draw a batch's edges and cut them into one Graph per seed; ``labels``
-    and ``latents`` list the batch's vertices trial after trial."""
-    ii, jj = _draw_edges(CoinPRF(seeds), keys, block)
-    cuts = np.searchsorted(ii, keys.starts)  # trial t's edges are cuts[t]:cuts[t + 1]
-    shift = np.repeat(keys.starts[:-1], np.diff(cuts))
-    ii, jj = (ii - shift).tolist(), (jj - shift).tolist()
-    starts, cuts = keys.starts.tolist(), cuts.tolist()
+def _trial_graphs(spec, window, seeds, starts, ii, jj, labels, latents) -> list:
+    """Cut a batch's edges (ii, jj), increasing pairs of indices into the
+    batch's vertices, into one Graph per seed; trial t owns vertices
+    starts[t]:starts[t + 1], and ``labels`` and ``latents`` list them."""
+    cuts = np.searchsorted(ii, starts)  # trial t's edges are cuts[t]:cuts[t + 1]
+    shift = np.repeat(starts[:-1], np.diff(cuts))
+    ends = np.stack((ii - shift, jj - shift), axis=1)
+    ends.flags.writeable = False
+    starts, cuts = starts.tolist(), cuts.tolist()
     return [
-        Graph(window, tuple(labels[lo:hi]), frozenset(set(zip(ii[a:b], jj[a:b]))),
-              tuple(latents[lo:hi]), spec.family, fp)
+        Graph(window, tuple(labels[lo:hi]), ends[a:b], tuple(latents[lo:hi]), spec.family, fp)
         for lo, hi, a, b, fp in zip(
             starts, starts[1:], cuts, cuts[1:], _fingerprints(spec, _seed_column(seeds).tolist())
         )
@@ -380,14 +380,13 @@ def _graphon_batch(spec: FamilySpec, n: int, seeds) -> list:
     col = _seed_column(seeds)
     labels = np.arange(1, n + 1)
     lat = coin_batch(CoinPRF(col[:, None]), "lat", labels[None, :]).ravel()
+    keys = _TrialKeys(np.tile(labels, len(col)), np.arange(len(col) + 1) * n)
+    ii, jj = _draw_edges(
+        CoinPRF(seeds), keys, lambda r, c: graphon_edge_prob(spec.kernel, *_pair_views(lat, r, c), n)
+    )
     return _trial_graphs(
-        spec,
-        window_for(spec, n),
-        seeds,
-        _TrialKeys(np.tile(labels, len(col)), np.arange(len(col) + 1) * n),
-        lambda r, c: graphon_edge_prob(spec.kernel, *_pair_views(lat, r, c), n),
-        list(range(1, n + 1)) * len(col),
-        lat.tolist(),
+        spec, window_for(spec, n), seeds, keys.starts, ii, jj,
+        list(range(1, n + 1)) * len(col), lat.tolist(),
     )
 
 
@@ -425,17 +424,17 @@ def _graphex_batch(spec: FamilySpec, n: float, seeds) -> list:
         np.column_stack((a[order], b[order], idx[order])),
         np.searchsorted(trial, np.arange(len(col) + 1)),
     )
-    graphs = _trial_graphs(
-        spec,
-        window,
-        seeds,
-        keys,
-        lambda r, c: graphex_edge_prob(spec.kernel, *_pair_views(y, r, c)),
-        x.tolist(),
-        y.tolist(),
+    ii, jj = _draw_edges(
+        CoinPRF(seeds), keys, lambda r, c: graphex_edge_prob(spec.kernel, *_pair_views(y, r, c))
     )
-    # restricting a graphex graph to its own window drops its isolated vertices
-    return [restrict_graph(graph, window) for graph in graphs]
+    # Drop the points without an edge: before[i], the count of points with
+    # an edge before point i, is point i's index once they are gone.
+    touched = np.bincount(np.concatenate((ii, jj)), minlength=len(keys)) > 0
+    before = np.concatenate(([0], np.cumsum(touched)))
+    return _trial_graphs(
+        spec, window, seeds, before[keys.starts], before[ii], before[jj],
+        x[touched].tolist(), y[touched].tolist(),
+    )
 
 
 def _gaussian_direction(us, dim: int):
@@ -511,7 +510,8 @@ def _rotinv_batch(spec: FamilySpec, n: float, seeds) -> list:
     keys = _TrialKeys(
         np.column_stack((sh, idx))[inside], np.searchsorted(trial, np.arange(len(col) + 1))
     )
-    return _trial_graphs(spec, window, seeds, keys, block, points, radii)
+    ii, jj = _draw_edges(CoinPRF(seeds), keys, block)
+    return _trial_graphs(spec, window, seeds, keys.starts, ii, jj, points, radii)
 
 
 _BATCH_SAMPLERS = {"graphon": _graphon_batch, "graphex": _graphex_batch, "rotinv": _rotinv_batch}

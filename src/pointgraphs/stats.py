@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pairs import Graph, edge_array
+from .pairs import Graph
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def graph_stats_batch(graphs) -> list:
     sizes = np.array([g.n_vertices for g in graphs], dtype=np.int64)
     n_edges = [g.n_edges for g in graphs]
     offsets = np.cumsum(sizes) - sizes
-    ends = edge_array(graphs)
+    ends = np.concatenate([g.ends for g in graphs]) if graphs else np.zeros((0, 2), np.int64)
     ends += np.repeat(offsets, n_edges)[:, None]
     degrees = np.bincount(ends.ravel(), minlength=int(sizes.sum()))
     graph_of = np.repeat(np.arange(len(graphs)), sizes)

@@ -387,3 +387,20 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("#window kind=integer_prefix size=4")
+
+
+def test_one_parser_serves_every_run_of_a_process(tmp_path, capsys):
+    from pointgraphs.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    sample_argv = ["sample", "--config", str(CONFIGS / "graphon.json"), "--n", "6", "--seed", "4"]
+    assert run(sample_argv) == 0
+    first = capsys.readouterr().out
+    # a usage error, then another command, on the same parser
+    assert run(["sample", "--bogus", "x"]) == 1
+    graph = tmp_path / "g.el"
+    graph.write_text(first)
+    assert run(["restrict", "--in", str(graph), "--n", "3"]) == 0
+    assert loads_graph(capsys.readouterr().out).n_vertices == 3
+    assert run(sample_argv) == 0
+    assert capsys.readouterr().out == first

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +11,20 @@ from pointgraphs import (
     BallSector,
     IntRange,
     WindowKind,
+    contains,
+    derive_seeds,
     make_graph,
     make_window,
     restrict_graph,
+    sample,
+    sample_batch,
+    spec_from_dict,
 )
+from pointgraphs.edgelist import dumps_graph, loads_graph
 from pointgraphs.harness import _endpoints, _members, _ordered_pairs
 from pointgraphs.pairs import box_contains
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 WIN4 = make_window(WindowKind.INTEGER_PREFIX, 4)
 
@@ -65,7 +75,10 @@ def integer_graphs(draw):
     pairs = list(itertools.combinations(range(len(vertices)), 2))
     edges = draw(st.sets(st.sampled_from(pairs), max_size=20)) if pairs else set()
     family = draw(st.sampled_from([None, "graphon", "graphex"]))
-    return make_graph(make_window(WindowKind.INTEGER_PREFIX, n), vertices, edges, family=family)
+    latents = draw(st.none() | st.just(tuple(v / 16 for v in vertices)))
+    return make_graph(
+        make_window(WindowKind.INTEGER_PREFIX, n), vertices, edges, latents, family=family
+    )
 
 
 def _prefix(k: int):
@@ -152,3 +165,79 @@ def test_make_graph_validations():
         make_graph(WIN4, (1, 2, 3), [(0, 1, 2)])
     assert make_graph(WIN4, (1, 2), [(1, 0)]).edges == {(0, 1)}
     assert make_graph(WIN4, (1, 2, 3), np.array([[2, 0], [1, 2]])).edges == {(0, 2), (1, 2)}
+
+
+def _induced_subgraph(graph, window):
+    """restrict_graph's result, one label and one edge at a time in Python:
+    (vertices, latents, edges in increasing order)."""
+    keep = [i for i, v in enumerate(graph.vertices) if contains(window, v)]
+    kept = set(keep)
+    edges = sorted((i, j) for i, j in graph.edges if i in kept and j in kept)
+    if graph.family == "graphex":
+        touched = {i for e in edges for i in e}
+        keep = [i for i in keep if i in touched]
+    new = {old: k for k, old in enumerate(keep)}
+    latents = None if graph.latents is None else tuple(graph.latents[i] for i in keep)
+    return tuple(graph.vertices[i] for i in keep), latents, [(new[i], new[j]) for i, j in edges]
+
+
+def _assert_restricts_like_the_oracle(graph, window):
+    got = restrict_graph(graph, window)
+    vertices, latents, edges = _induced_subgraph(graph, window)
+    assert got.vertices == vertices and got.latents == latents
+    assert list(map(tuple, got.ends.tolist())) == edges
+    assert (got.window, got.family, got.fingerprint) == (window, graph.family, graph.fingerprint)
+
+
+@given(integer_graphs(), st.data())
+def test_restrict_graph_matches_a_python_induced_subgraph(graph, data):
+    k = data.draw(st.integers(min_value=1, max_value=graph.window.size))
+    _assert_restricts_like_the_oracle(graph, _prefix(k))
+
+
+SAMPLED = {"graphon_grid": (40, (1, 13, 40)), "graphex": (6.0, (0.5, 2.5, 6.0)),
+           "rotinv": (30.0, (1.0, 11.0, 30.0))}
+
+
+def _sampled_graphs(config: str) -> list:
+    spec = spec_from_dict(json.loads((CONFIGS / f"{config}.json").read_text()))
+    n = SAMPLED[config][0]
+    return [sample(spec, n)] + sample_batch(spec, n, derive_seeds(spec.seed, np.arange(6)))
+
+
+@pytest.mark.parametrize("config", list(SAMPLED))
+def test_restrict_graph_of_samples_matches_a_python_induced_subgraph(config):
+    for graph in _sampled_graphs(config):
+        for size in SAMPLED[config][1]:
+            _assert_restricts_like_the_oracle(
+                graph, make_window(graph.window.kind, size, graph.window.dim)
+            )
+
+
+def _assert_sorted_read_only_ends(graph):
+    ends = graph.ends
+    assert ends.dtype == np.int64 and ends.shape == (graph.n_edges, 2)
+    assert not ends.flags.writeable
+    assert np.all(ends[:, 0] < ends[:, 1])
+    assert np.all((ends >= 0) & (ends < graph.n_vertices))
+    keys = ends[:, 0] * graph.n_vertices + ends[:, 1]
+    assert np.all(keys[1:] > keys[:-1])  # strictly increasing in (i, j)
+    assert graph.edges == set(map(tuple, ends.tolist()))
+
+
+@pytest.mark.parametrize("config", list(SAMPLED))
+def test_every_constructor_stores_sorted_read_only_int64_ends(config):
+    rng = np.random.default_rng(5)
+    graphs = _sampled_graphs(config)
+    assert sum(g.n_edges for g in graphs) > 0
+    graphs += [
+        restrict_graph(g, make_window(g.window.kind, size, g.window.dim))
+        for g in graphs[:3]
+        for size in SAMPLED[config][1]
+    ]
+    graphs += [loads_graph(dumps_graph(g)) for g in graphs[:3]]
+    # given shuffled and flipped, make_graph sorts
+    graphs += [make_graph(g.window, g.vertices, rng.permutation(g.ends)[:, ::-1]) for g in graphs]
+    graphs.append(make_graph(WIN4, (1, 2, 3, 4), [(3, 1), (0, 3), (2, 1), (1, 0)]))
+    for graph in graphs:
+        _assert_sorted_read_only_ends(graph)

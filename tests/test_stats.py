@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from pointgraphs import (
-    Graph,
     WindowKind,
     chi2_sf,
     chi_square_gof,
@@ -210,8 +209,8 @@ def test_graph_stats_memory_is_linear_in_vertices_and_edges():
     keys = np.unique(ends[:, 0] * n + ends[:, 1])
     keys = rng.permutation(keys[keys // n < keys % n])[:m]
     ii, jj = np.divmod(keys, n)
-    graph = Graph(make_window(WindowKind.INTEGER_PREFIX, n), tuple(range(1, n + 1)),
-                  frozenset(zip(ii.tolist(), jj.tolist())))
+    graph = make_graph(make_window(WindowKind.INTEGER_PREFIX, n), range(1, n + 1),
+                       np.stack((ii, jj), axis=1))
     tracemalloc.start()
     try:
         s = graph_stats(graph)
