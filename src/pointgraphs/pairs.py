@@ -75,6 +75,12 @@ class Graph:
             and self.ends.tobytes() == other.ends.tobytes()
         )
 
+    def __hash__(self):
+        return hash((
+            self.window, self.family, self.fingerprint, self.vertices, self.latents,
+            self.ends.shape, self.ends.tobytes(),
+        ))
+
 
 def make_graph(window, vertices, edges, latents=None, family=None, fingerprint=None) -> Graph:
     """Validated Graph constructor.  Edges, index pairs or an (E, 2) integer

@@ -340,12 +340,17 @@ def _trial_graphs(spec, window, seeds, starts, ii, jj, labels, latents) -> list:
     cuts = np.searchsorted(ii, starts)  # trial t's edges are cuts[t]:cuts[t + 1]
     shift = np.repeat(starts[:-1], np.diff(cuts))
     ends = np.stack((ii - shift, jj - shift), axis=1)
-    ends.flags.writeable = False
-    starts, cuts = starts.tolist(), cuts.tolist()
+    cuts = cuts.tolist()
+    rows = [ends[a:b] for a, b in zip(cuts, cuts[1:])]
+    if len(rows) > 1:  # a graph kept from a batch holds only its own edges
+        rows = [r.copy() for r in rows]
+    for r in rows:
+        r.flags.writeable = False
+    starts = starts.tolist()
     return [
-        Graph(window, tuple(labels[lo:hi]), ends[a:b], tuple(latents[lo:hi]), spec.family, fp)
-        for lo, hi, a, b, fp in zip(
-            starts, starts[1:], cuts, cuts[1:], _fingerprints(spec, _seed_column(seeds).tolist())
+        Graph(window, tuple(labels[lo:hi]), r, tuple(latents[lo:hi]), spec.family, fp)
+        for lo, hi, r, fp in zip(
+            starts, starts[1:], rows, _fingerprints(spec, _seed_column(seeds).tolist())
         )
     ]
 

@@ -167,6 +167,14 @@ def test_make_graph_validations():
     assert make_graph(WIN4, (1, 2, 3), np.array([[2, 0], [1, 2]])).edges == {(0, 2), (1, 2)}
 
 
+def test_equal_graphs_hash_equal():
+    flipped = make_graph(WIN4, (1, 2, 3, 4), [(1, 3), (2, 1), (1, 0), (3, 2)])
+    assert flipped == FIG_GRAPH and hash(flipped) == hash(FIG_GRAPH)
+    other = make_graph(WIN4, (1, 2, 3, 4), [(0, 1), (1, 2), (2, 3)])
+    assert other != FIG_GRAPH
+    assert {FIG_GRAPH, flipped, other} == {FIG_GRAPH, other}
+
+
 def _induced_subgraph(graph, window):
     """restrict_graph's result, one label and one edge at a time in Python:
     (vertices, latents, edges in increasing order)."""
