@@ -44,14 +44,7 @@ from .kernels import (
     SoftDistance,
     WindowScaledConstant,
 )
-from .pairs import (
-    BallSector,
-    Graph,
-    IntRange,
-    RealRange,
-    make_graph,
-    restrict_graph,
-)
+from .pairs import Graph, make_graph, restrict_graph
 from .samplers import (
     FamilySpec,
     PoissonRate,

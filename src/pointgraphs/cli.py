@@ -20,7 +20,7 @@ from .edgelist import dumps_graph, read_graph
 from .pairs import restrict_graph
 from .samplers import FamilySpec, extend_sample, fingerprint, sample, spec_from_dict
 from .stats import chi_square_gof, graph_stats
-from .windows import WindowKind, make_window, window_to_dict
+from .windows import make_window, window_to_dict
 
 USAGE_ERROR, TEST_FAIL = 1, 2
 
@@ -135,8 +135,7 @@ def _dispatch(args) -> int:
     if cmd == "restrict":
         with open(args.infile) as fh:
             graph = read_graph(fh)
-        size = int(args.n) if graph.window.kind is WindowKind.INTEGER_PREFIX else args.n
-        window = make_window(graph.window.kind, size, graph.window.dim)
+        window = make_window(graph.window.kind, args.n, graph.window.dim)
         _emit(dumps_graph(restrict_graph(graph, window)), args.out)
         return 0
     if cmd == "stats":
@@ -164,7 +163,7 @@ def _dispatch(args) -> int:
         return _finish_report(report, args.out)
     if cmd == "enumerate":
         spec = _load_spec(args)
-        dist = harness.enumerate_labeled_distribution(spec, int(args.n), args.trials)
+        dist = harness.enumerate_labeled_distribution(spec, args.n, args.trials)
         payload = {
             "n": dist.n,
             "trials": dist.trials,
@@ -173,7 +172,7 @@ def _dispatch(args) -> int:
             "fingerprint": fingerprint(spec),
             "seed": spec.seed,
         }
-        if dist.trials * min(dist.probs) >= 5:
+        if len(dist.counts) >= 2 and dist.trials * min(dist.probs) >= 5:
             stat, p = chi_square_gof(dist.counts, dist.probs, dist.trials)
             payload["chi_square"] = {"statistic": stat, "p_value": p}
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)

@@ -37,7 +37,7 @@ from .groups import (
     serialize_element,
 )
 from .kernels import Constant, GraphonGrid, WindowScaledConstant, graphon_edge_prob
-from .pairs import BallSector, Graph, IntRange, RealRange, box_contains, restrict_graph
+from .pairs import Graph, restrict_graph
 from .samplers import FamilySpec, fingerprint, mean_pairs, sample_batch, window_for
 from .stats import graph_stats_batch, ks_two_sample
 from .windows import WindowKind, unit_ball_volume
@@ -124,9 +124,9 @@ def _scalar_stats(graphs) -> list:
 CHUNK_PAIRS = 2**12
 
 
-def _chunks(spec: FamilySpec, size, N: int):
-    """Trial indices 0..N-1 in chunks of about CHUNK_PAIRS pairs at window size."""
-    step = max(1, int(CHUNK_PAIRS // max(1.0, mean_pairs(spec, size))))
+def _chunks(spec: FamilySpec, window, N: int):
+    """Trial indices 0..N-1 in chunks of about CHUNK_PAIRS pairs in the window."""
+    step = max(1, int(CHUNK_PAIRS // max(1.0, mean_pairs(spec, window.size))))
     for lo in range(0, N, step):
         yield np.arange(lo, min(lo + step, N))
 
@@ -149,11 +149,11 @@ def test_projectivity(
     if N < 500:
         raise ValueError("need at least 500 trials")
     _check_alpha(alpha)
-    win_n = window_for(spec, n)
+    win_n, win_m = window_for(spec, n), window_for(spec, m)
     if mode == "exact":
         mismatches = 0
         details = {}
-        for trials in _chunks(spec, m, N):
+        for trials in _chunks(spec, win_m, N):
             seeds = derive_seeds(spec.seed, trials)
             bigs, smalls = sample_batch(spec, m, seeds), sample_batch(spec, n, seeds)
             for t, s, big, small in zip(trials.tolist(), seeds.tolist(), bigs, smalls):
@@ -177,7 +177,7 @@ def test_projectivity(
         raise ValueError(f"unknown mode {mode!r}")
     restricted_stats = []
     direct_stats = []
-    for trials in _chunks(spec, m, N):
+    for trials in _chunks(spec, win_m, N):
         bigs = sample_batch(spec, m, derive_seeds(spec.seed, 2 * trials))
         restricted = [restrict_graph(big, win_n) for big in bigs]
         restricted_stats += _scalar_stats(restricted)
@@ -194,8 +194,8 @@ def test_projectivity(
 
 
 def _ordered_pairs(graph, in_a: np.ndarray, in_b: np.ndarray) -> int:
-    """Ordered pairs (x, y) of edge endpoints with x in box a and y in box b,
-    from each vertex's membership in the two boxes."""
+    """Ordered pairs (x, y) of edge endpoints with x in region a and y in
+    region b, from each vertex's membership in the two regions."""
     if not graph.n_edges:
         return 0
     # row (i, j) against its reverse (j, i): the pairs (i, j) and (j, i)
@@ -203,23 +203,31 @@ def _ordered_pairs(graph, in_a: np.ndarray, in_b: np.ndarray) -> int:
 
 
 def _endpoints(graph, in_a: np.ndarray) -> int:
-    """Edge endpoints in box a, from each vertex's membership in it: the
-    degree of a one-vertex box, the endpoint count of a larger one."""
+    """Edge endpoints in region a, from each vertex's membership in it: the
+    degree of a one-vertex region, the endpoint count of a larger one."""
     return int(np.count_nonzero(in_a[graph.ends])) if graph.n_edges else 0
 
 
-def _members(box, graph) -> np.ndarray:
-    """Each vertex's membership in the box, as a bool column."""
-    return np.array([box_contains(box, v) for v in graph.vertices], dtype=bool)
+def _members(inside, graph) -> np.ndarray:
+    """Each vertex's membership in the region of the label predicate
+    ``inside``, as a bool column."""
+    return np.array([inside(v) for v in graph.vertices], dtype=bool)
+
+
+def _half_space(x) -> bool:
+    """Whether the point x has a direction, a finite radius r and a
+    nonnegative cosine x[0] / r with the first axis."""
+    r = math.sqrt(math.fsum(c * c for c in x))
+    return 0.0 < r < math.inf and x[0] / r >= 0.0
 
 
 def _invariance_stats(spec: FamilySpec, n):
-    """Label-dependent statistic functions, one dict per graph.  Each box is
-    evaluated once per vertex, and pairs are counted from the edges."""
+    """Label-dependent statistic functions, one dict per graph.  Each region
+    is tested once per vertex, and pairs are counted from the edges."""
     if spec.family == "graphon":
 
         def stats(graph):
-            is_1, is_2 = _members(IntRange(1, 1), graph), _members(IntRange(2, 2), graph)
+            is_1, is_2 = _members(lambda v: v == 1, graph), _members(lambda v: v == 2, graph)
             return {
                 "vertex1_degree": _endpoints(graph, is_1),
                 "edge_12": 1.0 if _ordered_pairs(graph, is_1, is_2) else 0.0,
@@ -227,10 +235,10 @@ def _invariance_stats(spec: FamilySpec, n):
 
         return stats
     if spec.family == "graphex":
-        half = RealRange(0.0, n / 2.0)
+        half = n / 2
 
         def stats(graph):
-            in_half = _members(half, graph)
+            in_half = _members(lambda v: 0.0 <= v < half, graph)
             return {
                 "vertices_left_half": int(np.count_nonzero(in_half)),
                 "endpoints_left_half": _endpoints(graph, in_half),
@@ -238,27 +246,25 @@ def _invariance_stats(spec: FamilySpec, n):
             }
 
         return stats
-    axis = tuple([1.0] + [0.0] * (spec.dim - 1))
-    sector = BallSector(0.0, math.inf, axis=axis, min_cos=0.0)
 
     def stats(graph):
-        in_sector = _members(sector, graph)
+        in_half = _members(_half_space, graph)
         return {
-            "vertices_half_space": int(np.count_nonzero(in_sector)),
-            "edges_in_half_space": _ordered_pairs(graph, in_sector, in_sector),
+            "vertices_half_space": int(np.count_nonzero(in_half)),
+            "edges_in_half_space": _ordered_pairs(graph, in_half, in_half),
         }
 
     return stats
 
 
-def _generator_set(spec: FamilySpec, n, k_max: int) -> GeneratorSet:
-    """The generators of the family's group at window size n.  The family
+def _generator_set(spec: FamilySpec, window, k_max: int) -> GeneratorSet:
+    """The generators of the family's group in the window.  The family
     fixes its projective system and so the group; k_max bounds the dyadic
     depth of graphex swaps and is ignored by the other families."""
     if spec.family == "graphon":
-        return Transpositions(int(n))
+        return Transpositions(window.size)
     if spec.family == "graphex":
-        return DyadicSwaps(n, k_max)
+        return DyadicSwaps(window.size, k_max)
     return RandomRotations(spec.dim)
 
 
@@ -275,12 +281,13 @@ def test_invariance(
     if N < 1:
         raise ValueError("need at least one trial")
     _check_alpha(alpha)
-    gen_set = _generator_set(spec, n, k_max)
-    stats_fn = _invariance_stats(spec, n)
+    win_n = window_for(spec, n)
+    gen_set = _generator_set(spec, win_n, k_max)
+    stats_fn = _invariance_stats(spec, win_n.size)
     master = CoinPRF(spec.seed)
     base_rows, trans_rows = [], []
     shown = []
-    for trials in _chunks(spec, n, N):
+    for trials in _chunks(spec, win_n, N):
         graphs = sample_batch(spec, n, derive_seeds(spec.seed, trials))
         for t, graph in zip(trials.tolist(), graphs):
             rng = np.random.default_rng(coin_u64(master, "gen", t))
@@ -333,8 +340,8 @@ def test_compatibility(spec: FamilySpec, n, m, trials: int, k_max: int = 3) -> T
         raise ValueError("need n <= m")
     if trials < 1:
         raise ValueError("need at least one trial")
-    gen_set = _generator_set(spec, n, k_max)
     win_n, win_m = window_for(spec, n), window_for(spec, m)
+    gen_set = _generator_set(spec, win_n, k_max)
     rng = np.random.default_rng(spec.seed)
     label_mismatch = 0
     pair_mismatch = 0
@@ -417,7 +424,7 @@ def _exact_mask_probs(spec: FamilySpec, n: int) -> list:
     raise ValueError(f"no exact enumeration for kernel {kernel!r}")
 
 
-def enumerate_labeled_distribution(spec: FamilySpec, n: int, N: int) -> EnumeratedDistribution:
+def enumerate_labeled_distribution(spec: FamilySpec, n, N: int) -> EnumeratedDistribution:
     """Histogram over all 2^(n(n-1)/2) labeled graphs, with exact probabilities.
 
     The probabilities come from closed forms or grid integration, never
@@ -425,6 +432,10 @@ def enumerate_labeled_distribution(spec: FamilySpec, n: int, N: int) -> Enumerat
     """
     if spec.family != "graphon":
         raise ValueError("enumeration is defined for graphon families")
+    if N < 1:
+        raise ValueError("need at least one trial")
+    window = window_for(spec, n)
+    n = window.size
     if n > 5:
         raise ValueError("enumeration is limited to n <= 5")
     positions = _edge_positions(n)
@@ -433,7 +444,7 @@ def enumerate_labeled_distribution(spec: FamilySpec, n: int, N: int) -> Enumerat
     for b, (x, y) in enumerate(positions):
         bit[x - 1, y - 1] = 1 << b
     counts = np.zeros(1 << len(positions), dtype=np.int64)
-    for trials in _chunks(spec, n, N):
+    for trials in _chunks(spec, window, N):
         graphs = sample_batch(spec, n, derive_seeds(spec.seed, trials))
         ends = np.concatenate([g.ends for g in graphs])
         owner = np.repeat(np.arange(len(graphs)), [g.n_edges for g in graphs])

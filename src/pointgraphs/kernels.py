@@ -14,7 +14,7 @@ rotation invariance).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -273,23 +273,9 @@ def kernel_to_dict(kernel) -> dict:
     name = _TYPE_NAMES.get(type(kernel))
     if name is None:
         raise TypeError(f"unknown kernel {kernel!r}")
-    out = {"type": name}
-    if isinstance(kernel, (Constant, WindowScaledConstant)):
-        out["p"] = kernel.p
-    elif isinstance(kernel, GraphonGrid):
+    out = {"type": name, **{f.name: getattr(kernel, f.name) for f in fields(kernel)}}
+    if isinstance(kernel, GraphonGrid):
         out["values"] = [list(row) for row in kernel.values]
-    elif isinstance(kernel, GraphexIndicator):
-        out["c"] = kernel.c
-    elif isinstance(kernel, GraphexProduct):
-        out["a"] = kernel.a
-    elif isinstance(kernel, HardDistance):
-        out["r0"] = kernel.r0
-    elif isinstance(kernel, SoftDistance):
-        out["scale"], out["shape"] = kernel.scale, kernel.shape
-    elif isinstance(kernel, RadialSum):
-        out["threshold"] = kernel.threshold
-    elif isinstance(kernel, HyperbolicSoft):
-        out["R"], out["T"] = kernel.R, kernel.T
     return out
 
 

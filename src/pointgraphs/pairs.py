@@ -1,18 +1,16 @@
-"""Graphs in windows, their restriction, and box evaluation maps.
+"""Graphs in windows and their restriction.
 
 A simple undirected graph is the concrete form of a symmetric counting
 measure on pairs of labels: edge {x, y} puts one atom on (x, y) and one on
 (y, x).  A ``Graph`` stores each atom pair once, as a row (i, j) with i < j
 of one read-only int64 array of index pairs into its vertex labels, the
-rows strictly increasing in (i, j).  This module holds that type, its
+rows strictly increasing in (i, j).  This module holds that type and its
 restriction to a smaller window (the projection from larger windows down
-to smaller ones), and box evaluation maps for counting atoms in
-measurable rectangles.
+to smaller ones).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,53 +161,3 @@ def restrict_graph(graph: Graph, window: Window) -> Graph:
         latents = tuple(x for x, k in zip(latents, keep) if k)
     ends = _frozen(np.cumsum(keep)[ends] - 1) if len(ends) else _NO_EDGES
     return Graph(window, vertices, ends, latents, graph.family, graph.fingerprint)
-
-
-# ---------------------------------------------------------------------------
-# Box evaluation maps
-
-
-@dataclass(frozen=True)
-class IntRange:
-    """Integer labels lo..hi inclusive."""
-
-    lo: int
-    hi: int
-
-
-@dataclass(frozen=True)
-class RealRange:
-    """Real labels in the half-open interval [lo, hi)."""
-
-    lo: float
-    hi: float
-
-
-@dataclass(frozen=True)
-class BallSector:
-    """Points with radius in [r_lo, r_hi), optionally restricted to the cone
-    of directions u with <u, axis> / |u| >= min_cos.  The origin fails any
-    axis constraint (its direction is undefined)."""
-
-    r_lo: float = 0.0
-    r_hi: float = math.inf
-    axis: tuple | None = None
-    min_cos: float | None = None
-
-
-def box_contains(box, label) -> bool:
-    if isinstance(box, IntRange):
-        return box.lo <= label <= box.hi
-    if isinstance(box, RealRange):
-        return box.lo <= label < box.hi
-    if isinstance(box, BallSector):
-        r = math.sqrt(math.fsum(c * c for c in label))
-        if not (box.r_lo <= r < box.r_hi):
-            return False
-        if box.axis is None:
-            return True
-        if r == 0.0:
-            return False
-        dot = math.fsum(c * a for c, a in zip(label, box.axis))
-        return dot / r >= box.min_cos
-    raise TypeError(f"not a box: {box!r}")

@@ -379,9 +379,8 @@ def _graphon_batch(spec: FamilySpec, n: int, seeds) -> list:
     """
     if spec.family != "graphon":
         raise ValueError("spec is not a graphon family")
-    if n != int(n) or n < 1:
-        raise ValueError("graphon windows need a positive integer size")
-    n = int(n)
+    window = window_for(spec, n)
+    n = window.size
     col = _seed_column(seeds)
     labels = np.arange(1, n + 1)
     lat = coin_batch(CoinPRF(col[:, None]), "lat", labels[None, :]).ravel()
@@ -390,7 +389,7 @@ def _graphon_batch(spec: FamilySpec, n: int, seeds) -> list:
         CoinPRF(seeds), keys, lambda r, c: graphon_edge_prob(spec.kernel, *_pair_views(lat, r, c), n)
     )
     return _trial_graphs(
-        spec, window_for(spec, n), seeds, keys.starts, ii, jj,
+        spec, window, seeds, keys.starts, ii, jj,
         list(range(1, n + 1)) * len(col), lat.tolist(),
     )
 
@@ -407,12 +406,10 @@ def _graphex_batch(spec: FamilySpec, n: float, seeds) -> list:
     """
     if spec.family != "graphex":
         raise ValueError("spec is not a graphex family")
-    if n <= 0:
-        raise ValueError("window size must be positive")
-    col = _seed_column(seeds)
     window = window_for(spec, n)
+    col = _seed_column(seeds)
     rows = math.ceil(spec.y_max)
-    a, b = np.divmod(np.arange(math.ceil(n) * rows), rows)
+    a, b = np.divmod(np.arange(math.ceil(window.size) * rows), rows)
     u_cnt = coin_batch(CoinPRF(col[:, None]), "cnt", a[None, :], b[None, :])
     counts = [poisson_from_uniform(u, 1.0) for u in u_cnt.ravel().tolist()]
     (trial, a, b), idx = _cell_points(counts, *_trial_cells(len(col), a, b))
@@ -467,15 +464,13 @@ def _rotinv_batch(spec: FamilySpec, n: float, seeds) -> list:
     """
     if spec.family != "rotinv":
         raise ValueError("spec is not a rotinv family")
-    if n <= 0:
-        raise ValueError("window volume must be positive")
+    window = window_for(spec, n)
     dim = spec.dim
     col = _seed_column(seeds)
-    window = window_for(spec, n)
     vd = unit_ball_volume(dim)
     # One shell past ceil(n) so boundary rounding can never differ between
     # a direct sample and a restriction from a larger window.
-    shells = np.arange(1, math.ceil(n) + 2)
+    shells = np.arange(1, math.ceil(window.size) + 2)
     if isinstance(spec.point, PoissonRate):
         rates = [spec.point.rate] * len(shells)
     else:

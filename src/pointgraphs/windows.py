@@ -28,9 +28,13 @@ class Window:
 
 
 def make_window(kind: WindowKind, size: float, dim: int | None = None) -> Window:
-    """Validate and build a window of the given kind and size (index/volume)."""
-    if not (size > 0):
-        raise ValueError(f"window size must be positive, got {size!r}")
+    """Validate and build a window of the given kind and size (index/volume).
+
+    This is the one judge of a window size: positive, finite, and integral
+    for an integer prefix.  Samplers, harness and CLI pass sizes through.
+    """
+    if not (0 < size < math.inf):
+        raise ValueError(f"window size must be positive and finite, got {size!r}")
     if kind is WindowKind.INTEGER_PREFIX:
         if dim is not None:
             raise ValueError("dim is only meaningful for Euclidean balls")

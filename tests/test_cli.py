@@ -170,6 +170,53 @@ def test_restrict_to_a_larger_window_is_one_error_line(tmp_path, capsys):
     ]
 
 
+# "G" stands for a graphon sample at n = 6 with seed 3, written by the test.
+BAD_SIZE_ARGV = {
+    "sample-n-inf": ["sample", "--config", "graphex", "--n", "inf"],
+    "sample-n-inf-graphon": ["sample", "--config", "graphon", "--n", "inf"],
+    "extend-m-inf": ["extend", "--config", "graphon", "--seed", "3", "--in", "G",
+                     "--n", "6", "--m", "inf"],
+    "extend-n-inf": ["extend", "--config", "graphon", "--seed", "3", "--in", "G",
+                     "--n", "inf", "--m", "inf"],
+    "restrict-n-inf": ["restrict", "--in", "G", "--n", "inf"],
+    "restrict-n-fractional": ["restrict", "--in", "G", "--n", "5.5"],
+    "projectivity-m-inf": ["test-projectivity", "--config", "graphex", "--n", "2",
+                           "--m", "inf", "--trials", "500"],
+    "invariance-n-inf": ["test-invariance", "--config", "graphon", "--n", "inf",
+                         "--trials", "10"],
+    "compatibility-m-inf": ["test-compatibility", "--config", "rotinv", "--n", "2",
+                            "--m", "inf", "--trials", "10"],
+    "enumerate-n-inf": ["enumerate", "--config", "graphon", "--n", "inf", "--trials", "10"],
+    "enumerate-n-fractional": ["enumerate", "--config", "graphon", "--n", "3.7",
+                               "--trials", "10"],
+    "enumerate-trials-0": ["enumerate", "--config", "graphon", "--n", "3", "--trials", "0"],
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_SIZE_ARGV))
+def test_bad_window_size_or_trials_is_one_error_line(tmp_path, capsys, name):
+    g = tmp_path / "g.el"
+    assert run(["sample", "--config", str(CONFIGS / "graphon.json"), "--n", "6",
+                "--seed", "3", "--out", str(g)]) == 0
+    argv = [str(g) if a == "G" else a for a in BAD_SIZE_ARGV[name]]
+    if "--config" in argv:
+        at = argv.index("--config") + 1
+        argv[at] = str(CONFIGS / f"{argv[at]}.json")
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("pointgraphs: error: ")
+
+
+def test_enumerate_one_vertex_has_no_chi_square(capsys):
+    argv = ["enumerate", "--config", str(CONFIGS / "graphon.json"), "--n", "1", "--trials", "50"]
+    assert run(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n"] == 1 and payload["counts"] == [50] and payload["probs"] == [1.0]
+    assert "chi_square" not in payload
+
+
 def test_compatibility_command(tmp_path):
     out = tmp_path / "report.json"
     code = run(["test-compatibility", "--config", str(CONFIGS / "graphon.json"),

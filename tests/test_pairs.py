@@ -8,8 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pointgraphs import (
-    BallSector,
-    IntRange,
     WindowKind,
     contains,
     derive_seeds,
@@ -21,8 +19,7 @@ from pointgraphs import (
     spec_from_dict,
 )
 from pointgraphs.edgelist import dumps_graph, loads_graph
-from pointgraphs.harness import _endpoints, _members, _ordered_pairs
-from pointgraphs.pairs import box_contains
+from pointgraphs.harness import _endpoints, _half_space, _members, _ordered_pairs
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -36,9 +33,14 @@ def label_edges(graph) -> set:
     return {frozenset((graph.vertices[i], graph.vertices[j])) for i, j in graph.edges}
 
 
+def in_range(lo, hi):
+    """The predicate of the integer labels lo..hi."""
+    return lambda v: lo <= v <= hi
+
+
 def test_count_fig_examples():
-    # ordered pairs of edge endpoints in boxes: each edge is two atoms
-    is_2, full = _members(IntRange(2, 2), FIG_GRAPH), _members(IntRange(1, 4), FIG_GRAPH)
+    # ordered pairs of edge endpoints in regions: each edge is two atoms
+    is_2, full = _members(in_range(2, 2), FIG_GRAPH), _members(in_range(1, 4), FIG_GRAPH)
     assert _ordered_pairs(FIG_GRAPH, is_2, full) == 3
     assert _endpoints(FIG_GRAPH, is_2) == 3
     assert _ordered_pairs(FIG_GRAPH, full, full) == 2 * FIG_GRAPH.n_edges
@@ -48,8 +50,8 @@ def test_count_fig_examples():
 
 
 def test_count_additive_over_disjoint_boxes():
-    low, high = _members(IntRange(1, 2), FIG_GRAPH), _members(IntRange(3, 4), FIG_GRAPH)
-    full = _members(IntRange(1, 4), FIG_GRAPH)
+    low, high = _members(in_range(1, 2), FIG_GRAPH), _members(in_range(3, 4), FIG_GRAPH)
+    full = _members(in_range(1, 4), FIG_GRAPH)
     assert (
         _ordered_pairs(FIG_GRAPH, low, full) + _ordered_pairs(FIG_GRAPH, high, full)
         == _ordered_pairs(FIG_GRAPH, full, full)
@@ -57,13 +59,41 @@ def test_count_additive_over_disjoint_boxes():
     assert _endpoints(FIG_GRAPH, low) + _endpoints(FIG_GRAPH, high) == _endpoints(FIG_GRAPH, full)
 
 
-def test_ball_sector_membership():
-    sector = BallSector(0.0, 2.0, axis=(1.0, 0.0), min_cos=0.0)
-    assert box_contains(sector, (0.5, 0.3))
-    assert not box_contains(sector, (-0.5, 0.3))
-    assert not box_contains(sector, (3.0, 0.0))  # radius out of range
-    assert not box_contains(sector, (0.0, 0.0))  # origin has no direction
-    assert box_contains(BallSector(0.0, math.inf), (0.0, 0.0))
+def test_half_space_membership():
+    assert _half_space((0.5, 0.3))
+    assert _half_space((0.0, 1.0))
+    assert _half_space((-0.0, 1.0))  # -0.0 / r compares equal to 0.0
+    assert _half_space((-5e-324, 4.0))  # x[0] / r underflows to -0.0
+    assert not _half_space((-0.5, 0.3))  # negative first coordinate
+    assert not _half_space((0.0, 0.0))  # the origin has no direction
+    assert not _half_space((-0.0, -0.0))
+    assert _half_space((1e150, -1e150))
+    assert not _half_space((1e160, 0.0))  # the radius overflows to inf
+
+
+def sector_oracle(x) -> bool:
+    """The membership of the sector of radius [0, inf) and cosine >= 0 with
+    the first axis, as the retired general ball-sector region computed it."""
+    axis = (1.0,) + (0.0,) * (len(x) - 1)
+    r = math.sqrt(math.fsum(c * c for c in x))
+    if not (0.0 <= r < math.inf):
+        return False
+    if r == 0.0:
+        return False
+    dot = math.fsum(c * a for c, a in zip(x, axis))
+    return dot / r >= 0.0
+
+
+# |c| <= 1e150 keeps every fsum partial finite; 1e160 squares to inf, and
+# pairs near 1e154 are left out, where fsum raises on intermediate overflow.
+COORDS = st.floats(min_value=-1e150, max_value=1e150) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-200, 1e160, -1e160]
+)
+
+
+@given(st.integers(min_value=2, max_value=6).flatmap(lambda d: st.tuples(*[COORDS] * d)))
+def test_half_space_matches_the_sector_oracle(x):
+    assert _half_space(x) == sector_oracle(x)
 
 
 @st.composite

@@ -51,6 +51,11 @@ def test_integer_prefix_boundary():
         (WindowKind.EUCLIDEAN_BALL, 1.0, None),
         (WindowKind.EUCLIDEAN_BALL, 1.0, 1),
         (WindowKind.REAL_INTERVAL, 1.0, 2),
+    ]
+    + [
+        (kind, size, 2 if kind is WindowKind.EUCLIDEAN_BALL else None)
+        for kind in WindowKind
+        for size in (math.inf, math.nan)
     ],
 )
 def test_make_window_rejects(kind, size, dim):
