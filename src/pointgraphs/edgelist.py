@@ -91,6 +91,30 @@ def _read_edges(lines) -> np.ndarray:
     return np.stack((rows["i"], rows["j"]), axis=1)
 
 
+def _read_window(line: str) -> Window:
+    """Parse a "#window kind=K size=S [dim=D]" header line."""
+    fields = {}
+    for tok in line.split()[1:]:
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise ValueError(f"#window token {tok!r} is not key=value: {line!r}")
+        fields[key] = value
+    if "kind" not in fields or "size" not in fields:
+        raise ValueError(f"#window line needs kind= and size=: {line!r}")
+    return make_window(
+        WindowKind(fields["kind"]),
+        float(fields["size"]),
+        int(fields["dim"]) if "dim" in fields else None,
+    )
+
+
+def _header_value(line: str) -> str:
+    parts = line.split(None, 1)
+    if len(parts) < 2:
+        raise ValueError(f"header line without a value: {line!r}")
+    return parts[1]
+
+
 def read_graph(fh) -> Graph:
     window = None
     family = None
@@ -104,16 +128,11 @@ def read_graph(fh) -> Graph:
         if not line:
             continue
         if line.startswith("#window"):
-            fields = dict(tok.split("=", 1) for tok in line.split()[1:])
-            window = make_window(
-                WindowKind(fields["kind"]),
-                float(fields["size"]),
-                int(fields["dim"]) if "dim" in fields else None,
-            )
+            window = _read_window(line)
         elif line.startswith("#family"):
-            family = line.split(None, 1)[1]
+            family = _header_value(line)
         elif line.startswith("#fingerprint"):
-            fingerprint = line.split(None, 1)[1]
+            fingerprint = _header_value(line)
         elif line.startswith("#"):
             continue
         elif line.startswith("v "):
@@ -123,14 +142,14 @@ def read_graph(fh) -> Graph:
             idx = int(tok[1])
             if idx != len(vertices):
                 raise ValueError("v lines must be in index order")
+            ncomp = window.dim or 1
+            if len(tok) < 2 + ncomp:
+                raise ValueError(f"v line has fewer than {ncomp} label components: {line!r}")
             if window.kind is WindowKind.INTEGER_PREFIX:
-                ncomp = 1
                 label = int(tok[2])
             elif window.kind is WindowKind.REAL_INTERVAL:
-                ncomp = 1
                 label = float(tok[2])
             else:
-                ncomp = window.dim
                 label = tuple(float(c) for c in tok[2 : 2 + ncomp])
             rest = tok[2 + ncomp :]
             if len(rest) > 1:

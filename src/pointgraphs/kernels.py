@@ -14,6 +14,7 @@ rotation invariance).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -279,6 +280,23 @@ def kernel_to_dict(kernel) -> dict:
     return out
 
 
+def config_number(value, name: str):
+    """A config value that must be a JSON number: an int or a float, never a
+    bool (which Python counts as an int) or a numeric string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"config field {name!r} must be a number, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"config field {name!r} is an integer beyond the float range")
+    return value
+
+
+def config_integer(value, name: str) -> int:
+    """A config value that must be an integer: an int or an integral float."""
+    if not (isinstance(config_number(value, name), int) or value.is_integer()):
+        raise ValueError(f"config field {name!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def kernel_from_dict(data: dict):
     try:
         cls = _KERNEL_TYPES[data["type"]]
@@ -286,5 +304,9 @@ def kernel_from_dict(data: dict):
         raise ValueError(f"unknown kernel type {data.get('type')!r}") from exc
     kwargs = {k: v for k, v in data.items() if k != "type"}
     if cls is GraphonGrid:
-        kwargs["values"] = tuple(tuple(row) for row in kwargs["values"])
+        kwargs["values"] = tuple(
+            tuple(config_number(v, "values") for v in row) for row in kwargs["values"]
+        )
+    else:
+        kwargs = {k: config_number(v, k) for k, v in kwargs.items()}
     return cls(**kwargs)

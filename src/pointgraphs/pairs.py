@@ -57,8 +57,13 @@ class Graph:
     @property
     def edges(self) -> frozenset:
         """The index pairs (i, j) as a frozenset of Python-int tuples, built
-        on each call from ``ends``."""
-        return frozenset(map(tuple, self.ends.tolist()))
+        on each call from ``ends``.
+
+        Each edge costs its tuple and two ints and no other Python object;
+        ``ends`` is the form without any.
+        """
+        flat = iter(self.ends.ravel().tolist())  # i0, j0, i1, j1, ...
+        return frozenset(zip(flat, flat))
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

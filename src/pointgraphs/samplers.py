@@ -43,6 +43,8 @@ from .kernels import (
     GeoKernel,
     GraphexKernel,
     GraphonKernel,
+    config_integer,
+    config_number,
     geo_edge_prob,
     graphex_edge_prob,
     graphex_support_bound,
@@ -169,20 +171,20 @@ def spec_from_dict(data: dict) -> FamilySpec:
     try:
         family = data.get("family")
         kernel = kernel_from_dict(data["kernel"])
-        seed = int(data["seed"])
+        seed = config_integer(data["seed"], "seed")
         if family == "graphon":
             return graphon_spec(kernel, seed)
         if family == "graphex":
-            return graphex_spec(kernel, float(data["y_max"]), seed)
+            return graphex_spec(kernel, config_number(data["y_max"], "y_max"), seed)
         if family == "rotinv":
             pdata = data["point"]
             if pdata["type"] == "poisson":
-                point = PoissonRate(float(pdata["rate"]))
+                point = PoissonRate(float(config_number(pdata["rate"], "rate")))
             elif pdata["type"] == "radial_table":
-                point = RadialTable(tuple(pdata["rates"]))
+                point = RadialTable(tuple(config_number(r, "rates") for r in pdata["rates"]))
             else:
                 raise ValueError(f"unknown point spec {pdata['type']!r}")
-            return rotinv_spec(kernel, int(data["dim"]), point, seed)
+            return rotinv_spec(kernel, config_integer(data["dim"], "dim"), point, seed)
         raise ValueError(f"unknown family {family!r}")
     except KeyError as exc:
         raise ValueError(f"config is missing the key {exc.args[0]!r}") from exc

@@ -414,6 +414,59 @@ def test_config_missing_key_is_one_error_line(tmp_path, capsys, config, missing)
     assert err.splitlines() == [f"pointgraphs: error: config is missing the key {missing!r}"]
 
 
+@pytest.mark.parametrize(
+    "config, field, value",
+    [
+        ("graphon", ("seed",), 42.9),
+        ("graphon", ("seed",), "42"),
+        ("graphon", ("seed",), True),
+        ("graphon", ("seed",), None),
+        ("graphon", ("kernel", "p"), True),
+        ("graphon", ("kernel", "p"), "0.5"),
+        ("graphon_grid", ("kernel", "values"), [[True, 0.2], [0.2, 0.6]]),
+        ("graphon_grid", ("kernel", "values"), [["0.8", "0.2"], ["0.2", "0.6"]]),
+        ("graphon_grid", ("kernel", "values"), "0.5"),
+        ("graphex", ("kernel", "a"), "2.0"),
+        ("graphex", ("y_max",), True),
+        ("graphex", ("y_max",), "2.0"),
+        ("rotinv", ("kernel", "r0"), True),
+        pytest.param("rotinv", ("kernel", "r0"), 10**400, id="rotinv-r0-beyond-float-range"),
+        ("rotinv", ("point", "rate"), True),
+        ("rotinv", ("point", "rate"), "3.0"),
+        ("rotinv", ("point",), {"type": "radial_table", "rates": [1.0, True]}),
+        ("rotinv", ("point",), {"type": "radial_table", "rates": "12"}),
+        ("rotinv", ("dim",), 2.7),
+        ("rotinv", ("dim",), "2"),
+        ("rotinv", ("dim",), False),
+    ],
+)
+def test_config_numbers_must_be_json_numbers(tmp_path, capsys, config, field, value):
+    data = json.loads(read(CONFIGS / f"{config}.json"))
+    *parents, key = field
+    node = data
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run(["sample", "--config", str(bad), "--n", "3"]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("pointgraphs: error: config field ")
+
+
+@pytest.mark.parametrize("config, key, value", [("graphon", "seed", 42.0), ("rotinv", "dim", 2.0)])
+def test_config_integers_may_be_integral_floats(tmp_path, capsys, config, key, value):
+    cfg = CONFIGS / f"{config}.json"
+    data = json.loads(read(cfg))
+    data[key] = value
+    floats = tmp_path / "floats.json"
+    floats.write_text(json.dumps(data))
+    assert run(["sample", "--config", str(cfg), "--n", "3"]) == 0
+    expected = capsys.readouterr().out
+    assert run(["sample", "--config", str(floats), "--n", "3"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_label_collision_is_one_error_line(capsys, monkeypatch):
     from pointgraphs import samplers
 

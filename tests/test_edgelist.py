@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -60,6 +62,15 @@ def test_unknown_line_rejected():
 
 INT4 = "#window kind=integer_prefix size=4\n"
 
+# inputs whose error must name the offending line, which is their last line
+MALFORMED_LINES = {
+    "window-without-size": "#window kind=integer_prefix\n",
+    "window-token-without-equals": "#window kind=integer_prefix size=4 dim\n",
+    "bare-family": INT4 + "#family\n",
+    "bare-fingerprint": INT4 + "#fingerprint\n",
+    "v-line-without-label": INT4 + "v 0\n",
+}
+
 
 @pytest.mark.parametrize(
     "text",
@@ -83,6 +94,7 @@ INT4 = "#window kind=integer_prefix size=4\n"
         INT4 + "v 0 1\nv 1 2\nv 2 3\ne 0 1\ne 1 2 3\n",
         INT4 + "v 0 1\nv 1 2\nv 2 3\ne 0 1\nv 3 4\n",
         INT4 + "v 0 1\nv 1 2\nv 2 3\ne 0 1\nex 1 2\n",
+        *MALFORMED_LINES.values(),
     ],
     ids=[
         "label-outside-window",
@@ -104,6 +116,7 @@ INT4 = "#window kind=integer_prefix size=4\n"
         "later-e-line-extra-token",
         "v-line-after-e-lines",
         "unknown-tag-after-e-lines",
+        *MALFORMED_LINES,
     ],
 )
 def test_read_graph_rejects_malformed_edge_list(tmp_path, capsys, text):
@@ -114,6 +127,12 @@ def test_read_graph_rejects_malformed_edge_list(tmp_path, capsys, text):
     assert run(["stats", "--in", str(path)]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("pointgraphs: error: ")
+
+
+@pytest.mark.parametrize("text", MALFORMED_LINES.values(), ids=MALFORMED_LINES)
+def test_malformed_line_error_names_the_line(text):
+    with pytest.raises(ValueError, match=re.escape(repr(text.splitlines()[-1]))):
+        loads_graph(text)
 
 
 def test_missing_header_rejected():

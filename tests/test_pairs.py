@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -279,3 +280,19 @@ def test_every_constructor_stores_sorted_read_only_int64_ends(config):
     graphs.append(make_graph(WIN4, (1, 2, 3, 4), [(3, 1), (0, 3), (2, 1), (1, 0)]))
     for graph in graphs:
         _assert_sorted_read_only_ends(graph)
+
+
+def test_edges_view_peaks_below_240_bytes_per_edge():
+    # The frozenset needs one tuple per edge; a two-item list per edge on the
+    # way to each tuple made the peak ~270 bytes per edge on this graph.
+    spec = spec_from_dict(json.loads((CONFIGS / "graphon_grid.json").read_text()))
+    graph = sample(spec, 305)
+    assert graph.n_edges >= 20_000
+    tracemalloc.start()
+    try:
+        edges = graph.edges
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(edges) == graph.n_edges
+    assert peak <= 240 * graph.n_edges
