@@ -19,8 +19,9 @@ from .groups import (
     apply_graph,
     apply_label,
     extend_element,
-    haar_rotation,
-    sample_generator,
+    generator_coins,
+    haar_rotations,
+    sample_generators,
     serialize_element,
     transposition,
 )

@@ -1,4 +1,4 @@
-"""Keyed deterministic uniform variates ("coins"), coin version 2.
+"""Keyed deterministic uniform variates ("coins"), coin version 3.
 
 Every random decision in the samplers is a pure function of
 (seed, tag, structural key), never of a sequential stream position.  That
@@ -27,6 +27,11 @@ Edge coins are keyed by vertex ids: each vertex key (an int or a flat
 tuple of ints) is hashed to a 64-bit id, and the coin of a pair is keyed
 by (min id, max id).  That makes edge coins symmetric for any key shape
 and keeps them absolute, so exact projectivity holds.
+
+Version 3 hashes as version 2 did, so every sampler coin keeps its bits.
+It adds the harness's draws, which version 2 took from a sequential
+generator: group elements and window labels are coins keyed by (trial,
+draw index), so trial t's generator is a function of (seed, t) alone.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import numpy as np
 
 # Version of the bit definition below; enters every spec fingerprint, so a
 # graph drawn by another engine is never taken for one drawn by this one.
-COIN_VERSION = 2
+COIN_VERSION = 3
 
 # Tags whose two-component key names an unordered pair of vertex keys;
 # coin(s, "edge", a, b) == coin(s, "edge", b, a).
@@ -151,7 +156,9 @@ def _rows(prf: CoinPRF, tag: str, cols) -> np.ndarray:
 
 
 def coin_batch(prf: CoinPRF, tag: str, *cols) -> np.ndarray:
-    """coin(prf, tag, *key) for every key; column i holds key component i."""
+    """coin(prf, tag, *key) for every key; column i holds key component i.
+    Columns broadcast against each other and against a seed column, so a
+    (rows, 1) column and a (width,) column key a (rows, width) grid."""
     return _unit(_rows(prf, tag, cols))
 
 
@@ -204,6 +211,24 @@ def derive_seed(seed: int, run_index: int) -> int:
 def derive_seeds(seed: int, run_indices) -> np.ndarray:
     """derive_seed(seed, t) for every t of an integer column, as uint64."""
     return _rows(CoinPRF(seed), "trial", [run_indices])
+
+
+def index_from_uniform(u, m):
+    """floor(u * m) for uniforms u in [0, 1): an int64 index below m, uniform
+    up to a bias of m / 2^53.  For m <= 2^53 the product rounds below m, so
+    the floor is exact; the clamp to m - 1 keeps larger m in range too."""
+    return np.minimum(np.floor(np.multiply(u, m)), np.subtract(m, 1)).astype(np.int64)
+
+
+def gaussians_from_uniforms(us) -> list:
+    """Standard Gaussians by Box-Muller, two from each pair (u1, u2) of
+    uniforms in [0, 1), computed in ``math`` value by value."""
+    gs = []
+    for u1, u2 in zip(us[0::2], us[1::2]):
+        mag = math.sqrt(-2.0 * math.log(1.0 - u1))
+        gs.append(mag * math.cos(2.0 * math.pi * u2))
+        gs.append(mag * math.sin(2.0 * math.pi * u2))
+    return gs
 
 
 def poisson_from_uniform(u: float, rate: float) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import POSITION_BITS
+from .coins import POSITION_BITS, gaussians_from_uniforms, index_from_uniform
 from .edgelist import fmt_real
 from .pairs import Graph
 from .windows import Window, WindowKind
@@ -205,39 +205,52 @@ class RandomRotations:
 GeneratorSet = Transpositions | DyadicSwaps | RandomRotations
 
 
-def haar_rotation(dim: int, rng: np.random.Generator) -> Rotation:
-    """Haar-uniform rotation: QR of a Gaussian matrix with sign corrections."""
-    z = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return Rotation(q)
-
-
-def sample_generator(gen_set: GeneratorSet, rng: np.random.Generator) -> GroupElement:
-    """Draw one generator from the set, uniformly (Haar for rotations)."""
+def generator_coins(gen_set: GeneratorSet) -> int:
+    """How many uniforms sample_generators reads per generator of the set."""
     if isinstance(gen_set, Transpositions):
-        a = int(rng.integers(1, gen_set.n + 1))
-        b = int(rng.integers(1, gen_set.n))
-        if b >= a:
-            b += 1
-        return transposition(gen_set.n, a, b)
+        return 2
     if isinstance(gen_set, DyadicSwaps):
-        valid = [
-            k
-            for k in range(gen_set.k_max + 1)
-            if math.floor(gen_set.n * 2**k) >= 2
-        ]
-        k = valid[int(rng.integers(0, len(valid)))]
-        m = math.floor(gen_set.n * 2**k)
-        i = int(rng.integers(1, m + 1))
-        j = int(rng.integers(1, m))
-        if j >= i:
-            j += 1
-        return DyadicSwapWord(((i, j, k),))
+        return 3
     if isinstance(gen_set, RandomRotations):
-        return haar_rotation(gen_set.dim, rng)
+        return 2 * math.ceil(gen_set.dim**2 / 2)  # Box-Muller takes pairs
+    raise TypeError(f"not a generator set: {gen_set!r}")
+
+
+def haar_rotations(dim: int, us) -> list:
+    """Haar-uniform rotations, one per row of uniforms: QR of a Gaussian
+    matrix with sign corrections (Mezzadri, Notices AMS 2007).  A row's
+    Gaussians are its Box-Muller values in row-major order, and the whole
+    batch takes one stacked QR and one stacked determinant."""
+    rows = np.asarray(us, dtype=float).tolist()
+    z = np.array([gaussians_from_uniforms(row)[: dim * dim] for row in rows])
+    q, r = np.linalg.qr(z.reshape(len(rows), dim, dim))
+    q = q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0, -1.0, 1.0)[:, None, :]
+    q[np.linalg.det(q) < 0, :, 0] *= -1.0
+    return [Rotation(m) for m in q]
+
+
+def sample_generators(gen_set: GeneratorSet, us) -> list:
+    """One generator of the set per row of a (rows, generator_coins) array
+    of uniforms, uniform over the set (Haar for rotations).  A generator
+    is a pure function of its row."""
+    us = np.asarray(us, dtype=float)
+    if isinstance(gen_set, Transpositions):
+        a = index_from_uniform(us[:, 0], gen_set.n) + 1
+        b = index_from_uniform(us[:, 1], gen_set.n - 1) + 1
+        b += b >= a
+        return [transposition(gen_set.n, x, y) for x, y in zip(a.tolist(), b.tolist())]
+    if isinstance(gen_set, DyadicSwaps):
+        valid = np.array(
+            [k for k in range(gen_set.k_max + 1) if math.floor(gen_set.n * 2**k) >= 2]
+        )
+        k = valid[index_from_uniform(us[:, 0], len(valid))]
+        m = np.floor(gen_set.n * 2.0**k).astype(np.int64)
+        i = index_from_uniform(us[:, 1], m) + 1
+        j = index_from_uniform(us[:, 2], m - 1) + 1
+        j += j >= i
+        return [DyadicSwapWord((w,)) for w in zip(i.tolist(), j.tolist(), k.tolist())]
+    if isinstance(gen_set, RandomRotations):
+        return haar_rotations(gen_set.dim, us)
     raise TypeError(f"not a generator set: {gen_set!r}")
 
 

@@ -10,9 +10,11 @@ larger window and then acting agrees with acting first.
 
 All verdicts are Bonferroni-corrected over the statistics involved, and a
 report is reproducible byte for byte from its seeds.  Trial t samples with
-the seed derive_seed(seed, t).  Trials are drawn in chunks, each one
-batched sampler call per side that is consumed before the next chunk is
-drawn, so memory stays O(tile) whatever the trial count.
+the seed derive_seed(seed, t), and draws its group element and window
+labels from coins keyed by (seed, tag, t, draw index), so no draw depends
+on another trial's.  Trials are drawn in chunks, each one batched sampler
+call per side and one coin batch per tag that is consumed before the next
+chunk is drawn, so memory stays O(tile) whatever the trial count.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import CoinPRF, coin_u64, derive_seeds, POSITION_BITS
+from .coins import POSITION_BITS, CoinPRF, coin_batch, derive_seeds, index_from_uniform
 from .groups import (
     DyadicSwaps,
     GeneratorSet,
@@ -33,12 +35,20 @@ from .groups import (
     apply_graph,
     apply_label,
     extend_element,
-    sample_generator,
+    generator_coins,
+    sample_generators,
     serialize_element,
 )
 from .kernels import Constant, GraphonGrid, WindowScaledConstant, graphon_edge_prob
 from .pairs import Graph, restrict_graph
-from .samplers import FamilySpec, fingerprint, mean_pairs, sample_batch, window_for
+from .samplers import (
+    FamilySpec,
+    fingerprint,
+    gaussian_direction,
+    mean_pairs,
+    sample_batch,
+    window_for,
+)
 from .stats import graph_stats_batch, ks_two_sample
 from .windows import WindowKind, unit_ball_volume
 
@@ -124,11 +134,23 @@ def _scalar_stats(graphs) -> list:
 CHUNK_PAIRS = 2**12
 
 
-def _chunks(spec: FamilySpec, window, N: int):
-    """Trial indices 0..N-1 in chunks of about CHUNK_PAIRS pairs in the window."""
-    step = max(1, int(CHUNK_PAIRS // max(1.0, mean_pairs(spec, window.size))))
+def _chunks(N: int, pairs_per_trial: float = 1.0):
+    """Trial indices 0..N-1 in chunks of about CHUNK_PAIRS vertex pairs."""
+    step = max(1, int(CHUNK_PAIRS // max(1.0, pairs_per_trial)))
     for lo in range(0, N, step):
         yield np.arange(lo, min(lo + step, N))
+
+
+def _trial_coins(spec: FamilySpec, tag: str, trials: np.ndarray, width: int) -> np.ndarray:
+    """Uniforms keyed (spec.seed, tag, t, k): one row per trial t, k < width."""
+    return coin_batch(CoinPRF(spec.seed), tag, trials[:, None], np.arange(width))
+
+
+def _generators(spec: FamilySpec, gen_set: GeneratorSet, trials: np.ndarray) -> list:
+    """The group element of each trial, from that trial's own coins."""
+    return sample_generators(
+        gen_set, _trial_coins(spec, "generator", trials, generator_coins(gen_set))
+    )
 
 
 def test_projectivity(
@@ -153,7 +175,7 @@ def test_projectivity(
     if mode == "exact":
         mismatches = 0
         details = {}
-        for trials in _chunks(spec, win_m, N):
+        for trials in _chunks(N, mean_pairs(spec, win_m.size)):
             seeds = derive_seeds(spec.seed, trials)
             bigs, smalls = sample_batch(spec, m, seeds), sample_batch(spec, n, seeds)
             for t, s, big, small in zip(trials.tolist(), seeds.tolist(), bigs, smalls):
@@ -165,7 +187,7 @@ def test_projectivity(
         return TestReport(
             test_name="projectivity_exact",
             fingerprint=fingerprint(spec),
-            sizes={"N": N, "n": n, "m": m},
+            sizes={"N": N, "n": win_n.size, "m": win_m.size},
             statistics=("exact_match",),
             p_values=p_values,
             verdict="Pass" if mismatches == 0 else "Fail",
@@ -177,13 +199,13 @@ def test_projectivity(
         raise ValueError(f"unknown mode {mode!r}")
     restricted_stats = []
     direct_stats = []
-    for trials in _chunks(spec, win_m, N):
+    for trials in _chunks(N, mean_pairs(spec, win_m.size)):
         bigs = sample_batch(spec, m, derive_seeds(spec.seed, 2 * trials))
         restricted = [restrict_graph(big, win_n) for big in bigs]
         restricted_stats += _scalar_stats(restricted)
         smalls = sample_batch(spec, n, derive_seeds(spec.seed, 2 * trials + 1))
         direct_stats += _scalar_stats(smalls)
-    sizes, seeds = {"N": N, "n": n, "m": m}, {"seed": spec.seed}
+    sizes, seeds = {"N": N, "n": win_n.size, "m": win_m.size}, {"seed": spec.seed}
     return _ks_report(
         "projectivity_distributional", spec, sizes, seeds, alpha, restricted_stats, direct_stats
     )
@@ -284,19 +306,17 @@ def test_invariance(
     win_n = window_for(spec, n)
     gen_set = _generator_set(spec, win_n, k_max)
     stats_fn = _invariance_stats(spec, win_n.size)
-    master = CoinPRF(spec.seed)
     base_rows, trans_rows = [], []
     shown = []
-    for trials in _chunks(spec, win_n, N):
+    for trials in _chunks(N, mean_pairs(spec, win_n.size)):
         graphs = sample_batch(spec, n, derive_seeds(spec.seed, trials))
-        for t, graph in zip(trials.tolist(), graphs):
-            rng = np.random.default_rng(coin_u64(master, "gen", t))
-            g = sample_generator(gen_set, rng)
+        for t, g, graph in zip(trials.tolist(), _generators(spec, gen_set, trials), graphs):
             if t < 3:
                 shown.append(serialize_element(g))
             base_rows.append(stats_fn(graph))
             trans_rows.append(stats_fn(apply_graph(g, graph)))
-    sizes, seeds = {"N": N, "n": n, "m": None}, {"seed": spec.seed, "generators": shown}
+    sizes = {"N": N, "n": win_n.size, "m": None}
+    seeds = {"seed": spec.seed, "generators": shown}
     return _ks_report("invariance", spec, sizes, seeds, alpha, base_rows, trans_rows)
 
 
@@ -304,21 +324,31 @@ def test_invariance(
 # Compatibility
 
 
-def _window_label(window, rng: np.random.Generator):
-    """Random label in the window."""
+def _label_coins(window) -> int:
+    """How many uniforms _window_labels reads per label of the window."""
+    if window.kind is WindowKind.EUCLIDEAN_BALL:
+        return 1 + 2 * math.ceil(window.dim / 2)  # a radius, then Box-Muller pairs
+    return 1
+
+
+def _window_labels(window, us: np.ndarray) -> list:
+    """One label of the window per row of a (rows, _label_coins) array of
+    uniforms: uniform on {1..n}, on the multiples of 2^-POSITION_BITS in
+    [0, n), or on the ball."""
     if window.kind is WindowKind.INTEGER_PREFIX:
-        return int(rng.integers(1, int(window.size) + 1))
+        return (index_from_uniform(us[:, 0], window.size) + 1).tolist()
     if window.kind is WindowKind.REAL_INTERVAL:
-        while True:
-            a = int(rng.integers(0, math.ceil(window.size)))
-            x = a + int(rng.integers(0, 1 << POSITION_BITS)) * 2.0**-POSITION_BITS
-            if x < window.size:
-                return x
+        steps = float(math.ceil(window.size * 2**POSITION_BITS))
+        x = np.floor(us[:, 0] * steps) * 2.0**-POSITION_BITS
+        # exact below 2^53 steps (see index_from_uniform); past it, clamped
+        return np.minimum(x, np.nextafter(window.size, 0.0)).tolist()
     vd = unit_ball_volume(window.dim)
-    r = (rng.uniform(0.0, window.size) / vd) ** (1.0 / window.dim)
-    g = rng.standard_normal(window.dim)
-    g /= math.sqrt(float(np.sum(g * g)))
-    return tuple(float(r * c) for c in g)
+
+    def point(u, *angles):
+        r = (u * window.size / vd) ** (1.0 / window.dim)
+        return tuple(r * c for c in gaussian_direction(angles, window.dim))
+
+    return [point(*row) for row in us.tolist()]
 
 
 _ONE_EDGE = np.array([[0, 1]], dtype=np.int64)
@@ -334,7 +364,8 @@ def test_compatibility(spec: FamilySpec, n, m, trials: int, k_max: int = 3) -> T
     one-edge graphs on two labels in the window at m.  The restriction and
     the action are restrict_graph and apply_graph, the ones projectivity
     and invariance run; an action that merges the two labels counts as a
-    pair mismatch.  Labels and generators are drawn from spec.seed.
+    pair mismatch.  Trial t draws its generator and its labels x, a, b
+    from coins keyed by (spec.seed, t), one coin batch per chunk of trials.
     """
     if n > m:
         raise ValueError("need n <= m")
@@ -342,25 +373,26 @@ def test_compatibility(spec: FamilySpec, n, m, trials: int, k_max: int = 3) -> T
         raise ValueError("need at least one trial")
     win_n, win_m = window_for(spec, n), window_for(spec, m)
     gen_set = _generator_set(spec, win_n, k_max)
-    rng = np.random.default_rng(spec.seed)
+    width = _label_coins(win_n)
     label_mismatch = 0
     pair_mismatch = 0
-    for _ in range(trials):
-        g = sample_generator(gen_set, rng)
-        x = _window_label(win_n, rng)
-        g_ext = extend_element(g, win_n, win_m)
-        if apply_label(g_ext, x) != apply_label(g, x):
-            label_mismatch += 1
-        a = _window_label(win_m, rng)
-        b = _window_label(win_m, rng)
-        if a == b:
-            continue
-        pair = Graph(win_m, (a, b), _ONE_EDGE, family=spec.family)
-        moved = apply_graph(g_ext, pair)
-        left = restrict_graph(moved, win_n)
-        right = apply_graph(g_ext, restrict_graph(pair, win_n))
-        if moved.vertices[0] == moved.vertices[1] or left != right:
-            pair_mismatch += 1
+    for chunk in _chunks(trials):  # each trial acts on a one-edge graph
+        us = _trial_coins(spec, "label", chunk, 3 * width)
+        xs = _window_labels(win_n, us[:, :width])
+        as_ = _window_labels(win_m, us[:, width : 2 * width])
+        bs = _window_labels(win_m, us[:, 2 * width :])
+        for g, x, a, b in zip(_generators(spec, gen_set, chunk), xs, as_, bs):
+            g_ext = extend_element(g, win_n, win_m)
+            if apply_label(g_ext, x) != apply_label(g, x):
+                label_mismatch += 1
+            if a == b:
+                continue
+            pair = Graph(win_m, (a, b), _ONE_EDGE, family=spec.family)
+            moved = apply_graph(g_ext, pair)
+            left = restrict_graph(moved, win_n)
+            right = apply_graph(g_ext, restrict_graph(pair, win_n))
+            if moved.vertices[0] == moved.vertices[1] or left != right:
+                pair_mismatch += 1
     p_values = {
         "labels_exact": 1.0 if label_mismatch == 0 else 0.0,
         "pairs_exact": 1.0 if pair_mismatch == 0 else 0.0,
@@ -369,7 +401,7 @@ def test_compatibility(spec: FamilySpec, n, m, trials: int, k_max: int = 3) -> T
     return TestReport(
         test_name="compatibility",
         fingerprint=fingerprint(spec),
-        sizes={"N": trials, "n": n, "m": m},
+        sizes={"N": trials, "n": win_n.size, "m": win_m.size},
         statistics=("labels_exact", "pairs_exact"),
         p_values=p_values,
         verdict=_verdict(p_values, alpha),
@@ -444,7 +476,7 @@ def enumerate_labeled_distribution(spec: FamilySpec, n, N: int) -> EnumeratedDis
     for b, (x, y) in enumerate(positions):
         bit[x - 1, y - 1] = 1 << b
     counts = np.zeros(1 << len(positions), dtype=np.int64)
-    for trials in _chunks(spec, window, N):
+    for trials in _chunks(N, mean_pairs(spec, window.size)):
         graphs = sample_batch(spec, n, derive_seeds(spec.seed, trials))
         ends = np.concatenate([g.ends for g in graphs])
         owner = np.repeat(np.arange(len(graphs)), [g.n_edges for g in graphs])

@@ -48,6 +48,8 @@ class GraphonGrid:
 
     def __post_init__(self):
         g = len(self.values)
+        if g == 0:
+            raise ValueError("grid must have at least one cell")
         vals = tuple(tuple(float(v) for v in row) for row in self.values)
         object.__setattr__(self, "values", vals)
         for row in vals:
@@ -291,9 +293,17 @@ def config_number(value, name: str):
 
 
 def config_integer(value, name: str) -> int:
-    """A config value that must be an integer: an int or an integral float."""
-    if not (isinstance(config_number(value, name), int) or value.is_integer()):
-        raise ValueError(f"config field {name!r} must be an integer, got {value!r}")
+    """A config value that must be an integer: an int, or an integral float
+    below 2^53 in magnitude (past it, JSON parsing may already have rounded
+    the number to a neighbour)."""
+    exact = isinstance(config_number(value, name), int) or (
+        value.is_integer() and abs(value) < 2**53
+    )
+    if not exact:
+        raise ValueError(
+            f"config field {name!r} must be an int, or an integral float below 2^53, "
+            f"got {value!r}"
+        )
     return int(value)
 
 

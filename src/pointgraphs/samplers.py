@@ -36,6 +36,7 @@ from .coins import (
     coin_batch,
     coin_position_batch,
     edge_coin_batch,
+    gaussians_from_uniforms,
     key_ids,
     poisson_from_uniform,
 )
@@ -441,14 +442,9 @@ def _graphex_batch(spec: FamilySpec, n: float, seeds) -> list:
     )
 
 
-def _gaussian_direction(us, dim: int):
+def gaussian_direction(us, dim: int):
     """Unit vector from Box-Muller pairs over the point's angle coins."""
-    gs = []
-    for u1, u2 in zip(us[0::2], us[1::2]):
-        mag = math.sqrt(-2.0 * math.log(1.0 - u1))
-        gs.append(mag * math.cos(2.0 * math.pi * u2))
-        gs.append(mag * math.sin(2.0 * math.pi * u2))
-    gs = gs[:dim]
+    gs = gaussians_from_uniforms(us)[:dim]
     norm = math.sqrt(math.fsum(g * g for g in gs))
     if norm == 0.0:  # probability ~0; deterministic fallback
         return tuple([1.0] + [0.0] * (dim - 1))
@@ -492,7 +488,7 @@ def _rotinv_batch(spec: FamilySpec, n: float, seeds) -> list:
     points, radii = [], []
     for shell, u, us in zip(sh.tolist(), u_rad.tolist(), ang.tolist()):
         r = (((shell - 1) + u) / vd) ** (1.0 / dim)
-        points.append(tuple(r * c for c in _gaussian_direction(us, dim)))
+        points.append(tuple(r * c for c in gaussian_direction(us, dim)))
         radii.append(r)
     inside = np.flatnonzero(contains_each(window, points))
     points, radii = [points[i] for i in inside], [radii[i] for i in inside]

@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from scipy.stats import kstest
 
 from pointgraphs import harness as certify
 from pointgraphs import (
@@ -22,21 +23,23 @@ from pointgraphs import (
     GraphexProduct,
     HardDistance,
     PoissonRate,
+    RandomRotations,
     SoftDistance,
     WindowScaledConstant,
     apply_label,
     ball_radius,
     chi_square_gof,
+    generator_coins,
     graphex_spec,
     graphon_spec,
-    haar_rotation,
+    haar_rotations,
     reseeded,
     rotinv_spec,
     sample,
-    sample_generator,
+    sample_generators,
 )
 from pointgraphs.cli import run
-from pointgraphs.coins import POSITION_BITS, derive_seed
+from pointgraphs.coins import POSITION_BITS, CoinPRF, coin_batch, derive_seed
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -204,35 +207,53 @@ def test_criterion_6_graphex_edge_moment_vs_oracle():
     )
 
 
+def keyed_uniforms(seed: int, rows: int, width: int) -> np.ndarray:
+    """Rows of coins keyed (seed, "generator", t, k), as the harness draws them."""
+    return coin_batch(CoinPRF(seed), "generator", np.arange(rows)[:, None], np.arange(width))
+
+
 def test_criterion_7_numerical_hygiene():
     t0 = time.time()
     rng = np.random.default_rng(701)
     worst_ortho = 0.0
+    worst_det = 0.0
     worst_norm = 0.0
-    for k in range(10_000):
-        dim = 2 if k % 2 == 0 else 3
-        q = haar_rotation(dim, rng)
-        worst_ortho = max(
-            worst_ortho, float(np.max(np.abs(q.matrix.T @ q.matrix - np.eye(dim))))
-        )
-        x = tuple(rng.standard_normal(dim) * 3.0)
-        nx = math.sqrt(sum(c * c for c in x))
-        ny = math.sqrt(sum(c * c for c in apply_label(q, x)))
-        worst_norm = max(worst_norm, abs(nx - ny))
+    angles = []
+    for dim in (2, 3):
+        width = generator_coins(RandomRotations(dim))
+        for q in haar_rotations(dim, keyed_uniforms(701 + dim, 5_000, width)):
+            worst_ortho = max(
+                worst_ortho, float(np.max(np.abs(q.matrix.T @ q.matrix - np.eye(dim))))
+            )
+            worst_det = max(worst_det, abs(float(np.linalg.det(q.matrix)) - 1.0))
+            x = tuple(rng.standard_normal(dim) * 3.0)
+            nx = math.sqrt(sum(c * c for c in x))
+            ny = math.sqrt(sum(c * c for c in apply_label(q, x)))
+            worst_norm = max(worst_norm, abs(nx - ny))
+            if dim == 2:
+                angles.append(math.atan2(q.matrix[1, 0], q.matrix[0, 0]) % (2 * math.pi))
+    # a Haar rotation of the plane turns by a uniform angle
+    ks_p = float(kstest(np.asarray(angles) / (2 * math.pi), "uniform").pvalue)
     swap_failures = 0
     gen = DyadicSwaps(4.0, 5)
-    for _ in range(10_000):
-        theta = sample_generator(gen, rng)
+    for theta in sample_generators(gen, keyed_uniforms(702, 10_000, generator_coins(gen))):
         x = int(rng.integers(0, 4)) + int(rng.integers(0, 1 << POSITION_BITS)) * 2.0**-POSITION_BITS
         if apply_label(theta, apply_label(theta, x)) != x:
             swap_failures += 1
     elapsed = time.time() - t0
-    ok = worst_ortho < 1e-10 and worst_norm < 1e-10 and swap_failures == 0
+    ok = (
+        worst_ortho < 1e-10
+        and worst_det < 1e-10
+        and worst_norm < 1e-10
+        and ks_p > 0.001
+        and swap_failures == 0
+    )
     report_line(
         7,
         ok,
         elapsed,
-        f"ortho={worst_ortho:.2e} norm={worst_norm:.2e} swap_failures={swap_failures}",
+        f"ortho={worst_ortho:.2e} det={worst_det:.2e} norm={worst_norm:.2e} "
+        f"angle_ks_p={ks_p:.3f} swap_failures={swap_failures}",
     )
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -256,22 +257,23 @@ def test_identical_invocations_are_byte_identical(tmp_path):
 
 
 # sha256 of `pointgraphs sample --seed 42` at n = 3 and n = 12 for every
-# config, plus rotinv at n = 400 with seed 7, under coin version 2.  Only a
+# config, plus rotinv at n = 400 with seed 7, under coin version 3.  Only a
 # deliberate coin change may move these; any other change must keep them.
+# Version 3 moved only the #fingerprint line: every body is version 2's.
 SAMPLE_PINS = {
-    ("broken_fixed_direction", 3, 42): "e276bb318c80980a29446ec004c2c2fd360852d1ea79b9f4fd5b07eff7e8600c",
-    ("broken_window_scaled", 3, 42): "a554d4e7234ee5c9508affef0ec3689384d798fa3fa8c19ddc61aefa927e6005",
-    ("graphex", 3, 42): "794da4f15fbed80a1bfa7753a51e2a9d85dbde014b38018431f8fa283488a109",
-    ("graphon", 3, 42): "b976df66a5aaa719496dcef6fd54be71ddd51291edff9d5710b579eec8bdba8f",
-    ("graphon_grid", 3, 42): "a8fe554878ce23109565d2770d9855498e7653c50283fbf3c0c6339d3dc387f5",
-    ("rotinv", 3, 42): "0924152862ad6caf8c86815dec866bd5ddeb1b12a1a5df427359c9f085c36804",
-    ("broken_fixed_direction", 12, 42): "5138cf4b592439061d75d177c545a3af7eee83a3ff9f84efc3ef80e96ebf0573",
-    ("broken_window_scaled", 12, 42): "244640c629141117dce4ae8982e5f86edf1c46cd91612793481bc3f5a733cf4f",
-    ("graphex", 12, 42): "dc28944c5020156c9eae69c1321553ffda4efe76744097ff5107704c0d79b525",
-    ("graphon", 12, 42): "52d2fc818bf2ae03e14f6340e40be8a4ed5c4c9005614a62828cdddf549091f8",
-    ("graphon_grid", 12, 42): "b919d3c4a3aaffae5eb45b8fed69cb062dd5c966046d360d5c62a1504d5ddc07",
-    ("rotinv", 12, 42): "7598a818dc6305c31ee8fb352becb6c6819275a336ca57bc8cdeff6b7d564b81",
-    ("rotinv", 400, 7): "dfb03ccb3fac2a36326df0e6771120809ee073ce43c83f6b75482d2d2bb3f915",
+    ("broken_fixed_direction", 3, 42): "b05e86a8ca8fd11af4a9f5fa0562ed034b17c6f650b5d109526933fc4de36934",
+    ("broken_window_scaled", 3, 42): "79f4387930926fc3ef482a9b8afac474fc150cf762354452129653f77c302fa3",
+    ("graphex", 3, 42): "54a829217e4ab1425e90baae2c28c7d8556d58e7e37f3a000364b60d2b33dc9b",
+    ("graphon", 3, 42): "18a7a20b2fc4829f649ceeb6c1df43fec0e687cac3308ef11dc434205d018144",
+    ("graphon_grid", 3, 42): "69a7909b9d549d9b09b611d0ce7c16c6b338f4558ad54be4027f847ef36dba10",
+    ("rotinv", 3, 42): "46083e26df7761a98393f9cab6d5eb9b31be6076ec91b430210b948d049bb86a",
+    ("broken_fixed_direction", 12, 42): "dcaf8bda0757a07a62c38881b922df344efe2482e1a752f2576447cc5d23a7f5",
+    ("broken_window_scaled", 12, 42): "ef9a1d3c018ce852fa827cd8dd0bbaff61468bf68ba324303c2e6bd17dc1ba36",
+    ("graphex", 12, 42): "d307a4fc6324f507fd760919e94f97888f58b6ecf459206741c55fe4df506e16",
+    ("graphon", 12, 42): "3196f3353ea9bd9e4a6cfd4796fb6601580f9a03d4a0c3070ea779f9c31fc0e0",
+    ("graphon_grid", 12, 42): "13f765421bcc186c49c171bc47f9352f66744272999a4f93d7527da51ff09d09",
+    ("rotinv", 12, 42): "f610585dbbe740d9c74c47f97e56eb7ec72af46485dda9b6216d117d6890c669",
+    ("rotinv", 400, 7): "f70e278811779bc9890599de325863ec5f2889b31c42e5f1b2d6ff6b6af83a63",
 }
 
 
@@ -287,59 +289,56 @@ def test_sample_output_matches_pinned_hash(capsys, config, n, seed):
     assert digest == SAMPLE_PINS[(config, n, seed)]
 
 
-# sha256 of certification reports at --seed 42 under coin version 2,
-# recorded before the harness drew its trials in batches.  How the trials
-# are drawn must not move a report's bytes.
+# sha256 of certification reports at --seed 42 under coin version 3, which
+# draws group elements and window labels from keyed coins and records the
+# window's own sizes.  How the trials are chunked must not move a report's
+# bytes.
 REPORT_PINS = {
     "projectivity-exact-graphon": (
         ["test-projectivity", "--config", "graphon", "--n", "5", "--m", "20", "--trials", "500"],
         0,
-        "4ad4a23ab73a5307f33891508f3d4738dac8ceb92e9aebf639f524a4e46c4bdf",
+        "80f2d53a3fc9103da70f2638eefc5b688f7e3494f29d1ae2dbbe470810b0d830",
     ),
     "projectivity-distributional-window-scaled": (
         ["test-projectivity", "--config", "broken_window_scaled", "--n", "3", "--m", "6",
          "--trials", "1000", "--mode", "distributional"],
         2,
-        "324a658fdcafd14f219b9b55ba5ea36b3eb97d3641cbab5d0b64000fe471731b",
+        "b69c685397bd4c4b3674dfd41b5814facafd14f4241a1c961e3495d1de1e3d09",
     ),
     "invariance-graphex-dyadic-swaps": (
         ["test-invariance", "--config", "graphex", "--n", "2", "--trials", "250"],
         0,
-        "59bc4119b9bd2613d44beee965b2a81793208ef42b187f359f22ae3cf57cce79",
+        "d5f7c54fbecf15b594363f05f0117b86ea89a506779db13da24bedd256ee8e33",
     ),
     "invariance-rotinv-d2-rotations": (
         ["test-invariance", "--config", "rotinv", "--n", "8", "--trials", "100"],
         0,
-        "82f2a04e82c94100c993fd065274bfaa9937e9201956b62cc578a054518595b3",
+        "97fce2853f4859deb26e4393f3174337414bfff810d60c649e8e328c0419326f",
     ),
     "enumerate-graphon-grid": (
         ["enumerate", "--config", "graphon_grid", "--n", "3", "--trials", "2000"],
         0,
-        "e8443a59ce2c640798c0e3750b34b748acf1977385443de134f5fbea5c4c34cf",
+        "6fcae99c8a0bf5c6cbe9a1aef6227718083299c7b09491865f1e8df7c48b85e4",
     ),
-    # recorded while the CLI still built each family's group itself; moving
-    # the family-to-group mapping into the harness must keep these bytes
     "invariance-graphon-transpositions": (
         ["test-invariance", "--config", "graphon", "--n", "5", "--trials", "250"],
         0,
-        "4284039ef19ae7094e8f352cb58ce31611f2ac91c2fa25d8e9fd182c45f2257c",
+        "c0803f833fd4cbc4129c85f901201545010a7b859c41e2d1e43f29b54311d06c",
     ),
-    # re-recorded when compatibility reports took the spec fingerprint in
-    # place of the generator set's repr; every other field kept its bytes
     "compatibility-graphon-transpositions": (
         ["test-compatibility", "--config", "graphon", "--n", "4", "--m", "9", "--trials", "1000"],
         0,
-        "4054077683a17e8a39ac92f3abf3bade71b778e3f1dd6039e6fb0ebf25a17659",
+        "5a5fb34424c3b92f79a5d20930a2daccf9262a8c34e1ba23ec88b2897d6d5f57",
     ),
     "compatibility-graphex-dyadic-swaps": (
         ["test-compatibility", "--config", "graphex", "--n", "4", "--m", "9", "--trials", "1000"],
         0,
-        "17ba01a3c13fd967b245f54a16ffb8c64a328ea91cc48bc1ae30c2d545cebfa3",
+        "e0c0ee3e7b06ca5bdb1d56dc9715aa9cbd9eb2b0e7233a6e3b1eebaed233c9aa",
     ),
     "compatibility-rotinv-d2-rotations": (
         ["test-compatibility", "--config", "rotinv", "--n", "4", "--m", "9", "--trials", "1000"],
         0,
-        "32ada14d4aba3890cdb101cf5712f4a4b30d3b6e47f29beb0245f443603572ad",
+        "7e6a81b1a116689b4c10bbc870bb7441fcf3013e1a1e7c3c88096ae89256fb1d",
     ),
 }
 
@@ -354,15 +353,15 @@ def test_report_matches_pinned_hash(capsys, name):
 
 
 def test_stats_of_the_dense_graphon_matches_pinned_hash(tmp_path, capsys):
-    # The dense-graphon benchmark's config at n = 300: 19,906 edges.  Recorded
-    # while graph_stats still intersected Python sets; a faster count and a
-    # bulk edge-list reader must keep these bytes.
+    # The dense-graphon benchmark's config at n = 300: 19,906 edges.  Its
+    # counts were recorded while graph_stats still intersected Python sets,
+    # and only coin version 3's fingerprint has moved the bytes since.
     path = tmp_path / "dense.el"
     assert run(["sample", "--config", str(CONFIGS / "graphon_grid.json"), "--n", "300",
                 "--seed", "42", "--out", str(path)]) == 0
     assert run(["stats", "--in", str(path)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == (
-        "b85565f6aab587d497328e65a3619cc1e268b148eae42b65a1b521181daad0ff"
+        "a0f5cd264fc28b7f6aef1bd92f6a60b9dcc716110d341139ce5b53e2aedbf096"
     )
 
 
@@ -378,7 +377,7 @@ def test_hyperbolic_overflow_is_silent_and_keeps_its_bytes(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-        "9a46ae3472de7e68db053e2a741a59e9b6cddfeaeaaf3a35c5d9d805c22e44d1"
+        "b93289676cd55d6968ef10f5b49f651ed5a9f5eb6b59c94360003b6e6da994de"
     )
 
 
@@ -438,6 +437,8 @@ def test_config_missing_key_is_one_error_line(tmp_path, capsys, config, missing)
         ("rotinv", ("dim",), 2.7),
         ("rotinv", ("dim",), "2"),
         ("rotinv", ("dim",), False),
+        pytest.param("graphon", ("seed",), 2.0**53, id="graphon-seed-float-2^53"),
+        pytest.param("rotinv", ("dim",), -(2.0**60), id="rotinv-dim-float-minus-2^60"),
     ],
 )
 def test_config_numbers_must_be_json_numbers(tmp_path, capsys, config, field, value):
@@ -465,6 +466,68 @@ def test_config_integers_may_be_integral_floats(tmp_path, capsys, config, key, v
     expected = capsys.readouterr().out
     assert run(["sample", "--config", str(floats), "--n", "3"]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_seed_json_cannot_name_exactly_is_one_error_line(tmp_path, capsys):
+    # JSON parsing rounds 9007199254740993.0 to 2^53, a seed the config does not name
+    cfg = tmp_path / "big-seed.json"
+    text = read(CONFIGS / "graphon.json")
+    cfg.write_text(text.replace('"seed": 42', '"seed": 9007199254740993.0'))
+    assert "9007199254740993.0" in read(cfg)
+    assert run(["sample", "--config", str(cfg), "--n", "3"]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("pointgraphs: error: config field 'seed' must be an int")
+    # the largest integral float below 2^53 still names its seed exactly
+    cfg.write_text(text.replace('"seed": 42', '"seed": 9007199254740991.0'))
+    assert run(["sample", "--config", str(cfg), "--n", "3"]) == 0
+    assert "#seed 9007199254740991\n" in capsys.readouterr().out
+
+
+def test_empty_graphon_grid_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "empty-grid.json"
+    cfg.write_text(json.dumps(
+        {"family": "graphon", "kernel": {"type": "graphon_grid", "values": []}, "seed": 1}
+    ))
+    assert run(["sample", "--config", str(cfg), "--n", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["pointgraphs: error: grid must have at least one cell"]
+
+
+def test_commands_never_import_numpy_random(tmp_path):
+    # every draw is a keyed coin, so numpy.random (which numpy imports
+    # lazily) never loads: not for sampling, statistics or restriction, and
+    # not for the certification reports
+    import pointgraphs
+
+    graph = tmp_path / "g.el"
+    cfg = {name: str(CONFIGS / f"{name}.json") for name in
+           ("graphon", "graphex", "rotinv", "broken_window_scaled")}
+    script = f"""
+import sys
+from pointgraphs.cli import run
+cfg, graph = {cfg!r}, {str(graph)!r}
+codes = [
+    run(["sample", "--config", cfg["graphon"], "--n", "20", "--out", graph]),
+    run(["stats", "--in", graph, "--out", graph + ".json"]),
+    run(["restrict", "--in", graph, "--n", "5", "--out", graph + ".5"]),
+    run(["test-projectivity", "--config", cfg["graphon"], "--n", "5", "--m", "20",
+         "--trials", "500", "--out", graph + ".p"]),
+    run(["test-invariance", "--config", cfg["graphex"], "--n", "2", "--trials", "250",
+         "--out", graph + ".g"]),
+    run(["test-invariance", "--config", cfg["rotinv"], "--n", "8", "--trials", "100",
+         "--out", graph + ".r"]),
+    run(["test-projectivity", "--config", cfg["broken_window_scaled"], "--n", "3", "--m", "6",
+         "--trials", "1000", "--mode", "distributional", "--out", graph + ".d"]),
+    run(["test-compatibility", "--config", cfg["rotinv"], "--n", "2", "--m", "8",
+         "--trials", "100", "--out", graph + ".c"]),
+]
+print(codes, "numpy.random" in sys.modules, "numpy" in sys.modules)
+"""
+    src = str(Path(pointgraphs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 2, 0] False True"
 
 
 def test_label_collision_is_one_error_line(capsys, monkeypatch):

@@ -216,6 +216,15 @@ def test_seed_column_broadcasts_against_key_columns(n_keys):
     ]
 
 
+def test_key_columns_broadcast_against_each_other():
+    # the harness keys a (trials, draws) grid of coins by (t, k)
+    trials, draws = np.arange(5) * 3, np.arange(4)
+    got = coin_batch(CoinPRF(42), "generator", trials[:, None], draws)
+    assert got.tolist() == [
+        [coin(CoinPRF(42), "generator", t, k) for k in draws.tolist()] for t in trials.tolist()
+    ]
+
+
 def test_seed_columns_must_be_uint64():
     with pytest.raises(TypeError):
         CoinPRF(np.array([1, 2]))

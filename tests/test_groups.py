@@ -16,11 +16,12 @@ from pointgraphs import (
     apply_graph,
     apply_label,
     extend_element,
+    generator_coins,
     graphex_spec,
     make_graph,
     make_window,
     sample,
-    sample_generator,
+    sample_generators,
     serialize_element,
     transposition,
 )
@@ -28,6 +29,16 @@ from pointgraphs.coins import POSITION_BITS
 from tests.test_pairs import FIG_GRAPH, label_edges
 
 ROT90 = Rotation(np.array([[0.0, -1.0], [1.0, 0.0]]))
+# the smallest and the largest uniform a coin can take
+EXTREMES = (0.0, 1.0 - 2.0**-53)
+
+
+def uniforms(rng, gen_set, rows):
+    """rows of uniforms for sample_generators, with every corner of the
+    extreme values first."""
+    width = generator_coins(gen_set)
+    corners = np.array(np.meshgrid(*[EXTREMES] * width)).reshape(width, -1).T
+    return np.vstack([corners, rng.random((rows, width))])
 
 
 def dyadic_label(rng, n):
@@ -145,32 +156,47 @@ def test_swap_composed_with_itself_is_identity():
 
 
 def test_transpositions_of_two_always_swap():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        assert sample_generator(Transpositions(2), rng) == Permutation((2, 1))
+    gen = Transpositions(2)
+    for g in sample_generators(gen, uniforms(np.random.default_rng(0), gen, 20)):
+        assert g == Permutation((2, 1))
+
+
+def test_sampled_transpositions_move_two_labels_in_range():
+    gen = Transpositions(5)
+    for g in sample_generators(gen, uniforms(np.random.default_rng(3), gen, 200)):
+        moved = [i for i, y in enumerate(g.mapping, 1) if y != i]
+        assert len(moved) == 2 and g.degree == 5
 
 
 def test_dyadic_swaps_n1_kmax1_unique_element():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        g = sample_generator(DyadicSwaps(1, 1), rng)
+    gen = DyadicSwaps(1, 1)
+    for g in sample_generators(gen, uniforms(np.random.default_rng(0), gen, 20)):
         assert g == DyadicSwapWord(((1, 2, 1),)) or g == DyadicSwapWord(((2, 1, 1),))
 
 
 def test_sampled_swaps_fit_in_window():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        (i, j, k), = sample_generator(DyadicSwaps(2.0, 3), rng).word
+    gen = DyadicSwaps(2.0, 3)
+    for g in sample_generators(gen, uniforms(np.random.default_rng(7), gen, 200)):
+        (i, j, k), = g.word
         assert max(i, j) * 2.0**-k <= 2.0
         assert i != j and k <= 3
 
 
 def test_sampled_rotations_are_orthogonal():
-    rng = np.random.default_rng(11)
     for dim in (2, 3, 4):
-        q = sample_generator(RandomRotations(dim), rng)
-        assert np.max(np.abs(q.matrix.T @ q.matrix - np.eye(dim))) < 1e-10
-        assert abs(np.linalg.det(q.matrix) - 1.0) < 1e-10
+        gen = RandomRotations(dim)
+        for q in sample_generators(gen, np.random.default_rng(11).random((20, generator_coins(gen)))):
+            assert np.max(np.abs(q.matrix.T @ q.matrix - np.eye(dim))) < 1e-10
+            assert abs(np.linalg.det(q.matrix) - 1.0) < 1e-10
+
+
+def test_a_generator_depends_on_its_own_row_only():
+    rng = np.random.default_rng(12)
+    for gen in (Transpositions(7), DyadicSwaps(3.0, 4), RandomRotations(3)):
+        us = rng.random((50, generator_coins(gen)))
+        batch = sample_generators(gen, us)
+        alone = [sample_generators(gen, us[i : i + 1])[0] for i in range(len(us))]
+        assert [serialize_element(g) for g in batch] == [serialize_element(g) for g in alone]
 
 
 def test_rotation_constructor_rejects_reflection():
@@ -255,8 +281,8 @@ def test_swap_preserves_uniformity_ks():
 
 def test_rotations_preserve_norm():
     rng = np.random.default_rng(17)
-    for _ in range(200):
-        q = sample_generator(RandomRotations(3), rng)
+    gen = RandomRotations(3)
+    for q in sample_generators(gen, rng.random((200, generator_coins(gen)))):
         x = tuple(rng.standard_normal(3) * 5.0)
         before = math.sqrt(sum(c * c for c in x))
         after = math.sqrt(sum(c * c for c in apply_label(q, x)))

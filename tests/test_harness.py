@@ -1,11 +1,15 @@
+import itertools
 import json
 import tracemalloc
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from pointgraphs import harness as certify
 from pointgraphs import (
     Constant,
+    DyadicSwaps,
     DyadicSwapWord,
     FixedDirectionIndicator,
     GraphexIndicator,
@@ -13,11 +17,17 @@ from pointgraphs import (
     HardDistance,
     Permutation,
     PoissonRate,
+    Transpositions,
+    WindowKind,
     WindowScaledConstant,
+    chi_square_gof,
+    contains,
     extend_element,
     graphex_spec,
     graphon_spec,
+    make_window,
     rotinv_spec,
+    transposition,
 )
 
 
@@ -95,7 +105,7 @@ def test_invariance_rotinv_passes():
 def test_invariance_identity_generator_gives_p_one(monkeypatch):
     spec = graphon_spec(Constant(0.4), seed=21)
     identity = Permutation(tuple(range(1, 6)))
-    monkeypatch.setattr(certify, "sample_generator", lambda gen_set, rng: identity)
+    monkeypatch.setattr(certify, "sample_generators", lambda gen_set, us: [identity] * len(us))
     report = certify.test_invariance(spec, 5, 600)
     assert report.passed
     assert all(p == 1.0 for p in report.p_values.values())
@@ -213,6 +223,15 @@ def test_reports_do_not_depend_on_the_trial_chunks(monkeypatch, chunk):
             rotinv_spec(HardDistance(0.5), dim=2, point=PoissonRate(2.0), seed=23), 3.0, 100
         ),
     ]
+    graphex = graphex_spec(GraphexIndicator(1.0), y_max=1.0, seed=25)
+    rotinv = rotinv_spec(HardDistance(0.5), dim=2, point=PoissonRate(2.0), seed=26)
+    cases += [
+        lambda: certify.test_invariance(graphon_spec(Constant(0.5), seed=24), 5, 100),
+        lambda: certify.test_invariance(graphex, 2.0, 100),
+        lambda: certify.test_compatibility(graphon_spec(Constant(0.5), seed=24), 4, 9, 300),
+        lambda: certify.test_compatibility(graphex, 2.0, 6.0, 300),
+        lambda: certify.test_compatibility(rotinv, 2.0, 8.0, 300),
+    ]
     want = [case().to_json() for case in cases]
     monkeypatch.setattr(certify, "CHUNK_PAIRS", chunk)
     assert [case().to_json() for case in cases] == want
@@ -232,3 +251,60 @@ def test_harness_memory_does_not_grow_with_trials():
     # chunks of ~CHUNK_PAIRS pairs: well under 2 MiB at any trial count
     assert max(peaks) < 2 * 2**20
     assert peaks[1] < 1.5 * peaks[0]
+
+
+def test_reports_record_the_window_sizes():
+    spec = graphon_spec(Constant(0.5), seed=31)
+    pairs = [
+        (certify.test_invariance(spec, 5, 50), certify.test_invariance(spec, 5.0, 50)),
+        (certify.test_projectivity(spec, 3, 6, 500), certify.test_projectivity(spec, 3.0, 6.0, 500)),
+        (certify.test_compatibility(spec, 4, 9, 50), certify.test_compatibility(spec, 4.0, 9.0, 50)),
+    ]
+    for as_int, as_float in pairs:
+        assert as_int.to_json() == as_float.to_json()
+    assert pairs[0][0].sizes == {"N": 50, "n": 5, "m": None}
+    assert pairs[2][0].sizes == {"N": 50, "n": 4, "m": 9}
+
+
+DRAWS = 10_000
+
+
+def test_transposition_draws_are_uniform():
+    spec = graphon_spec(Constant(0.5), seed=32)
+    counts = Counter(g.mapping for g in certify._generators(spec, Transpositions(5), np.arange(DRAWS)))
+    cells = [transposition(5, a, b).mapping for a, b in itertools.combinations(range(1, 6), 2)]
+    assert set(counts) == set(cells)
+    _, p = chi_square_gof([counts[c] for c in cells], [1 / len(cells)] * len(cells), DRAWS)
+    assert p > 0.001
+
+
+def test_dyadic_swap_draws_are_uniform_per_depth():
+    # depth k uniform over 0..3, then an ordered pair of the 2 * 2^k intervals
+    spec = graphex_spec(GraphexIndicator(1.0), y_max=1.0, seed=33)
+    gen = DyadicSwaps(2.0, 3)
+    counts = Counter(g.word[0] for g in certify._generators(spec, gen, np.arange(DRAWS)))
+    probs = {}
+    for k in range(4):
+        m = 2 * 2**k
+        for i, j in itertools.permutations(range(1, m + 1), 2):
+            probs[i, j, k] = 1 / 4 / (m * (m - 1))
+    assert set(counts) <= set(probs)
+    cells = sorted(probs)
+    _, p = chi_square_gof([counts[c] for c in cells], [probs[c] for c in cells], DRAWS)
+    assert p > 0.001
+
+
+def test_window_labels_stay_inside_the_window_at_extreme_coins():
+    extremes = np.array([[0.0], [1.0 - 2.0**-53]])
+    for size in (1, 5, 2**40):
+        window = make_window(WindowKind.INTEGER_PREFIX, size)
+        assert certify._window_labels(window, extremes) == [1, size]
+    for size in (1.0, 2.5, 1024.0, 3e6):
+        window = make_window(WindowKind.REAL_INTERVAL, size)
+        labels = certify._window_labels(window, extremes)
+        assert labels[0] == 0.0 and all(contains(window, x) for x in labels)
+    # a radius coin within ~1e-15 of 1 may round onto the open ball's
+    # sphere, a chance of ~2^-50 per label
+    ball = make_window(WindowKind.EUCLIDEAN_BALL, 4.0, dim=3)
+    us = np.array([[u] + [0.5] * 4 for u in (0.0, 1.0 - 1e-12)])
+    assert all(contains(ball, x) for x in certify._window_labels(ball, us))
