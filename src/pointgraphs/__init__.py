@@ -16,8 +16,7 @@ from .groups import (
     RandomRotations,
     Rotation,
     Transpositions,
-    apply_graph,
-    apply_label,
+    apply_table,
     extend_element,
     generator_coins,
     haar_rotations,
@@ -45,7 +44,16 @@ from .kernels import (
     SoftDistance,
     WindowScaledConstant,
 )
-from .pairs import Graph, make_graph, restrict_graph
+from .pairs import (
+    Graph,
+    GraphTable,
+    differing_trials,
+    graph_table,
+    make_graph,
+    restrict_graph,
+    restrict_table,
+    table_graphs,
+)
 from .samplers import (
     FamilySpec,
     PoissonRate,
@@ -62,6 +70,7 @@ from .samplers import (
     sample_graphex,
     sample_graphon,
     sample_rotinv,
+    sample_table,
     spec_from_dict,
     spec_to_dict,
     window_for,
@@ -73,6 +82,7 @@ from .stats import (
     graph_stats_batch,
     kolmogorov_sf,
     ks_two_sample,
+    table_stats,
 )
 from .windows import (
     Window,

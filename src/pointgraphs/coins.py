@@ -220,15 +220,25 @@ def index_from_uniform(u, m):
     return np.minimum(np.floor(np.multiply(u, m)), np.subtract(m, 1)).astype(np.int64)
 
 
-def gaussians_from_uniforms(us) -> list:
+def gaussians_from_uniforms(us: np.ndarray) -> np.ndarray:
     """Standard Gaussians by Box-Muller, two from each pair (u1, u2) of
-    uniforms in [0, 1), computed in ``math`` value by value."""
-    gs = []
-    for u1, u2 in zip(us[0::2], us[1::2]):
-        mag = math.sqrt(-2.0 * math.log(1.0 - u1))
-        gs.append(mag * math.cos(2.0 * math.pi * u2))
-        gs.append(mag * math.sin(2.0 * math.pi * u2))
+    uniforms in [0, 1) along the rows of a 2-D array: row r gives
+    mag * cos(2 pi u2), mag * sin(2 pi u2) for each of its pairs in turn,
+    with mag = sqrt(-2 log(1 - u1)).  log, cos and sin are ``math``'s,
+    value by value; every other step is one correctly rounded operation,
+    which numpy rounds as ``math`` would."""
+    u1, u2 = us[:, 0::2], us[:, 1::2]
+    mag = np.sqrt(-2.0 * _math_map(math.log, 1.0 - u1))
+    turn = (2.0 * math.pi) * u2
+    gs = np.empty(us.shape)
+    gs[:, 0::2] = mag * _math_map(math.cos, turn)
+    gs[:, 1::2] = mag * _math_map(math.sin, turn)
     return gs
+
+
+def _math_map(fn, x: np.ndarray) -> np.ndarray:
+    """fn applied to each value of x, in Python floats."""
+    return np.array(list(map(fn, x.ravel().tolist()))).reshape(x.shape)
 
 
 def poisson_from_uniform(u: float, rate: float) -> int:

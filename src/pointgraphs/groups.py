@@ -18,14 +18,15 @@ reaching past that limit are rejected.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .coins import POSITION_BITS, gaussians_from_uniforms, index_from_uniform
 from .edgelist import fmt_real
-from .pairs import Graph
+from .pairs import GraphTable
 from .windows import Window, WindowKind
 
 ORTHO_TOL = 1e-10
@@ -76,14 +77,21 @@ class Rotation:
         d = q.shape[0]
         if q.shape != (d, d):
             raise ValueError("rotation matrix must be square")
-        if np.max(np.abs(q.T @ q - np.eye(d))) > ORTHO_TOL:
-            raise ValueError("matrix is not orthogonal within tolerance")
-        if abs(np.linalg.det(q) - 1.0) > ORTHO_TOL:
-            raise ValueError("rotation must have determinant +1")
+        _check_rotations(q[None], np.linalg.det(q[None]))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _check_rotations(qs: np.ndarray, dets: np.ndarray) -> None:
+    """Reject a stack of square matrices unless each is orthogonal and its
+    determinant, given in ``dets``, is +1, within ORTHO_TOL."""
+    gram = np.swapaxes(qs, 1, 2) @ qs - np.eye(qs.shape[1])
+    if np.max(np.abs(gram), initial=0.0) > ORTHO_TOL:
+        raise ValueError("matrix is not orthogonal within tolerance")
+    if np.max(np.abs(dets - 1.0), initial=0.0) > ORTHO_TOL:
+        raise ValueError("rotation must have determinant +1")
 
 
 GroupElement = Permutation | DyadicSwapWord | Rotation
@@ -95,41 +103,64 @@ def transposition(n: int, a: int, b: int) -> Permutation:
     return Permutation(tuple(mapping))
 
 
-def _swap_once(x: float, i: int, j: int, k: int) -> float:
-    width = 2.0**-k
-    if (i - 1) * width < x <= i * width:
-        return x + (j - i) * width
-    if (j - 1) * width < x <= j * width:
-        return x - (j - i) * width
-    return x
+def _act(elements, labels: np.ndarray, trials: np.ndarray) -> np.ndarray:
+    """The labels moved by group elements: row r by elements[trials[r]].
 
-
-def apply_label(g: GroupElement, label):
-    """Action of a group element on a single label."""
-    if isinstance(g, Permutation):
-        if not isinstance(label, int) or isinstance(label, bool):
-            raise TypeError(f"permutation cannot act on {label!r}")
-        if 1 <= label <= g.degree:
-            return g.mapping[label - 1]
-        return label
-    if isinstance(g, DyadicSwapWord):
-        if not isinstance(label, (int, float)) or isinstance(label, bool):
-            raise TypeError(f"dyadic swap word cannot act on {label!r}")
-        x = float(label)
-        for i, j, k in g.word:
-            x = _swap_once(x, i, j, k)
+    The elements are of one kind.  A permutation maps by indexing and a
+    swap word moves labels elementwise, one swap at a time, both exactly.
+    A rotation row is the sum over c of column c of its matrix times
+    coordinate c, added in the order of c.
+    """
+    kinds = {type(g) for g in elements}
+    if len(kinds) > 1:
+        raise TypeError("the trials of one table must act by elements of one kind")
+    kind = kinds.pop() if kinds else None
+    if kind is Permutation:
+        if labels.ndim != 1 or labels.dtype.kind not in "iuO":
+            raise TypeError(f"permutation cannot act on {labels.dtype} labels")
+        degrees = np.array([g.degree for g in elements], dtype=np.int64)
+        images = np.fromiter(
+            itertools.chain.from_iterable(g.mapping for g in elements),
+            dtype=np.int64,
+            count=int(degrees.sum()),
+        )
+        first = np.cumsum(degrees) - degrees
+        moved = np.asarray((1 <= labels) & (labels <= degrees[trials]), dtype=bool)
+        out = labels.copy()
+        out[moved] = images[first[trials[moved]] + labels[moved].astype(np.int64) - 1]
+        return out
+    if kind is DyadicSwapWord:
+        if labels.ndim != 1 or labels.dtype.kind not in "iuf":
+            raise TypeError(f"dyadic swap word cannot act on {labels.dtype} labels")
+        x = labels.astype(float)
+        for s in range(max(len(g.word) for g in elements)):
+            steps = [(*g.word[s], True) if s < len(g.word) else (1, 2, 0, False) for g in elements]
+            i, j, k, active = (np.array(c)[trials] for c in zip(*steps))
+            width = np.ldexp(1.0, -k)
+            in_i = active & ((i - 1) * width < x) & (x <= i * width)
+            in_j = active & ((j - 1) * width < x) & (x <= j * width)
+            shift = (j - i) * width
+            x = np.where(in_i, x + shift, np.where(in_j, x - shift, x))
         return x
-    if isinstance(g, Rotation):
-        if not isinstance(label, tuple) or len(label) != g.dim:
-            raise TypeError(f"{g.dim}-d rotation cannot act on {label!r}")
-        return tuple(float(c) for c in g.matrix @ np.asarray(label, dtype=float))
-    raise TypeError(f"not a group element: {g!r}")
+    if kind is Rotation:
+        d = elements[0].dim
+        if labels.ndim != 2 or labels.shape[1] != d or any(g.dim != d for g in elements):
+            raise TypeError(f"{d}-d rotation cannot act on labels of shape {labels.shape}")
+        q = np.stack([g.matrix for g in elements])[trials]
+        out = q[:, :, 0] * labels[:, :1]
+        for c in range(1, d):
+            out = out + q[:, :, c] * labels[:, c : c + 1]
+        return out
+    if kind is None:
+        return labels.copy()
+    raise TypeError(f"not a group element: {elements[0]!r}")
 
 
-def apply_graph(g: GroupElement, graph: Graph) -> Graph:
-    """Relabel a graph's vertices by g; edges and latents ride along."""
-    vertices = tuple(apply_label(g, v) for v in graph.vertices)
-    return Graph(graph.window, vertices, graph.ends, graph.latents, graph.family, graph.fingerprint)
+def apply_table(elements, table: GraphTable) -> GraphTable:
+    """Relabel trial t of the table by elements[t]; edges and latents ride
+    along.  A graph is a table of one trial (pairs.graph_table), and a
+    label a table of one vertex."""
+    return replace(table, labels=_act(elements, table.labels, table.row_trials()))
 
 
 def extend_element(g: GroupElement, window_n: Window, window_m: Window) -> GroupElement:
@@ -220,13 +251,19 @@ def haar_rotations(dim: int, us) -> list:
     """Haar-uniform rotations, one per row of uniforms: QR of a Gaussian
     matrix with sign corrections (Mezzadri, Notices AMS 2007).  A row's
     Gaussians are its Box-Muller values in row-major order, and the whole
-    batch takes one stacked QR and one stacked determinant."""
-    rows = np.asarray(us, dtype=float).tolist()
-    z = np.array([gaussians_from_uniforms(row)[: dim * dim] for row in rows])
-    q, r = np.linalg.qr(z.reshape(len(rows), dim, dim))
+    batch takes one stacked QR, one stacked determinant and one stacked
+    check."""
+    us = np.asarray(us, dtype=float).reshape(len(us), -1)
+    z = gaussians_from_uniforms(us)[:, : dim * dim]
+    q, r = np.linalg.qr(z.reshape(len(us), dim, dim))
     q = q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0, -1.0, 1.0)[:, None, :]
-    q[np.linalg.det(q) < 0, :, 0] *= -1.0
-    return [Rotation(m) for m in q]
+    dets = np.linalg.det(q)
+    q[dets < 0, :, 0] *= -1.0  # negates those determinants
+    _check_rotations(q, np.abs(dets))
+    rotations = [object.__new__(Rotation) for _ in range(len(q))]
+    for g, m in zip(rotations, q):  # checked above, as a stack
+        object.__setattr__(g, "matrix", m)
+    return rotations
 
 
 def sample_generators(gen_set: GeneratorSet, us) -> list:

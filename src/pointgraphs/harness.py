@@ -12,9 +12,16 @@ All verdicts are Bonferroni-corrected over the statistics involved, and a
 report is reproducible byte for byte from its seeds.  Trial t samples with
 the seed derive_seed(seed, t), and draws its group element and window
 labels from coins keyed by (seed, tag, t, draw index), so no draw depends
-on another trial's.  Trials are drawn in chunks, each one batched sampler
-call per side and one coin batch per tag that is consumed before the next
-chunk is drawn, so memory stays O(tile) whatever the trial count.
+on another trial's.
+
+Trials run in chunks.  A chunk is one ``GraphTable`` per side, from one
+batched sampler call: the label, latent and edge arrays of all its trials,
+cut into trials by offsets, with no Python object per trial or per vertex.
+Restriction, the group action (one element per trial), the invariance
+statistics, the graph statistics and exact equality each run once per
+chunk over the whole table, and every per-trial result is a column.  The
+chunk's coins are drawn in one batch per tag and consumed before the next
+chunk is drawn, so memory stays O(chunk) whatever the trial count.
 """
 
 from __future__ import annotations
@@ -32,25 +39,24 @@ from .groups import (
     GeneratorSet,
     RandomRotations,
     Transpositions,
-    apply_graph,
-    apply_label,
+    apply_table,
     extend_element,
     generator_coins,
     sample_generators,
     serialize_element,
 )
 from .kernels import Constant, GraphonGrid, WindowScaledConstant, graphon_edge_prob
-from .pairs import Graph, restrict_graph
+from .pairs import GraphTable, differing_trials, restrict_table
 from .samplers import (
     FamilySpec,
     fingerprint,
-    gaussian_direction,
+    gaussian_directions,
     mean_pairs,
-    sample_batch,
+    sample_table,
     window_for,
 )
-from .stats import graph_stats_batch, ks_two_sample
-from .windows import WindowKind, unit_ball_volume
+from .stats import ks_two_sample, table_stats
+from .windows import WindowKind, ball_radius, unit_ball_volume
 
 
 @dataclass(frozen=True)
@@ -95,12 +101,16 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
 
 
-def _ks_report(test_name, spec, sizes, seeds, alpha, rows_a, rows_b) -> TestReport:
-    """Two-sample KS per statistic between two lists of statistic dicts,
-    with the Bonferroni verdict over all of them."""
-    names = tuple(rows_a[0])
+def _ks_report(test_name, spec, sizes, seeds, alpha, chunks_a, chunks_b) -> TestReport:
+    """Two-sample KS per statistic between two sides, each a list of
+    per-chunk dicts of statistic columns, with the Bonferroni verdict over
+    all of them."""
+    names = tuple(chunks_a[0])
     p_values = {
-        name: ks_two_sample([r[name] for r in rows_a], [r[name] for r in rows_b])[1]
+        name: ks_two_sample(
+            np.concatenate([c[name] for c in chunks_a]),
+            np.concatenate([c[name] for c in chunks_b]),
+        )[1]
         for name in names
     }
     return TestReport(
@@ -116,22 +126,14 @@ def _ks_report(test_name, spec, sizes, seeds, alpha, rows_a, rows_b) -> TestRepo
     )
 
 
-_PROJ_STATS = ("edge_count", "max_degree", "triangle_count")
-
-
-def _scalar_stats(graphs) -> list:
-    """One dict of the _PROJ_STATS per graph, from one batched stats call."""
-    return [
-        {name: getattr(s, name) for name in _PROJ_STATS} for s in graph_stats_batch(graphs)
-    ]
-
-
 # Trials are sampled in chunks of about this many vertex pairs.  A chunk's
-# graphs hold 16 bytes an edge plus their Python vertex labels, so a chunk
-# is kept to a small part of one sampler tile (samplers.TILE_PAIRS): the
+# table holds 16 bytes an edge and 8 to 8 * dim bytes a vertex and a
+# latent, and its sampler call walks the chunk's pairs in tiles of at most
+# samplers.TILE_PAIRS, so a chunk is kept to a small part of one tile: the
 # harness then holds about as much memory as one sample, however many
-# trials it runs.
-CHUNK_PAIRS = 2**12
+# trials it runs, and pays its per-chunk numpy overhead a few times per
+# report rather than once per trial.
+CHUNK_PAIRS = 2**13
 
 
 def _chunks(N: int, pairs_per_trial: float = 1.0):
@@ -159,10 +161,10 @@ def test_projectivity(
     """Certify that restricting samples at window m reproduces window n.
 
     mode="exact" couples both sides through one seed per trial and demands
-    bit-identical graphs (restrict_graph drops graphex vertices left
-    without an edge, as the graphex sampler does).  A
-    failing exact report names its first mismatching trial and that trial's
-    seed, with which `pointgraphs sample` at n and at m reproduces it.
+    bit-identical graphs (restriction drops graphex vertices left without
+    an edge, as the graphex sampler does).  A failing exact report names
+    its first mismatching trial and that trial's seed, with which
+    `pointgraphs sample` at n and at m reproduces it.
     mode="distributional" uses disjoint seed streams and compares graph
     statistics by KS.
     """
@@ -177,11 +179,12 @@ def test_projectivity(
         details = {}
         for trials in _chunks(N, mean_pairs(spec, win_m.size)):
             seeds = derive_seeds(spec.seed, trials)
-            bigs, smalls = sample_batch(spec, m, seeds), sample_batch(spec, n, seeds)
-            for t, s, big, small in zip(trials.tolist(), seeds.tolist(), bigs, smalls):
-                if restrict_graph(big, win_n) != small:
-                    mismatches += 1
-                    details.setdefault("first_mismatch", {"trial": t, "seed": s})
+            restricted = restrict_table(sample_table(spec, m, seeds), win_n)
+            differ = np.flatnonzero(differing_trials(restricted, sample_table(spec, n, seeds)))
+            if len(differ) and not mismatches:
+                first = int(differ[0])
+                details["first_mismatch"] = {"trial": int(trials[first]), "seed": int(seeds[first])}
+            mismatches += len(differ)
         details["mismatches"] = mismatches
         p_values = {"exact_match": 1.0 if mismatches == 0 else 0.0}
         return TestReport(
@@ -197,17 +200,14 @@ def test_projectivity(
         )
     if mode != "distributional":
         raise ValueError(f"unknown mode {mode!r}")
-    restricted_stats = []
-    direct_stats = []
+    restricted, direct = [], []
     for trials in _chunks(N, mean_pairs(spec, win_m.size)):
-        bigs = sample_batch(spec, m, derive_seeds(spec.seed, 2 * trials))
-        restricted = [restrict_graph(big, win_n) for big in bigs]
-        restricted_stats += _scalar_stats(restricted)
-        smalls = sample_batch(spec, n, derive_seeds(spec.seed, 2 * trials + 1))
-        direct_stats += _scalar_stats(smalls)
+        bigs = sample_table(spec, m, derive_seeds(spec.seed, 2 * trials))
+        restricted.append(table_stats(restrict_table(bigs, win_n)))
+        direct.append(table_stats(sample_table(spec, n, derive_seeds(spec.seed, 2 * trials + 1))))
     sizes, seeds = {"N": N, "n": win_n.size, "m": win_m.size}, {"seed": spec.seed}
     return _ks_report(
-        "projectivity_distributional", spec, sizes, seeds, alpha, restricted_stats, direct_stats
+        "projectivity_distributional", spec, sizes, seeds, alpha, restricted, direct
     )
 
 
@@ -215,65 +215,74 @@ def test_projectivity(
 # Invariance
 
 
-def _ordered_pairs(graph, in_a: np.ndarray, in_b: np.ndarray) -> int:
-    """Ordered pairs (x, y) of edge endpoints with x in region a and y in
-    region b, from each vertex's membership in the two regions."""
-    if not graph.n_edges:
-        return 0
+def _per_trial(table: GraphTable, per_edge: np.ndarray) -> np.ndarray:
+    """The sum of a count per edge over each trial's edges."""
+    return np.bincount(
+        table.edge_trials(), weights=per_edge, minlength=table.n_trials
+    ).astype(np.int64)
+
+
+def _ordered_pairs(table: GraphTable, in_a: np.ndarray, in_b: np.ndarray) -> np.ndarray:
+    """Per trial, the ordered pairs (x, y) of edge endpoints with x in region
+    a and y in region b, from each row's membership in the two regions."""
+    ends = table.ends
     # row (i, j) against its reverse (j, i): the pairs (i, j) and (j, i)
-    return int(np.count_nonzero(in_a[graph.ends] & in_b[graph.ends[:, ::-1]]))
+    return _per_trial(table, np.count_nonzero(in_a[ends] & in_b[ends[:, ::-1]], axis=1))
 
 
-def _endpoints(graph, in_a: np.ndarray) -> int:
-    """Edge endpoints in region a, from each vertex's membership in it: the
-    degree of a one-vertex region, the endpoint count of a larger one."""
-    return int(np.count_nonzero(in_a[graph.ends])) if graph.n_edges else 0
+def _endpoints(table: GraphTable, in_a: np.ndarray) -> np.ndarray:
+    """Per trial, the edge endpoints in region a, from each row's membership
+    in it: the degree of a one-vertex region, the endpoint count of a
+    larger one."""
+    return _per_trial(table, np.count_nonzero(in_a[table.ends], axis=1))
 
 
-def _members(inside, graph) -> np.ndarray:
-    """Each vertex's membership in the region of the label predicate
-    ``inside``, as a bool column."""
-    return np.array([inside(v) for v in graph.vertices], dtype=bool)
+def _vertices(table: GraphTable, in_a: np.ndarray) -> np.ndarray:
+    """Per trial, the vertices in region a."""
+    return np.bincount(table.row_trials()[in_a], minlength=table.n_trials)
 
 
-def _half_space(x) -> bool:
-    """Whether the point x has a direction, a finite radius r and a
-    nonnegative cosine x[0] / r with the first axis."""
-    r = math.sqrt(math.fsum(c * c for c in x))
-    return 0.0 < r < math.inf and x[0] / r >= 0.0
+def _half_space(x) -> np.ndarray:
+    """Whether each point (a row of x, or x itself) has a direction, a finite
+    radius r and a nonnegative cosine x[0] / r with the first axis."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):  # a square may overflow to inf, r may be 0
+        r = np.sqrt(np.sum(x * x, axis=-1))
+        return (0.0 < r) & (r < math.inf) & (x[..., 0] / r >= 0.0)
 
 
 def _invariance_stats(spec: FamilySpec, n):
-    """Label-dependent statistic functions, one dict per graph.  Each region
-    is tested once per vertex, and pairs are counted from the edges."""
+    """Label-dependent statistics of a table, one column per statistic with
+    a value per trial.  Each region is a predicate over the label column,
+    and pairs are counted from the edges."""
     if spec.family == "graphon":
 
-        def stats(graph):
-            is_1, is_2 = _members(lambda v: v == 1, graph), _members(lambda v: v == 2, graph)
+        def stats(table):
+            is_1, is_2 = table.labels == 1, table.labels == 2
             return {
-                "vertex1_degree": _endpoints(graph, is_1),
-                "edge_12": 1.0 if _ordered_pairs(graph, is_1, is_2) else 0.0,
+                "vertex1_degree": _endpoints(table, is_1),
+                "edge_12": (_ordered_pairs(table, is_1, is_2) > 0).astype(float),
             }
 
         return stats
     if spec.family == "graphex":
         half = n / 2
 
-        def stats(graph):
-            in_half = _members(lambda v: 0.0 <= v < half, graph)
+        def stats(table):
+            in_half = (0.0 <= table.labels) & (table.labels < half)
             return {
-                "vertices_left_half": int(np.count_nonzero(in_half)),
-                "endpoints_left_half": _endpoints(graph, in_half),
-                "edges_in_left_half": _ordered_pairs(graph, in_half, in_half),
+                "vertices_left_half": _vertices(table, in_half),
+                "endpoints_left_half": _endpoints(table, in_half),
+                "edges_in_left_half": _ordered_pairs(table, in_half, in_half),
             }
 
         return stats
 
-    def stats(graph):
-        in_half = _members(_half_space, graph)
+    def stats(table):
+        in_half = _half_space(table.labels)
         return {
-            "vertices_half_space": int(np.count_nonzero(in_half)),
-            "edges_in_half_space": _ordered_pairs(graph, in_half, in_half),
+            "vertices_half_space": _vertices(table, in_half),
+            "edges_in_half_space": _ordered_pairs(table, in_half, in_half),
         }
 
     return stats
@@ -306,18 +315,17 @@ def test_invariance(
     win_n = window_for(spec, n)
     gen_set = _generator_set(spec, win_n, k_max)
     stats_fn = _invariance_stats(spec, win_n.size)
-    base_rows, trans_rows = [], []
+    base, moved = [], []
     shown = []
     for trials in _chunks(N, mean_pairs(spec, win_n.size)):
-        graphs = sample_batch(spec, n, derive_seeds(spec.seed, trials))
-        for t, g, graph in zip(trials.tolist(), _generators(spec, gen_set, trials), graphs):
-            if t < 3:
-                shown.append(serialize_element(g))
-            base_rows.append(stats_fn(graph))
-            trans_rows.append(stats_fn(apply_graph(g, graph)))
+        table = sample_table(spec, n, derive_seeds(spec.seed, trials))
+        gens = _generators(spec, gen_set, trials)
+        shown += [serialize_element(g) for t, g in zip(trials.tolist(), gens) if t < 3]
+        base.append(stats_fn(table))
+        moved.append(stats_fn(apply_table(gens, table)))
     sizes = {"N": N, "n": win_n.size, "m": None}
     seeds = {"seed": spec.seed, "generators": shown}
-    return _ks_report("invariance", spec, sizes, seeds, alpha, base_rows, trans_rows)
+    return _ks_report("invariance", spec, sizes, seeds, alpha, base, moved)
 
 
 # ---------------------------------------------------------------------------
@@ -331,28 +339,30 @@ def _label_coins(window) -> int:
     return 1
 
 
-def _window_labels(window, us: np.ndarray) -> list:
+def _window_labels(window, us: np.ndarray) -> np.ndarray:
     """One label of the window per row of a (rows, _label_coins) array of
-    uniforms: uniform on {1..n}, on the multiples of 2^-POSITION_BITS in
-    [0, n), or on the ball."""
+    uniforms, as a label column: uniform on {1..n}, on the multiples of
+    2^-POSITION_BITS in [0, n), or on the ball."""
     if window.kind is WindowKind.INTEGER_PREFIX:
-        return (index_from_uniform(us[:, 0], window.size) + 1).tolist()
+        return index_from_uniform(us[:, 0], window.size) + 1
     if window.kind is WindowKind.REAL_INTERVAL:
         steps = float(math.ceil(window.size * 2**POSITION_BITS))
         x = np.floor(us[:, 0] * steps) * 2.0**-POSITION_BITS
         # exact below 2^53 steps (see index_from_uniform); past it, clamped
-        return np.minimum(x, np.nextafter(window.size, 0.0)).tolist()
-    vd = unit_ball_volume(window.dim)
+        return np.minimum(x, np.nextafter(window.size, 0.0))
+    e = 1.0 / window.dim
+    r = np.array([v**e for v in (us[:, 0] * window.size / unit_ball_volume(window.dim)).tolist()])
+    # A radius coin within ~1e-15 of 1 can round r times a unit direction
+    # onto or past the sphere: r stays 2^-48 of the radius below it, more
+    # than that rounding, so every label lies inside the open ball.
+    r = np.minimum(r, ball_radius(window.dim, window.size) * (1.0 - 2.0**-48))
+    return r.reshape(-1, 1) * gaussian_directions(us[:, 1:], window.dim)
 
-    def point(u, *angles):
-        r = (u * window.size / vd) ** (1.0 / window.dim)
-        return tuple(r * c for c in gaussian_direction(angles, window.dim))
 
-    return [point(*row) for row in us.tolist()]
-
-
-_ONE_EDGE = np.array([[0, 1]], dtype=np.int64)
-_ONE_EDGE.flags.writeable = False
+def _rows_differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether row r of label column a differs from row r of b."""
+    ne = a != b
+    return ne.any(axis=1) if ne.ndim > 1 else ne
 
 
 def test_compatibility(spec: FamilySpec, n, m, trials: int, k_max: int = 3) -> TestReport:
@@ -361,11 +371,12 @@ def test_compatibility(spec: FamilySpec, n, m, trials: int, k_max: int = 3) -> T
     For random labels x in the family's window at n and random generators g
     of its group, asserts apply(extend(g), x) == apply(g, x) bit for bit,
     and that restricting after acting equals acting after restricting for
-    one-edge graphs on two labels in the window at m.  The restriction and
-    the action are restrict_graph and apply_graph, the ones projectivity
-    and invariance run; an action that merges the two labels counts as a
-    pair mismatch.  Trial t draws its generator and its labels x, a, b
-    from coins keyed by (spec.seed, t), one coin batch per chunk of trials.
+    one-edge graphs on two labels a != b in the window at m.  The
+    restriction and the action are restrict_table and apply_table, the ones
+    projectivity and invariance run, over one table per chunk of trials;
+    an action that merges the two labels counts as a pair mismatch.  Trial
+    t draws its generator and its labels x, a, b from coins keyed by
+    (spec.seed, t), one coin batch per chunk of trials.
     """
     if n > m:
         raise ValueError("need n <= m")
@@ -376,23 +387,33 @@ def test_compatibility(spec: FamilySpec, n, m, trials: int, k_max: int = 3) -> T
     width = _label_coins(win_n)
     label_mismatch = 0
     pair_mismatch = 0
-    for chunk in _chunks(trials):  # each trial acts on a one-edge graph
+    for chunk in _chunks(trials):  # each trial acts on one label and one edge
         us = _trial_coins(spec, "label", chunk, 3 * width)
+        gens = _generators(spec, gen_set, chunk)
+        exts = [extend_element(g, win_n, win_m) for g in gens]
         xs = _window_labels(win_n, us[:, :width])
+        ones = np.arange(len(chunk) + 1)
+        points = GraphTable(win_n, xs, None, np.zeros((0, 2), dtype=np.int64), ones)
+        moved_x = differing_trials(apply_table(exts, points), apply_table(gens, points))
+        label_mismatch += int(np.count_nonzero(moved_x))
         as_ = _window_labels(win_m, us[:, width : 2 * width])
         bs = _window_labels(win_m, us[:, 2 * width :])
-        for g, x, a, b in zip(_generators(spec, gen_set, chunk), xs, as_, bs):
-            g_ext = extend_element(g, win_n, win_m)
-            if apply_label(g_ext, x) != apply_label(g, x):
-                label_mismatch += 1
-            if a == b:
-                continue
-            pair = Graph(win_m, (a, b), _ONE_EDGE, family=spec.family)
-            moved = apply_graph(g_ext, pair)
-            left = restrict_graph(moved, win_n)
-            right = apply_graph(g_ext, restrict_graph(pair, win_n))
-            if moved.vertices[0] == moved.vertices[1] or left != right:
-                pair_mismatch += 1
+        kept = np.flatnonzero(_rows_differ(as_, bs))
+        exts = [exts[i] for i in kept]
+        rows = np.arange(2 * len(kept))
+        pair = GraphTable(
+            win_m,
+            np.stack((as_[kept], bs[kept]), axis=1).reshape(len(rows), *as_.shape[1:]),
+            None,
+            rows.reshape(-1, 2),
+            np.arange(0, len(rows) + 1, 2),
+            spec.family,
+        )
+        moved = apply_table(exts, pair)
+        left = restrict_table(moved, win_n)
+        right = apply_table(exts, restrict_table(pair, win_n))
+        merged = ~_rows_differ(moved.labels[0::2], moved.labels[1::2])
+        pair_mismatch += int(np.count_nonzero(merged | differing_trials(left, right)))
     p_values = {
         "labels_exact": 1.0 if label_mismatch == 0 else 0.0,
         "pairs_exact": 1.0 if pair_mismatch == 0 else 0.0,
@@ -477,11 +498,11 @@ def enumerate_labeled_distribution(spec: FamilySpec, n, N: int) -> EnumeratedDis
         bit[x - 1, y - 1] = 1 << b
     counts = np.zeros(1 << len(positions), dtype=np.int64)
     for trials in _chunks(N, mean_pairs(spec, window.size)):
-        graphs = sample_batch(spec, n, derive_seeds(spec.seed, trials))
-        ends = np.concatenate([g.ends for g in graphs])
-        owner = np.repeat(np.arange(len(graphs)), [g.n_edges for g in graphs])
+        table = sample_table(spec, n, derive_seeds(spec.seed, trials))
+        owner = table.edge_trials()
+        ends = table.ends - table.starts[owner][:, None]  # vertex indices in each trial
         # distinct bits, so each graph's mask is the sum of its edges' bits
-        masks = np.zeros(len(graphs), dtype=np.int64)
+        masks = np.zeros(len(trials), dtype=np.int64)
         np.add.at(masks, owner, bit[ends[:, 0], ends[:, 1]])
         counts += np.bincount(masks, minlength=len(counts))
     return EnumeratedDistribution(

@@ -7,6 +7,11 @@ of one read-only int64 array of index pairs into its vertex labels, the
 rows strictly increasing in (i, j).  This module holds that type and its
 restriction to a smaller window (the projection from larger windows down
 to smaller ones).
+
+The graphs of many trials travel as one ``GraphTable``: label, latent and
+edge arrays for all of them, cut into trials by offsets.  Restriction and
+the comparison of two tables run once over a whole table; ``Graph`` objects
+are made from a table only where a caller asks for graphs.
 """
 
 from __future__ import annotations
@@ -15,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .windows import Window, WindowKind, contains, contains_each, label_matches
+from .windows import (
+    Window,
+    WindowKind,
+    contains,
+    contains_column,
+    label_column,
+    label_matches,
+)
 
 
 def _frozen(ends: np.ndarray) -> np.ndarray:
@@ -97,7 +109,7 @@ def make_graph(window, vertices, edges, latents=None, family=None, fingerprint=N
     for v in vertices:
         if not label_matches(window.kind, v) or (ball and len(v) != window.dim):
             contains(window, v)  # raises the TypeError that names the label's fault
-    for v, inside in zip(vertices, contains_each(window, vertices)):
+    for v, inside in zip(vertices, contains_column(window, label_column(window, vertices))):
         if not inside:
             raise ValueError(f"vertex label {v!r} lies outside the declared window")
     ends = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
@@ -128,41 +140,148 @@ def make_graph(window, vertices, edges, latents=None, family=None, fingerprint=N
     return Graph(window, vertices, ends, latents, family, fingerprint)
 
 
-def restrict_graph(graph: Graph, window: Window) -> Graph:
-    """Induced subgraph on the vertices inside the window.
+@dataclass(frozen=True, eq=False)
+class GraphTable:
+    """The graphs of consecutive trials in one window, as one ragged table.
 
-    Vertex order is preserved, and so is the order of the kept edges: they
+    Trial t owns rows starts[t]:starts[t + 1] of ``labels`` (an int64 or
+    float64 column, or one float64 row of window.dim coordinates per ball
+    point) and of ``latents`` (float64, or None).  ``ends`` is an (E, 2)
+    int64 array of row pairs (i, j), i < j, that index the whole table; its
+    rows strictly increase, so each trial's edges form one run.
+    """
+
+    window: Window
+    labels: np.ndarray
+    latents: np.ndarray | None
+    ends: np.ndarray
+    starts: np.ndarray
+    family: str | None = None
+
+    @property
+    def n_trials(self) -> int:
+        return len(self.starts) - 1
+
+    def edge_starts(self) -> np.ndarray:
+        """Trial t's edges are ends[edge_starts[t]:edge_starts[t + 1]]."""
+        return np.searchsorted(self.ends[:, 0], self.starts)
+
+    def row_trials(self) -> np.ndarray:
+        """The trial of each row."""
+        return np.repeat(np.arange(self.n_trials), np.diff(self.starts))
+
+    def edge_trials(self) -> np.ndarray:
+        """The trial of each edge."""
+        return np.repeat(np.arange(self.n_trials), np.diff(self.edge_starts()))
+
+
+def graph_table(graphs) -> GraphTable:
+    """The table of a nonempty list of graphs of one window and family, one
+    trial per graph."""
+    graphs = list(graphs)
+    first = graphs[0]
+    starts = np.cumsum([0] + [g.n_vertices for g in graphs])
+    labels = label_column(first.window, [v for g in graphs for v in g.vertices])
+    latents = None
+    if all(g.latents is not None for g in graphs):
+        latents = np.array([x for g in graphs for x in g.latents], dtype=float)
+    ends = np.concatenate([g.ends for g in graphs])
+    ends += np.repeat(starts[:-1], [g.n_edges for g in graphs])[:, None]
+    return GraphTable(first.window, labels, latents, ends, starts, first.family)
+
+
+def table_graphs(table: GraphTable, fingerprints) -> list:
+    """One Graph per trial of the table, trial t with fingerprints[t]."""
+    cuts = table.edge_starts()
+    ends = table.ends - np.repeat(table.starts[:-1], np.diff(cuts))[:, None]
+    cuts = cuts.tolist()
+    rows = [ends[a:b] for a, b in zip(cuts, cuts[1:])]
+    if len(rows) > 1:  # a graph kept from a batch holds only its own edges
+        rows = [r.copy() for r in rows]
+    for r in rows:
+        r.flags.writeable = False
+    labels = table.labels.tolist()
+    if table.window.kind is WindowKind.EUCLIDEAN_BALL:
+        labels = list(map(tuple, labels))
+    latents = table.latents.tolist() if table.latents is not None else None
+    starts = table.starts.tolist()
+    return [
+        Graph(
+            table.window,
+            tuple(labels[lo:hi]),
+            r,
+            tuple(latents[lo:hi]) if latents is not None else None,
+            table.family,
+            fp,
+        )
+        for lo, hi, r, fp in zip(starts, starts[1:], rows, fingerprints)
+    ]
+
+
+def restrict_table(table: GraphTable, window: Window) -> GraphTable:
+    """Each trial's induced subgraph on its rows inside the window.
+
+    Row order is preserved, and so is the order of the kept edges: they
     are selected by a keep mask and renumbered by its running count.  A
     graphex graph holds only vertices with an edge, so for
-    ``family == "graphex"`` the vertices that lose all their edges are
-    dropped as well; other families keep them.  The graph's labels are
-    valid for its own window, so a window of the same kind and dimension
-    needs no per-label checks.  The window may not be larger than the
-    graph's own: a restriction cannot grow a sample.
+    ``family == "graphex"`` the rows that lose all their edges are dropped
+    as well; other families keep them.  The window must share the table's
+    kind and dimension and may not be larger than the table's own: a
+    restriction cannot grow a sample.
     """
-    if (window.kind, window.dim) != (graph.window.kind, graph.window.dim):
+    if (window.kind, window.dim) != (table.window.kind, table.window.dim):
         raise ValueError("restriction window must match the graph's window kind and dimension")
-    if window.size > graph.window.size:
+    if window.size > table.window.size:
         raise ValueError(
             f"restriction window size {window.size!r} exceeds the graph's "
-            f"window size {graph.window.size!r}"
+            f"window size {table.window.size!r}"
         )
-    keep = contains_each(window, graph.vertices)
-    ends = graph.ends
-    if not any(keep):
-        ends = _NO_EDGES
-    elif len(ends) and not all(keep):
-        hit = np.array(keep)[ends]
-        ends = ends.take((hit[:, 0] & hit[:, 1]).nonzero()[0], axis=0)
-    if graph.family == "graphex":
-        touched = np.zeros(len(keep), dtype=bool)
-        touched[ends] = True
-        keep = touched.tolist()
-    if all(keep):  # no vertex dropped, so no edge either
-        return Graph(window, graph.vertices, ends, graph.latents, graph.family, graph.fingerprint)
-    vertices = tuple(v for v, k in zip(graph.vertices, keep) if k)
-    latents = graph.latents
-    if latents is not None:
-        latents = tuple(x for x, k in zip(latents, keep) if k)
-    ends = _frozen(np.cumsum(keep)[ends] - 1) if len(ends) else _NO_EDGES
-    return Graph(window, vertices, ends, latents, graph.family, graph.fingerprint)
+    keep = contains_column(window, table.labels)
+    ends = table.ends
+    ends = ends[keep[ends[:, 0]] & keep[ends[:, 1]]]
+    if table.family == "graphex":
+        keep = np.zeros(len(keep), dtype=bool)
+        keep[ends] = True
+    kept = np.cumsum(keep)
+    latents = table.latents[keep] if table.latents is not None else None
+    return GraphTable(
+        window,
+        table.labels[keep],
+        latents,
+        kept[ends] - 1,
+        np.concatenate(([0], kept))[table.starts],
+        table.family,
+    )
+
+
+def restrict_graph(graph: Graph, window: Window) -> Graph:
+    """Induced subgraph on the vertices inside the window: restrict_table
+    on the table of this one graph."""
+    return table_graphs(restrict_table(graph_table([graph]), window), [graph.fingerprint])[0]
+
+
+def differing_trials(a: GraphTable, b: GraphTable) -> np.ndarray:
+    """Whether trial t of table a differs from trial t of table b, for each
+    t, as Graph equality judges it: in window, family, vertex labels,
+    latents or edges (fingerprints are not compared)."""
+    if a.n_trials != b.n_trials:
+        raise ValueError("tables hold different numbers of trials")
+    sizes_a, sizes_b = np.diff(a.starts), np.diff(b.starts)
+    edges_a, edges_b = np.diff(a.edge_starts()), np.diff(b.edge_starts())
+    differ = (sizes_a != sizes_b) | (edges_a != edges_b)
+    if a.window != b.window or a.family != b.family or (a.latents is None) != (b.latents is None):
+        differ[:] = True
+    same = ~differ  # trials of one shape, compared row by row and edge by edge
+    rows_a, rows_b = np.repeat(same, sizes_a), np.repeat(same, sizes_b)
+    bad = a.labels[rows_a] != b.labels[rows_b]
+    if bad.ndim > 1:  # ball points: any coordinate
+        bad = bad.any(axis=1)
+    if a.latents is not None and b.latents is not None:
+        bad |= a.latents[rows_a] != b.latents[rows_b]
+    differ[a.row_trials()[rows_a][bad]] = True
+    edge_a, edge_b = np.repeat(same, edges_a), np.repeat(same, edges_b)
+    edge_trial = a.edge_trials()[edge_a]
+    local_a = a.ends[edge_a] - a.starts[edge_trial][:, None]
+    local_b = b.ends[edge_b] - b.starts[edge_trial][:, None]
+    differ[edge_trial[(local_a != local_b).any(axis=1)]] = True
+    return differ

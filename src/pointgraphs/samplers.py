@@ -25,7 +25,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
-from collections import Counter
 
 import numpy as np
 
@@ -53,11 +52,11 @@ from .kernels import (
     kernel_from_dict,
     kernel_to_dict,
 )
-from .pairs import Graph
+from .pairs import Graph, GraphTable, table_graphs
 from .windows import (
     Window,
     WindowKind,
-    contains_each,
+    contains_column,
     make_window,
     unit_ball_volume,
     window_to_dict,
@@ -336,26 +335,11 @@ def _seed_column(seeds) -> np.ndarray:
     return np.atleast_1d(np.asarray(CoinPRF(seeds).seed, dtype=np.uint64))
 
 
-def _trial_graphs(spec, window, seeds, starts, ii, jj, labels, latents) -> list:
-    """Cut a batch's edges (ii, jj), increasing pairs of indices into the
-    batch's vertices, into one Graph per seed; trial t owns vertices
-    starts[t]:starts[t + 1], and ``labels`` and ``latents`` list them."""
-    cuts = np.searchsorted(ii, starts)  # trial t's edges are cuts[t]:cuts[t + 1]
-    shift = np.repeat(starts[:-1], np.diff(cuts))
-    ends = np.stack((ii - shift, jj - shift), axis=1)
-    cuts = cuts.tolist()
-    rows = [ends[a:b] for a, b in zip(cuts, cuts[1:])]
-    if len(rows) > 1:  # a graph kept from a batch holds only its own edges
-        rows = [r.copy() for r in rows]
-    for r in rows:
-        r.flags.writeable = False
-    starts = starts.tolist()
-    return [
-        Graph(window, tuple(labels[lo:hi]), r, tuple(latents[lo:hi]), spec.family, fp)
-        for lo, hi, r, fp in zip(
-            starts, starts[1:], rows, _fingerprints(spec, _seed_column(seeds).tolist())
-        )
-    ]
+def _table(spec, window, starts, ii, jj, labels, latents) -> GraphTable:
+    """The table of a batch: its edges (ii, jj) are increasing pairs of row
+    indices, and trial t owns rows starts[t]:starts[t + 1] of ``labels``
+    and ``latents``."""
+    return GraphTable(window, labels, latents, np.stack((ii, jj), axis=1), starts, spec.family)
 
 
 def _cell_points(counts, *cells: np.ndarray):
@@ -373,15 +357,13 @@ def _trial_cells(n_trials: int, *cells: np.ndarray):
     )
 
 
-def _graphon_batch(spec: FamilySpec, n: int, seeds) -> list:
+def _graphon_table(spec: FamilySpec, n: int, seeds) -> GraphTable:
     """Latent-variable graphs on vertices 1..n, one per seed.
 
     Vertex i's latent and every pair's edge coin are keyed by the absolute
     vertex ids, so the sample at n is the induced subgraph of the sample
     at any m >= n.
     """
-    if spec.family != "graphon":
-        raise ValueError("spec is not a graphon family")
     window = window_for(spec, n)
     n = window.size
     col = _seed_column(seeds)
@@ -391,13 +373,10 @@ def _graphon_batch(spec: FamilySpec, n: int, seeds) -> list:
     ii, jj = _draw_edges(
         CoinPRF(seeds), keys, lambda r, c: graphon_edge_prob(spec.kernel, *_pair_views(lat, r, c), n)
     )
-    return _trial_graphs(
-        spec, window, seeds, keys.starts, ii, jj,
-        list(range(1, n + 1)) * len(col), lat.tolist(),
-    )
+    return _table(spec, window, keys.starts, ii, jj, keys.rows, lat)
 
 
-def _graphex_batch(spec: FamilySpec, n: float, seeds) -> list:
+def _graphex_table(spec: FamilySpec, n: float, seeds) -> GraphTable:
     """Graphex-style graphs on [0, n), one per seed: Poisson points with
     marks, kernel edges.
 
@@ -407,8 +386,6 @@ def _graphex_batch(spec: FamilySpec, n: float, seeds) -> list:
     edge, which is why truncating them at y_max leaves the pruned output
     distribution untouched.
     """
-    if spec.family != "graphex":
-        raise ValueError("spec is not a graphex family")
     window = window_for(spec, n)
     col = _seed_column(seeds)
     rows = math.ceil(spec.y_max)
@@ -436,32 +413,32 @@ def _graphex_batch(spec: FamilySpec, n: float, seeds) -> list:
     # an edge before point i, is point i's index once they are gone.
     touched = np.bincount(np.concatenate((ii, jj)), minlength=len(keys)) > 0
     before = np.concatenate(([0], np.cumsum(touched)))
-    return _trial_graphs(
-        spec, window, seeds, before[keys.starts], before[ii], before[jj],
-        x[touched].tolist(), y[touched].tolist(),
-    )
+    return _table(spec, window, before[keys.starts], before[ii], before[jj], x[touched], y[touched])
 
 
-def gaussian_direction(us, dim: int):
-    """Unit vector from Box-Muller pairs over the point's angle coins."""
-    gs = gaussians_from_uniforms(us)[:dim]
-    norm = math.sqrt(math.fsum(g * g for g in gs))
-    if norm == 0.0:  # probability ~0; deterministic fallback
-        return tuple([1.0] + [0.0] * (dim - 1))
-    return tuple(g / norm for g in gs)
+def gaussian_directions(us: np.ndarray, dim: int) -> np.ndarray:
+    """Unit vectors in R^dim, one per row of angle coins: the row's first
+    dim Box-Muller values, each divided by the square root of the fsum of
+    their squares."""
+    gs = gaussians_from_uniforms(us)[:, :dim]
+    norms = np.sqrt(list(map(math.fsum, (gs * gs).tolist())))
+    with np.errstate(invalid="ignore"):
+        out = gs / norms.reshape(-1, 1)
+    out[norms == 0.0] = np.eye(dim)[0]  # probability ~0; deterministic fallback
+    return out
 
 
-def _rotinv_batch(spec: FamilySpec, n: float, seeds) -> list:
+def _rotinv_table(spec: FamilySpec, n: float, seeds) -> GraphTable:
     """Rotation-invariant geometric graphs in the ball of volume n, one per seed.
 
     Radial coordinates are sampled shell by shell (unit-volume annuli, so
     the volume coordinate within a shell is uniform) and directions
     uniformly on the sphere, which is exactly the factorization available
     to any rotation-invariant point process.  Coins are drawn in one batch
-    per tag; the float transforms stay in ``math``, value by value.
+    per tag, and the points are built as coordinate columns; their float
+    transforms (log, cos, sin, fsum and pow) stay in ``math``, value by
+    value, and every other step is one correctly rounded operation.
     """
-    if spec.family != "rotinv":
-        raise ValueError("spec is not a rotinv family")
     window = window_for(spec, n)
     dim = spec.dim
     col = _seed_column(seeds)
@@ -485,20 +462,17 @@ def _rotinv_batch(spec: FamilySpec, n: float, seeds) -> list:
         np.tile(np.arange(n_ang), len(sh)),
     ).reshape(len(sh), n_ang)
     u_rad = coin_batch(CoinPRF(col[trial]), "rad", sh, idx)
-    points, radii = [], []
-    for shell, u, us in zip(sh.tolist(), u_rad.tolist(), ang.tolist()):
-        r = (((shell - 1) + u) / vd) ** (1.0 / dim)
-        points.append(tuple(r * c for c in gaussian_direction(us, dim)))
-        radii.append(r)
-    inside = np.flatnonzero(contains_each(window, points))
-    points, radii = [points[i] for i in inside], [radii[i] for i in inside]
-    trial = trial[inside]
-    labels = Counter(zip(trial.tolist(), points))
-    if len(labels) != len(points):
-        t = next(label for label, k in labels.items() if k > 1)[0]
-        raise LabelCollisionError(reseeded(spec, int(col[t])), window)
-    pts = np.asarray(points, dtype=float).reshape(len(points), dim)
-    rad = np.asarray(radii)
+    e = 1.0 / dim
+    rad = np.array([v**e for v in (((sh - 1) + u_rad) / vd).tolist()])
+    pts = rad.reshape(-1, 1) * gaussian_directions(ang, dim)
+    inside = np.flatnonzero(contains_column(window, pts))
+    pts, rad, trial = pts[inside], rad[inside], trial[inside]
+    # sorted, bit-equal points of one trial are neighbours
+    order = np.lexsort((*pts.T, trial))
+    t, p = trial[order], pts[order]
+    tied = (t[1:] == t[:-1]) & (p[1:] == p[:-1]).all(axis=1)
+    if tied.any():
+        raise LabelCollisionError(reseeded(spec, int(col[t[1:][tied].min()])), window)
 
     def block(r, c):
         pa, pb = _pair_views(pts, r, c)
@@ -509,34 +483,48 @@ def _rotinv_batch(spec: FamilySpec, n: float, seeds) -> list:
         np.column_stack((sh, idx))[inside], np.searchsorted(trial, np.arange(len(col) + 1))
     )
     ii, jj = _draw_edges(CoinPRF(seeds), keys, block)
-    return _trial_graphs(spec, window, seeds, keys.starts, ii, jj, points, radii)
+    return _table(spec, window, keys.starts, ii, jj, pts, rad)
 
 
-_BATCH_SAMPLERS = {"graphon": _graphon_batch, "graphex": _graphex_batch, "rotinv": _rotinv_batch}
+_TABLE_SAMPLERS = {"graphon": _graphon_table, "graphex": _graphex_table, "rotinv": _rotinv_table}
+
+
+def sample_table(spec: FamilySpec, n: float, seeds) -> GraphTable:
+    """The graphs of ``spec`` at window n for each seed of a uint64 column
+    (or of one int seed), as one table with a trial per seed."""
+    if spec.family not in _TABLE_SAMPLERS:
+        raise ValueError(f"unknown family {spec.family!r}")
+    return _TABLE_SAMPLERS[spec.family](spec, n, seeds)
 
 
 def sample_batch(spec: FamilySpec, n: float, seeds) -> list:
     """The graphs of ``spec`` at window n for each seed of a uint64 column
-    (or of one int seed), each equal to sample(reseeded(spec, seed), n)."""
-    if spec.family not in _BATCH_SAMPLERS:
-        raise ValueError(f"unknown family {spec.family!r}")
-    return _BATCH_SAMPLERS[spec.family](spec, n, seeds)
+    (or of one int seed), each equal to sample(reseeded(spec, seed), n):
+    the table of sample_table, cut into graphs."""
+    table = sample_table(spec, n, seeds)
+    return table_graphs(table, _fingerprints(spec, _seed_column(seeds).tolist()))
+
+
+def _sample_one(spec: FamilySpec, n: float, family: str) -> Graph:
+    if spec.family != family:
+        raise ValueError(f"spec is not a {family} family")
+    return sample_batch(spec, n, spec.seed)[0]
 
 
 def sample_graphon(spec: FamilySpec, n: int) -> Graph:
     """The graphon graph of spec.seed on vertices 1..n: the batch of one."""
-    return _graphon_batch(spec, n, spec.seed)[0]
+    return _sample_one(spec, n, "graphon")
 
 
 def sample_graphex(spec: FamilySpec, n: float) -> Graph:
     """The graphex graph of spec.seed on [0, n): the batch of one."""
-    return _graphex_batch(spec, n, spec.seed)[0]
+    return _sample_one(spec, n, "graphex")
 
 
 def sample_rotinv(spec: FamilySpec, n: float) -> Graph:
     """The rotation-invariant graph of spec.seed in the ball of volume n:
     the batch of one."""
-    return _rotinv_batch(spec, n, spec.seed)[0]
+    return _sample_one(spec, n, "rotinv")
 
 
 def sample(spec: FamilySpec, n: float) -> Graph:

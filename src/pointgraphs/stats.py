@@ -52,19 +52,15 @@ def graph_stats_batch(graphs) -> list:
     """GraphStats of each graph of a list, computed for all of them at once.
 
     The graphs are laid out one after another, vertex i of graph g at
-    offset(g) + i, as one disjoint union whose degrees come from one
-    bincount and whose triangles (see _triangle_counts) are summed per
-    graph.  Memory is O(V + E) over the batch plus one tile.
+    offset(g) + i, as one disjoint union (see _union_stats).  Memory is
+    O(V + E) over the batch plus one tile.
     """
     graphs = list(graphs)
-    sizes = np.array([g.n_vertices for g in graphs], dtype=np.int64)
     n_edges = [g.n_edges for g in graphs]
-    offsets = np.cumsum(sizes) - sizes
+    starts = np.cumsum([0] + [g.n_vertices for g in graphs])
     ends = np.concatenate([g.ends for g in graphs]) if graphs else np.zeros((0, 2), np.int64)
-    ends += np.repeat(offsets, n_edges)[:, None]
-    degrees = np.bincount(ends.ravel(), minlength=int(sizes.sum()))
-    graph_of = np.repeat(np.arange(len(graphs)), sizes)
-    triangles = _triangle_counts(ends, degrees, graph_of, len(graphs)).tolist()
+    ends += np.repeat(starts[:-1], n_edges)[:, None]
+    degrees, graph_of, triangles = _union_stats(ends, starts)
     width = int(degrees.max(initial=0)) + 1
     keys, counts = np.unique(graph_of * width + degrees, return_counts=True)
     key_graph, key_degree = np.divmod(keys, width)
@@ -75,8 +71,32 @@ def graph_stats_batch(graphs) -> list:
         GraphStats(
             edge_count=m, degree_histogram=h, triangle_count=t, max_degree=max(h, default=0)
         )
-        for m, h, t in zip(n_edges, histograms, triangles)
+        for m, h, t in zip(n_edges, histograms, triangles.tolist())
     ]
+
+
+def table_stats(table) -> dict:
+    """Edge count, max degree and triangle count of each trial of a
+    GraphTable, one int64 column each, from the same disjoint union as
+    graph_stats_batch."""
+    degrees, graph_of, triangles = _union_stats(table.ends, table.starts)
+    max_degree = np.zeros(table.n_trials, dtype=np.int64)
+    np.maximum.at(max_degree, graph_of, degrees)
+    return {
+        "edge_count": np.diff(table.edge_starts()),
+        "max_degree": max_degree,
+        "triangle_count": triangles,
+    }
+
+
+def _union_stats(ends: np.ndarray, starts: np.ndarray):
+    """The degree and the graph of each vertex of a disjoint union whose
+    graph t holds vertices starts[t]:starts[t + 1] and whose edges are
+    ``ends``, and the triangles of each graph."""
+    n_graphs = len(starts) - 1
+    degrees = np.bincount(ends.ravel(), minlength=int(starts[-1]))
+    graph_of = np.repeat(np.arange(n_graphs), np.diff(starts))
+    return degrees, graph_of, _triangle_counts(ends, degrees, graph_of, n_graphs)
 
 
 def _triangle_counts(ends, degrees, graph_of, n_graphs: int) -> np.ndarray:

@@ -4,7 +4,9 @@ Three window families are supported: integer prefixes {1..n}, half-open
 real intervals [0, n), and open Euclidean balls of volume n centered at
 the origin.  Labels are plain Python values (int, float, or tuple of
 floats) so inclusion of a smaller window into a larger one is the
-identity; nesting is checked through ``contains``.
+identity; nesting is checked through ``contains``.  A column of labels
+(int64, float64, or one float64 row per point) is tested at once by
+``contains_column``; ``contains`` is that test on a column of one.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 
 class WindowKind(Enum):
@@ -103,22 +107,46 @@ def contains(window: Window, label) -> bool:
         raise TypeError(
             f"point of dimension {len(label)} tested against {window.dim}-ball"
         )
-    return contains_each(window, (label,))[0]
+    return bool(contains_column(window, label_column(window, [label]))[0])
 
 
-def contains_each(window: Window, labels) -> list:
-    """Membership of each label, for labels already of the window's kind.
+def label_column(window: Window, labels) -> np.ndarray:
+    """Labels of the window's kind as one column: int64 for an integer
+    prefix (Python ints in an object column past its range), float64 for a
+    real interval, and one float64 row of window.dim coordinates per ball
+    point."""
+    labels = list(labels)
+    if window.kind is WindowKind.EUCLIDEAN_BALL:
+        return np.array(labels, dtype=float).reshape(len(labels), window.dim)
+    if window.kind is WindowKind.REAL_INTERVAL:
+        return np.array(labels, dtype=float)
+    return np.array(labels) if labels else np.zeros(0, dtype=np.int64)
 
-    No type checks: callers pass labels the package built itself (sampler
-    points, vertices of a graph in a window of the same kind).
+
+def contains_column(window: Window, labels: np.ndarray) -> np.ndarray:
+    """Membership of each label of a label column (see label_column), as a
+    bool array, with no type checks.
+
+    A ball point is inside when the ``math.fsum`` of its squared
+    coordinates is below the squared radius.  numpy sums the squares, which
+    may round the sum differently from ``math.fsum`` by a few ulps, so the
+    points whose sum lies that close to the squared radius are decided by
+    ``math.fsum`` itself.
     """
     if window.kind is WindowKind.INTEGER_PREFIX:
-        return [1 <= x <= window.size for x in labels]
+        return np.asarray((1 <= labels) & (labels <= window.size), dtype=bool)
     if window.kind is WindowKind.REAL_INTERVAL:
-        return [0.0 <= x < window.size for x in labels]
+        return (0.0 <= labels) & (labels < window.size)
     r = ball_radius(window.dim, window.size)
     r2 = r * r
-    return [math.fsum(c * c for c in x) < r2 for x in labels]
+    with np.errstate(over="ignore"):  # a square past the float range is inf
+        squares = labels * labels
+    sums = np.sum(squares, axis=1)
+    inside = sums < r2
+    # a sum of d nonnegative terms is within d ulps of its exact value
+    near = np.flatnonzero(np.abs(sums - r2) <= 4 * labels.shape[1] * 2.0**-52 * r2)
+    inside[near] = [math.fsum(x) < r2 for x in squares[near].tolist()]
+    return inside
 
 
 def window_to_dict(window: Window) -> dict:

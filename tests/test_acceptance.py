@@ -26,7 +26,6 @@ from pointgraphs import (
     RandomRotations,
     SoftDistance,
     WindowScaledConstant,
-    apply_label,
     ball_radius,
     chi_square_gof,
     generator_coins,
@@ -40,6 +39,7 @@ from pointgraphs import (
 )
 from pointgraphs.cli import run
 from pointgraphs.coins import POSITION_BITS, CoinPRF, coin_batch, derive_seed
+from tests.test_groups import apply_label
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

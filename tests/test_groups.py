@@ -7,26 +7,41 @@ from hypothesis import given, settings, strategies as st
 from pointgraphs import (
     DyadicSwaps,
     DyadicSwapWord,
+    GraphTable,
     GraphexIndicator,
     Permutation,
     RandomRotations,
     Rotation,
     Transpositions,
     WindowKind,
-    apply_graph,
-    apply_label,
+    apply_table,
     extend_element,
     generator_coins,
+    graph_table,
     graphex_spec,
     make_graph,
     make_window,
     sample,
     sample_generators,
     serialize_element,
+    table_graphs,
     transposition,
 )
 from pointgraphs.coins import POSITION_BITS
 from tests.test_pairs import FIG_GRAPH, label_edges
+
+
+def apply_label(g, label):
+    """g acting on one label: apply_table on a table of one vertex."""
+    one = GraphTable(None, np.array([label]), None, np.zeros((0, 2), np.int64), np.array([0, 1]))
+    moved = apply_table([g], one).labels.tolist()[0]
+    return tuple(moved) if isinstance(moved, list) else moved
+
+
+def apply_graph(g, graph):
+    """g acting on a graph: apply_table on the table of this one graph."""
+    return table_graphs(apply_table([g], graph_table([graph])), [graph.fingerprint])[0]
+
 
 ROT90 = Rotation(np.array([[0.0, -1.0], [1.0, 0.0]]))
 # the smallest and the largest uniform a coin can take

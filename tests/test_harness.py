@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import tracemalloc
 from collections import Counter
 
@@ -20,6 +21,7 @@ from pointgraphs import (
     Transpositions,
     WindowKind,
     WindowScaledConstant,
+    ball_radius,
     chi_square_gof,
     contains,
     extend_element,
@@ -29,6 +31,7 @@ from pointgraphs import (
     rotinv_spec,
     transposition,
 )
+from pointgraphs.coins import CoinPRF, coin_batch
 
 
 def test_projectivity_exact_graphon_passes():
@@ -298,13 +301,32 @@ def test_window_labels_stay_inside_the_window_at_extreme_coins():
     extremes = np.array([[0.0], [1.0 - 2.0**-53]])
     for size in (1, 5, 2**40):
         window = make_window(WindowKind.INTEGER_PREFIX, size)
-        assert certify._window_labels(window, extremes) == [1, size]
+        assert certify._window_labels(window, extremes).tolist() == [1, size]
     for size in (1.0, 2.5, 1024.0, 3e6):
         window = make_window(WindowKind.REAL_INTERVAL, size)
-        labels = certify._window_labels(window, extremes)
+        labels = certify._window_labels(window, extremes).tolist()
         assert labels[0] == 0.0 and all(contains(window, x) for x in labels)
-    # a radius coin within ~1e-15 of 1 may round onto the open ball's
-    # sphere, a chance of ~2^-50 per label
     ball = make_window(WindowKind.EUCLIDEAN_BALL, 4.0, dim=3)
     us = np.array([[u] + [0.5] * 4 for u in (0.0, 1.0 - 1e-12)])
-    assert all(contains(ball, x) for x in certify._window_labels(ball, us))
+    assert all(contains(ball, tuple(x)) for x in certify._window_labels(ball, us).tolist())
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_ball_labels_stay_inside_the_open_ball_at_the_largest_radius_coin(dim):
+    # a radius coin of 1 - 2^-53 rounds r times a unit direction onto or
+    # past the sphere unless r is clamped below the radius
+    width = 1 + 2 * math.ceil(dim / 2)
+    angles = keyed_angles(dim, 400, width - 1)
+    us = np.column_stack((np.full(len(angles), 1.0 - 2.0**-53), angles))
+    for size in (0.5, 1.0, 4.0, 8.0, 1000.0, 3e6):
+        ball = make_window(WindowKind.EUCLIDEAN_BALL, size, dim=dim)
+        labels = certify._window_labels(ball, us).tolist()
+        assert all(contains(ball, tuple(x)) for x in labels)
+        # and no further inside than the clamp: 2^-48 of the radius
+        radius = ball_radius(dim, size)
+        assert min(math.hypot(*x) for x in labels) > radius * (1 - 2.0**-45)
+
+
+def keyed_angles(dim: int, rows: int, width: int) -> np.ndarray:
+    """Angle coins keyed by (dim, row, column)."""
+    return coin_batch(CoinPRF(dim), "angles", np.arange(rows)[:, None], np.arange(width))

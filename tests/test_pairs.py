@@ -20,7 +20,8 @@ from pointgraphs import (
     spec_from_dict,
 )
 from pointgraphs.edgelist import dumps_graph, loads_graph
-from pointgraphs.harness import _endpoints, _half_space, _members, _ordered_pairs
+from pointgraphs.harness import _endpoints, _half_space, _ordered_pairs
+from pointgraphs.pairs import graph_table
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -28,6 +29,7 @@ WIN4 = make_window(WindowKind.INTEGER_PREFIX, 4)
 
 # the running example: vertices 1..4, edges {1,2}, {2,3}, {3,4}, {4,2}
 FIG_GRAPH = make_graph(WIN4, (1, 2, 3, 4), {(0, 1), (1, 2), (2, 3), (3, 1)})
+FIG_TABLE = graph_table([FIG_GRAPH])
 
 
 def label_edges(graph) -> set:
@@ -35,29 +37,30 @@ def label_edges(graph) -> set:
 
 
 def in_range(lo, hi):
-    """The predicate of the integer labels lo..hi."""
-    return lambda v: lo <= v <= hi
+    """The membership of each label of FIG_TABLE in lo..hi."""
+    return (lo <= FIG_TABLE.labels) & (FIG_TABLE.labels <= hi)
 
 
 def test_count_fig_examples():
-    # ordered pairs of edge endpoints in regions: each edge is two atoms
-    is_2, full = _members(in_range(2, 2), FIG_GRAPH), _members(in_range(1, 4), FIG_GRAPH)
-    assert _ordered_pairs(FIG_GRAPH, is_2, full) == 3
-    assert _endpoints(FIG_GRAPH, is_2) == 3
-    assert _ordered_pairs(FIG_GRAPH, full, full) == 2 * FIG_GRAPH.n_edges
-    assert _endpoints(FIG_GRAPH, full) == 2 * FIG_GRAPH.n_edges
-    empty = make_graph(WIN4, (1, 2, 3, 4), ())
-    assert _ordered_pairs(empty, full, full) == 0 and _endpoints(empty, full) == 0
+    # ordered pairs of edge endpoints in regions: each edge is two atoms;
+    # the helpers count per trial, and FIG_TABLE is one trial
+    is_2, full = in_range(2, 2), in_range(1, 4)
+    assert _ordered_pairs(FIG_TABLE, is_2, full).tolist() == [3]
+    assert _endpoints(FIG_TABLE, is_2).tolist() == [3]
+    assert _ordered_pairs(FIG_TABLE, full, full).tolist() == [2 * FIG_GRAPH.n_edges]
+    assert _endpoints(FIG_TABLE, full).tolist() == [2 * FIG_GRAPH.n_edges]
+    empty = graph_table([make_graph(WIN4, (1, 2, 3, 4), ())])
+    assert _ordered_pairs(empty, full, full).tolist() == [0]
+    assert _endpoints(empty, full).tolist() == [0]
 
 
 def test_count_additive_over_disjoint_boxes():
-    low, high = _members(in_range(1, 2), FIG_GRAPH), _members(in_range(3, 4), FIG_GRAPH)
-    full = _members(in_range(1, 4), FIG_GRAPH)
+    low, high, full = in_range(1, 2), in_range(3, 4), in_range(1, 4)
     assert (
-        _ordered_pairs(FIG_GRAPH, low, full) + _ordered_pairs(FIG_GRAPH, high, full)
-        == _ordered_pairs(FIG_GRAPH, full, full)
+        _ordered_pairs(FIG_TABLE, low, full) + _ordered_pairs(FIG_TABLE, high, full)
+        == _ordered_pairs(FIG_TABLE, full, full)
     )
-    assert _endpoints(FIG_GRAPH, low) + _endpoints(FIG_GRAPH, high) == _endpoints(FIG_GRAPH, full)
+    assert _endpoints(FIG_TABLE, low) + _endpoints(FIG_TABLE, high) == _endpoints(FIG_TABLE, full)
 
 
 def test_half_space_membership():

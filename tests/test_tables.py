@@ -1,0 +1,231 @@
+"""Chunk tables: one table per batch of trials, against the per-trial forms.
+
+The harness restricts, acts, computes statistics and compares whole
+tables.  Each of those must give, trial for trial, what the one-graph
+forms give on the graphs that ``sample_batch`` cuts from the same table.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pointgraphs import harness as certify
+from pointgraphs import (
+    Constant,
+    DyadicSwapWord,
+    GraphexIndicator,
+    HardDistance,
+    Permutation,
+    PoissonRate,
+    Rotation,
+    SoftDistance,
+    WindowKind,
+    WindowScaledConstant,
+    apply_table,
+    ball_radius,
+    differing_trials,
+    fingerprint,
+    generator_coins,
+    graph_stats,
+    graph_table,
+    graphex_spec,
+    graphon_spec,
+    haar_rotations,
+    make_window,
+    reseeded,
+    restrict_graph,
+    restrict_table,
+    rotinv_spec,
+    sample_batch,
+    sample_generators,
+    sample_table,
+    table_graphs,
+    table_stats,
+    window_for,
+)
+from pointgraphs import groups, pairs
+from pointgraphs.coins import CoinPRF, coin_batch, derive_seeds
+from pointgraphs.windows import contains_column
+from tests.test_groups import apply_label
+
+# (spec, n, m) per family; graphex and rotinv draw trials with no point
+CASES = {
+    "graphon": (graphon_spec(Constant(0.5), seed=1), 4, 9),
+    "graphex": (graphex_spec(GraphexIndicator(1.0), y_max=1.0, seed=2), 1.5, 4.0),
+    "rotinv-2": (rotinv_spec(HardDistance(0.5), dim=2, point=PoissonRate(2.0), seed=3), 2.0, 6.0),
+    "rotinv-3": (
+        rotinv_spec(SoftDistance(0.6, 1.5), dim=3, point=PoissonRate(2.0), seed=4), 1.5, 4.0
+    ),
+}
+
+
+def _swap_oracle(x: float, word) -> float:
+    """A dyadic swap word on one label, in Python floats."""
+    for i, j, k in word:
+        width = 2.0**-k
+        if (i - 1) * width < x <= i * width:
+            x += (j - i) * width
+        elif (j - 1) * width < x <= j * width:
+            x -= (j - i) * width
+    return x
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(sorted(CASES)),
+    seed=st.integers(min_value=0, max_value=2**63),
+    trials=st.integers(min_value=1, max_value=12),
+)
+def test_chunk_table_equals_per_trial_calls(case, seed, trials):
+    spec, n, m = CASES[case]
+    spec = reseeded(spec, seed)
+    seeds = derive_seeds(seed, np.arange(trials))
+    fingerprints = [fingerprint(reseeded(spec, s)) for s in seeds.tolist()]
+    win_n = window_for(spec, n)
+    table = sample_table(spec, m, seeds)
+    graphs = sample_batch(spec, m, seeds)
+    assert table_graphs(table, fingerprints) == graphs
+
+    # restriction
+    restricted = restrict_table(table, win_n)
+    assert table_graphs(restricted, fingerprints) == [restrict_graph(g, win_n) for g in graphs]
+    direct = sample_table(spec, n, seeds)
+    assert not differing_trials(restricted, direct).any()
+
+    # the group action, one element per trial
+    gen_set = certify._generator_set(spec, win_n, 3)
+    us = coin_batch(CoinPRF(seed), "g", np.arange(trials)[:, None],
+                    np.arange(generator_coins(gen_set)))
+    gens = sample_generators(gen_set, us)
+    moved = table_graphs(apply_table(gens, table), fingerprints)
+    for g, graph, got in zip(gens, graphs, moved):
+        assert got.ends.tobytes() == graph.ends.tobytes() and got.latents == graph.latents
+        assert got.vertices == tuple(apply_label(g, v) for v in graph.vertices)
+        if isinstance(g, Permutation):
+            images = tuple(g.mapping[v - 1] if v <= g.degree else v for v in graph.vertices)
+            assert got.vertices == images
+        elif isinstance(g, DyadicSwapWord):
+            assert got.vertices == tuple(_swap_oracle(v, g.word) for v in graph.vertices)
+        else:  # the sums may round differently from a matrix product
+            want = [g.matrix @ np.asarray(v) for v in graph.vertices]
+            assert np.allclose(np.reshape(got.vertices, (-1, spec.dim)),
+                               np.reshape(want, (-1, spec.dim)), rtol=0, atol=1e-12)
+
+    # the statistics: graph statistics and the invariance statistics
+    stats = table_stats(table)
+    per_graph = [graph_stats(g) for g in graphs]
+    for name in stats:
+        assert stats[name].tolist() == [getattr(s, name) for s in per_graph]
+    invariance = certify._invariance_stats(spec, win_n.size)
+    columns = invariance(table)
+    for name, column in columns.items():
+        assert column.tolist() == [invariance(graph_table([g]))[name][0] for g in graphs]
+
+    # exact equality names exactly the trial that was changed
+    filled = np.flatnonzero(np.diff(table.starts))
+    if len(filled):
+        labels = table.labels.copy()
+        labels[table.starts[filled[0]]] += 1
+        changed = pairs.GraphTable(table.window, labels, table.latents, table.ends,
+                                   table.starts, table.family)
+        assert np.flatnonzero(differing_trials(changed, table)).tolist() == [filled[0]]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_ball_column_membership_equals_fsum_membership(dim):
+    """Points within ulps of the sphere are decided by the fsum of their squares."""
+    window = make_window(WindowKind.EUCLIDEAN_BALL, 3.0, dim=dim)
+    us = coin_batch(CoinPRF(dim), "p", np.arange(3000)[:, None], np.arange(dim))
+    directions = (us - 0.5) / np.linalg.norm(us - 0.5, axis=1, keepdims=True)
+    # radii spread over a few ulps on either side of the sphere
+    ulps = np.arange(-6, 7)[np.arange(3000) % 13]
+    points = directions * (ball_radius(dim, 3.0) * (1 + ulps * 2.0**-52))[:, None]
+    got = contains_column(window, points)
+    r = ball_radius(dim, 3.0)
+    assert got.tolist() == [math.fsum(c * c for c in p) < r * r for p in points.tolist()]
+    assert 0 < got.sum() < len(got)
+
+
+def test_differing_trials_sees_labels_latents_edges_and_sizes():
+    spec, n, m = CASES["graphon"]
+    table = sample_table(spec, m, derive_seeds(5, np.arange(6)))
+    assert not differing_trials(table, table).any()
+    latents = table.latents.copy()
+    latents[table.starts[2]] += 0.5
+    changed = pairs.GraphTable(table.window, table.labels, latents, table.ends,
+                               table.starts, table.family)
+    assert differing_trials(changed, table).tolist() == [False, False, True, False, False, False]
+    fewer = restrict_table(table, window_for(spec, m - 1))
+    assert differing_trials(fewer, table).all()
+
+
+# The four certify-suite reports at its sizes, and at twice its trials.
+def _suite(scale: int):
+    yield certify.test_projectivity(graphon_spec(Constant(0.5), seed=7), 5, 20, 500 * scale)
+    yield certify.test_invariance(
+        graphex_spec(GraphexIndicator(1.0), y_max=1.0, seed=7), 2, 250 * scale, alpha=0.001
+    )
+    yield certify.test_invariance(
+        rotinv_spec(HardDistance(0.5), dim=2, point=PoissonRate(3.0), seed=7), 8, 100 * scale,
+        alpha=0.001,
+    )
+    yield certify.test_projectivity(
+        graphon_spec(WindowScaledConstant(0.6), seed=7), 3, 6, 1000 * scale, alpha=0.001,
+        mode="distributional",
+    )
+
+
+def test_certify_suite_builds_no_graph_per_trial(monkeypatch):
+    built = []
+    init = pairs.Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(pairs.Graph, "__init__", counting_init)
+    counts = {}
+    for scale in (1, 2):
+        for index, report in enumerate(_suite(scale)):
+            counts[scale, index] = len(built)
+            built.clear()
+            assert report.passed == (index < 3)
+    assert [counts[1, i] for i in range(4)] == [counts[2, i] for i in range(4)] == [0] * 4
+
+
+def test_haar_rotations_check_the_stack_once(monkeypatch):
+    calls = []
+    check = groups._check_rotations
+
+    def spy(qs, dets):
+        calls.append(len(qs))
+        check(qs, dets)
+
+    monkeypatch.setattr(groups, "_check_rotations", spy)
+    width = generator_coins(certify.RandomRotations(3))
+    us = coin_batch(CoinPRF(11), "r", np.arange(500)[:, None], np.arange(width))
+    rotations = haar_rotations(3, us)
+    assert calls == [500]
+    # each one still a rotation, and one from outside input is checked alone
+    for q in rotations[:20]:
+        assert np.allclose(q.matrix.T @ q.matrix, np.eye(3), atol=1e-12)
+    Rotation(rotations[0].matrix.copy())
+    assert calls == [500, 1]
+    with pytest.raises(ValueError):
+        Rotation(rotations[0].matrix * 1.01)
+
+
+def test_permutations_and_swaps_act_on_ragged_tables():
+    # trials of different sizes, permutations of different degrees
+    table = pairs.GraphTable(None, np.array([1, 2, 3, 1, 5, 2]), None,
+                             np.zeros((0, 2), np.int64), np.array([0, 3, 3, 6]))
+    gens = [Permutation((2, 1)), Permutation((1,)), Permutation((3, 1, 2, 4, 5))]
+    assert apply_table(gens, table).labels.tolist() == [2, 1, 3, 3, 5, 1]
+    reals = pairs.GraphTable(None, np.array([0.25, 0.75, 0.25, 0.0]), None,
+                             np.zeros((0, 2), np.int64), np.array([0, 2, 4]))
+    words = [DyadicSwapWord(((1, 2, 1),)), DyadicSwapWord(())]
+    assert apply_table(words, reals).labels.tolist() == [0.75, 0.25, 0.25, 0.0]
+    with pytest.raises(TypeError):
+        apply_table([words[0], gens[0]], reals)
