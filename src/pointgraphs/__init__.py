@@ -52,7 +52,7 @@ from .pairs import (
     make_graph,
     restrict_graph,
     restrict_table,
-    table_graphs,
+    table_graph,
 )
 from .samplers import (
     FamilySpec,
@@ -66,7 +66,6 @@ from .samplers import (
     reseeded,
     rotinv_spec,
     sample,
-    sample_batch,
     sample_graphex,
     sample_graphon,
     sample_rotinv,
@@ -79,7 +78,6 @@ from .stats import (
     chi2_sf,
     chi_square_gof,
     graph_stats,
-    graph_stats_batch,
     kolmogorov_sf,
     ks_two_sample,
     table_stats,

@@ -1,7 +1,8 @@
 """Edge-list text format.
 
 Layout: a header comment naming the window, optional family and
-fingerprint comments, one ``v`` line per vertex and one ``e`` line per
+fingerprint comments (each of the three at most once, the window before
+any vertex), one ``v`` line per vertex and one ``e`` line per
 edge (endpoint indices, smaller first), in the graph's increasing edge
 order.  The ``e`` lines come last: from
 the first of them to the end of the file, every non-blank line is an
@@ -128,10 +129,16 @@ def read_graph(fh) -> Graph:
         if not line:
             continue
         if line.startswith("#window"):
+            if window is not None:  # a v line needs one, so this also covers #window after v
+                raise ValueError(f"repeated #window header: {line!r}")
             window = _read_window(line)
         elif line.startswith("#family"):
+            if family is not None:
+                raise ValueError(f"repeated #family header: {line!r}")
             family = _header_value(line)
         elif line.startswith("#fingerprint"):
+            if fingerprint is not None:
+                raise ValueError(f"repeated #fingerprint header: {line!r}")
             fingerprint = _header_value(line)
         elif line.startswith("#"):
             continue

@@ -10,12 +10,14 @@ to smaller ones).
 
 The graphs of many trials travel as one ``GraphTable``: label, latent and
 edge arrays for all of them, cut into trials by offsets.  Restriction and
-the comparison of two tables run once over a whole table; ``Graph`` objects
-are made from a table only where a caller asks for graphs.
+the comparison of two tables run once over a whole table.  A ``Graph`` is
+made from a table of one trial only (``table_graph``), and a graph is
+turned into such a table by ``graph_table``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,8 +102,8 @@ class Graph:
 def make_graph(window, vertices, edges, latents=None, family=None, fingerprint=None) -> Graph:
     """Validated Graph constructor.  Edges, index pairs or an (E, 2) integer
     array, may be given in either orientation and in any order; they are
-    stored as sorted rows (i, j) with i < j.  An edge given twice is an
-    error."""
+    stored as sorted rows (i, j) with i < j.  An edge given twice, or a
+    latent that is NaN or infinite, is an error."""
     vertices = tuple(vertices)
     if len(set(vertices)) != len(vertices):
         raise ValueError("vertex labels must be distinct")
@@ -137,6 +139,9 @@ def make_graph(window, vertices, edges, latents=None, family=None, fingerprint=N
         latents = tuple(latents)
         if len(latents) != len(vertices):
             raise ValueError("latents must align with vertices")
+        for i, x in enumerate(latents):
+            if not math.isfinite(x):
+                raise ValueError(f"latent {x!r} of vertex {i} is not finite")
     return Graph(window, vertices, ends, latents, family, fingerprint)
 
 
@@ -175,47 +180,27 @@ class GraphTable:
         return np.repeat(np.arange(self.n_trials), np.diff(self.edge_starts()))
 
 
-def graph_table(graphs) -> GraphTable:
-    """The table of a nonempty list of graphs of one window and family, one
-    trial per graph."""
-    graphs = list(graphs)
-    first = graphs[0]
-    starts = np.cumsum([0] + [g.n_vertices for g in graphs])
-    labels = label_column(first.window, [v for g in graphs for v in g.vertices])
-    latents = None
-    if all(g.latents is not None for g in graphs):
-        latents = np.array([x for g in graphs for x in g.latents], dtype=float)
-    ends = np.concatenate([g.ends for g in graphs])
-    ends += np.repeat(starts[:-1], [g.n_edges for g in graphs])[:, None]
-    return GraphTable(first.window, labels, latents, ends, starts, first.family)
+def graph_table(graph: Graph) -> GraphTable:
+    """The table of one trial that holds ``graph``; it shares the graph's
+    read-only ``ends``."""
+    labels = label_column(graph.window, graph.vertices)
+    latents = np.array(graph.latents, dtype=float) if graph.latents is not None else None
+    starts = np.array([0, graph.n_vertices])
+    return GraphTable(graph.window, labels, latents, graph.ends, starts, graph.family)
 
 
-def table_graphs(table: GraphTable, fingerprints) -> list:
-    """One Graph per trial of the table, trial t with fingerprints[t]."""
-    cuts = table.edge_starts()
-    ends = table.ends - np.repeat(table.starts[:-1], np.diff(cuts))[:, None]
-    cuts = cuts.tolist()
-    rows = [ends[a:b] for a, b in zip(cuts, cuts[1:])]
-    if len(rows) > 1:  # a graph kept from a batch holds only its own edges
-        rows = [r.copy() for r in rows]
-    for r in rows:
-        r.flags.writeable = False
+def table_graph(table: GraphTable, fingerprint: str | None) -> Graph:
+    """The graph of a table of one trial, with the given fingerprint; its
+    ``ends`` is a read-only view of the table's."""
+    if table.n_trials != 1:
+        raise ValueError(f"a table of {table.n_trials} trials is not one graph")
     labels = table.labels.tolist()
     if table.window.kind is WindowKind.EUCLIDEAN_BALL:
-        labels = list(map(tuple, labels))
-    latents = table.latents.tolist() if table.latents is not None else None
-    starts = table.starts.tolist()
-    return [
-        Graph(
-            table.window,
-            tuple(labels[lo:hi]),
-            r,
-            tuple(latents[lo:hi]) if latents is not None else None,
-            table.family,
-            fp,
-        )
-        for lo, hi, r, fp in zip(starts, starts[1:], rows, fingerprints)
-    ]
+        labels = map(tuple, labels)
+    latents = tuple(table.latents.tolist()) if table.latents is not None else None
+    return Graph(
+        table.window, tuple(labels), _frozen(table.ends.view()), latents, table.family, fingerprint
+    )
 
 
 def restrict_table(table: GraphTable, window: Window) -> GraphTable:
@@ -257,7 +242,7 @@ def restrict_table(table: GraphTable, window: Window) -> GraphTable:
 def restrict_graph(graph: Graph, window: Window) -> Graph:
     """Induced subgraph on the vertices inside the window: restrict_table
     on the table of this one graph."""
-    return table_graphs(restrict_table(graph_table([graph]), window), [graph.fingerprint])[0]
+    return table_graph(restrict_table(graph_table(graph), window), graph.fingerprint)
 
 
 def differing_trials(a: GraphTable, b: GraphTable) -> np.ndarray:

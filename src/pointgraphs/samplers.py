@@ -52,7 +52,7 @@ from .kernels import (
     kernel_from_dict,
     kernel_to_dict,
 )
-from .pairs import Graph, GraphTable, table_graphs
+from .pairs import Graph, GraphTable, table_graph
 from .windows import (
     Window,
     WindowKind,
@@ -167,25 +167,39 @@ def spec_to_dict(spec: FamilySpec) -> dict:
     return out
 
 
+# The keys a config may hold beside family, kernel and seed, per family, and
+# the key each point spec type holds beside its type.
+_FAMILY_KEYS = {"graphon": (), "graphex": ("y_max",), "rotinv": ("dim", "point")}
+_POINT_KEYS = {"poisson": "rate", "radial_table": "rates"}
+
+
+def _known_keys(data: dict, keys, where: str) -> None:
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"{where} has the unknown key {key!r}")
+
+
 def spec_from_dict(data: dict) -> FamilySpec:
     try:
         family = data.get("family")
+        if family not in _FAMILY_KEYS:
+            raise ValueError(f"unknown family {family!r}")
+        _known_keys(data, ("family", "kernel", "seed", *_FAMILY_KEYS[family]), f"{family} config")
         kernel = kernel_from_dict(data["kernel"])
         seed = config_integer(data["seed"], "seed")
         if family == "graphon":
             return graphon_spec(kernel, seed)
         if family == "graphex":
             return graphex_spec(kernel, config_number(data["y_max"], "y_max"), seed)
-        if family == "rotinv":
-            pdata = data["point"]
-            if pdata["type"] == "poisson":
-                point = PoissonRate(float(config_number(pdata["rate"], "rate")))
-            elif pdata["type"] == "radial_table":
-                point = RadialTable(tuple(config_number(r, "rates") for r in pdata["rates"]))
-            else:
-                raise ValueError(f"unknown point spec {pdata['type']!r}")
-            return rotinv_spec(kernel, config_integer(data["dim"], "dim"), point, seed)
-        raise ValueError(f"unknown family {family!r}")
+        pdata = data["point"]
+        if pdata["type"] not in _POINT_KEYS:
+            raise ValueError(f"unknown point spec {pdata['type']!r}")
+        _known_keys(pdata, ("type", _POINT_KEYS[pdata["type"]]), "point")
+        if pdata["type"] == "poisson":
+            point = PoissonRate(float(config_number(pdata["rate"], "rate")))
+        else:
+            point = RadialTable(tuple(config_number(r, "rates") for r in pdata["rates"]))
+        return rotinv_spec(kernel, config_integer(data["dim"], "dim"), point, seed)
     except KeyError as exc:
         raise ValueError(f"config is missing the key {exc.args[0]!r}") from exc
 
@@ -193,26 +207,10 @@ def spec_from_dict(data: dict) -> FamilySpec:
 def fingerprint(spec: FamilySpec) -> str:
     """Hash of the canonicalized spec (kernel, sizes, seed) and the coin
     version; embedded in outputs."""
-    return _fingerprints(spec, [spec.seed])[0]
-
-
-def _fingerprints(spec: FamilySpec, seeds) -> list:
-    """fingerprint(reseeded(spec, s)) for each int seed s.
-
-    The hashed blob is the spec's canonical JSON (sorted keys, no spaces)
-    with the coin version.  The keys sorting before and after "seed" are
-    encoded once, and each seed is spliced in between.
-    """
-    data = dict(spec_to_dict(spec), coin_version=COIN_VERSION)
-    del data["seed"]
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    head = encode({k: v for k, v in data.items() if k < "seed"})[:-1]
-    tail = encode({k: v for k, v in data.items() if k > "seed"})[1:]
-    tail = tail if tail == "}" else "," + tail
-    return [
-        hashlib.sha256(f'{head},"seed":{int(seed)}{tail}'.encode("utf-8")).hexdigest()[:16]
-        for seed in seeds
-    ]
+    blob = json.dumps(
+        dict(spec_to_dict(spec), coin_version=COIN_VERSION), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 def reseeded(spec: FamilySpec, seed: int) -> FamilySpec:
@@ -225,8 +223,8 @@ def reseeded(spec: FamilySpec, seed: int) -> FamilySpec:
 # Each family has one sampler over a seed column: it draws the graphs of
 # many seeds (trials) in one pass, each coin call covering every trial,
 # with the trials' points laid out one after another and ragged point
-# counts held as segment offsets.  sample(spec, n) is the batch of the one
-# seed spec.seed.
+# counts held as segment offsets.  sample(spec, n) is the one-trial table
+# of seed spec.seed, made a Graph.
 
 
 @dataclass(frozen=True)
@@ -279,12 +277,12 @@ def _draw_edges(prf: CoinPRF, keys: _TrialKeys, block):
     """Bernoulli edges over the index pairs i < j within each trial.
 
     Trial t owns keys[starts[t]:starts[t + 1]] and keys its edge coins with
-    its own seed: prf.seed is an int for a batch of one, or the uint64
-    column of the trials' seeds.  ``block(rows, cols)`` gives the edge
+    its own seed: prf.seed is an int for one trial, or the uint64 column
+    of the trials' seeds.  ``block(rows, cols)`` gives the edge
     probabilities of P[rows, cols] (see _pair_views).  The upper triangles
     are walked in tiles of about TILE_PAIRS pairs: consecutive trials that
     fit one tile together are packed into it whole, and a trial that fills
-    a tile by itself (a batch of one, say) is cut into row blocks.  Each
+    a tile by itself (a single trial, say) is cut into row blocks.  Each
     tile's edge coins are drawn in one batch, keyed by the ids of the
     vertex keys.  Certain edges (p >= 1) and impossible ones (p <= 0)
     consume no coin; since coins are keyed rather than sequential, skipping
@@ -335,13 +333,6 @@ def _seed_column(seeds) -> np.ndarray:
     return np.atleast_1d(np.asarray(CoinPRF(seeds).seed, dtype=np.uint64))
 
 
-def _table(spec, window, starts, ii, jj, labels, latents) -> GraphTable:
-    """The table of a batch: its edges (ii, jj) are increasing pairs of row
-    indices, and trial t owns rows starts[t]:starts[t + 1] of ``labels``
-    and ``latents``."""
-    return GraphTable(window, labels, latents, np.stack((ii, jj), axis=1), starts, spec.family)
-
-
 def _cell_points(counts, *cells: np.ndarray):
     """Per-point cell columns and 1-based within-cell indices for ``counts``."""
     counts = np.asarray(counts, dtype=np.int64)
@@ -373,7 +364,8 @@ def _graphon_table(spec: FamilySpec, n: int, seeds) -> GraphTable:
     ii, jj = _draw_edges(
         CoinPRF(seeds), keys, lambda r, c: graphon_edge_prob(spec.kernel, *_pair_views(lat, r, c), n)
     )
-    return _table(spec, window, keys.starts, ii, jj, keys.rows, lat)
+    ends = np.stack((ii, jj), axis=1)
+    return GraphTable(window, keys.rows, lat, ends, keys.starts, spec.family)
 
 
 def _graphex_table(spec: FamilySpec, n: float, seeds) -> GraphTable:
@@ -413,7 +405,8 @@ def _graphex_table(spec: FamilySpec, n: float, seeds) -> GraphTable:
     # an edge before point i, is point i's index once they are gone.
     touched = np.bincount(np.concatenate((ii, jj)), minlength=len(keys)) > 0
     before = np.concatenate(([0], np.cumsum(touched)))
-    return _table(spec, window, before[keys.starts], before[ii], before[jj], x[touched], y[touched])
+    ends = np.stack((before[ii], before[jj]), axis=1)
+    return GraphTable(window, x[touched], y[touched], ends, before[keys.starts], spec.family)
 
 
 def gaussian_directions(us: np.ndarray, dim: int) -> np.ndarray:
@@ -483,7 +476,7 @@ def _rotinv_table(spec: FamilySpec, n: float, seeds) -> GraphTable:
         np.column_stack((sh, idx))[inside], np.searchsorted(trial, np.arange(len(col) + 1))
     )
     ii, jj = _draw_edges(CoinPRF(seeds), keys, block)
-    return _table(spec, window, keys.starts, ii, jj, pts, rad)
+    return GraphTable(window, pts, rad, np.stack((ii, jj), axis=1), keys.starts, spec.family)
 
 
 _TABLE_SAMPLERS = {"graphon": _graphon_table, "graphex": _graphex_table, "rotinv": _rotinv_table}
@@ -497,33 +490,24 @@ def sample_table(spec: FamilySpec, n: float, seeds) -> GraphTable:
     return _TABLE_SAMPLERS[spec.family](spec, n, seeds)
 
 
-def sample_batch(spec: FamilySpec, n: float, seeds) -> list:
-    """The graphs of ``spec`` at window n for each seed of a uint64 column
-    (or of one int seed), each equal to sample(reseeded(spec, seed), n):
-    the table of sample_table, cut into graphs."""
-    table = sample_table(spec, n, seeds)
-    return table_graphs(table, _fingerprints(spec, _seed_column(seeds).tolist()))
-
-
 def _sample_one(spec: FamilySpec, n: float, family: str) -> Graph:
     if spec.family != family:
         raise ValueError(f"spec is not a {family} family")
-    return sample_batch(spec, n, spec.seed)[0]
+    return table_graph(sample_table(spec, n, spec.seed), fingerprint(spec))
 
 
 def sample_graphon(spec: FamilySpec, n: int) -> Graph:
-    """The graphon graph of spec.seed on vertices 1..n: the batch of one."""
+    """The graphon graph of spec.seed on vertices 1..n."""
     return _sample_one(spec, n, "graphon")
 
 
 def sample_graphex(spec: FamilySpec, n: float) -> Graph:
-    """The graphex graph of spec.seed on [0, n): the batch of one."""
+    """The graphex graph of spec.seed on [0, n)."""
     return _sample_one(spec, n, "graphex")
 
 
 def sample_rotinv(spec: FamilySpec, n: float) -> Graph:
-    """The rotation-invariant graph of spec.seed in the ball of volume n:
-    the batch of one."""
+    """The rotation-invariant graph of spec.seed in the ball of volume n."""
     return _sample_one(spec, n, "rotinv")
 
 

@@ -43,42 +43,17 @@ GATHER_WORDS = 2**14
 
 
 def graph_stats(graph: Graph) -> GraphStats:
-    """Exact edge count, degree histogram, triangle count, and max degree:
-    the batch of one (see graph_stats_batch)."""
-    return graph_stats_batch([graph])[0]
-
-
-def graph_stats_batch(graphs) -> list:
-    """GraphStats of each graph of a list, computed for all of them at once.
-
-    The graphs are laid out one after another, vertex i of graph g at
-    offset(g) + i, as one disjoint union (see _union_stats).  Memory is
-    O(V + E) over the batch plus one tile.
-    """
-    graphs = list(graphs)
-    n_edges = [g.n_edges for g in graphs]
-    starts = np.cumsum([0] + [g.n_vertices for g in graphs])
-    ends = np.concatenate([g.ends for g in graphs]) if graphs else np.zeros((0, 2), np.int64)
-    ends += np.repeat(starts[:-1], n_edges)[:, None]
-    degrees, graph_of, triangles = _union_stats(ends, starts)
-    width = int(degrees.max(initial=0)) + 1
-    keys, counts = np.unique(graph_of * width + degrees, return_counts=True)
-    key_graph, key_degree = np.divmod(keys, width)
-    cuts = np.searchsorted(key_graph, np.arange(len(graphs) + 1)).tolist()
-    key_degree, counts = key_degree.tolist(), counts.tolist()
-    histograms = [dict(zip(key_degree[lo:hi], counts[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
-    return [
-        GraphStats(
-            edge_count=m, degree_histogram=h, triangle_count=t, max_degree=max(h, default=0)
-        )
-        for m, h, t in zip(n_edges, histograms, triangles.tolist())
-    ]
+    """Exact edge count, degree histogram, triangle count, and max degree.
+    Memory is O(V + E) plus one tile."""
+    degrees, _, triangles = _union_stats(graph.ends, np.array([0, graph.n_vertices]))
+    histogram = {d: c for d, c in enumerate(np.bincount(degrees).tolist()) if c}
+    return GraphStats(graph.n_edges, histogram, int(triangles[0]), max(histogram, default=0))
 
 
 def table_stats(table) -> dict:
     """Edge count, max degree and triangle count of each trial of a
-    GraphTable, one int64 column each, from the same disjoint union as
-    graph_stats_batch."""
+    GraphTable, one int64 column each, from the disjoint union of its
+    trials."""
     degrees, graph_of, triangles = _union_stats(table.ends, table.starts)
     max_degree = np.zeros(table.n_trials, dtype=np.int64)
     np.maximum.at(max_degree, graph_of, degrees)

@@ -414,6 +414,34 @@ def test_config_missing_key_is_one_error_line(tmp_path, capsys, config, missing)
 
 
 @pytest.mark.parametrize(
+    "config, field, where",
+    [
+        ("graphon", ("y_max",), "graphon config"),
+        ("graphon", ("dim",), "graphon config"),
+        ("graphon", ("bogus",), "graphon config"),
+        ("graphon", ("point",), "graphon config"),
+        ("graphex", ("dim",), "graphex config"),
+        ("rotinv", ("y_max",), "rotinv config"),
+        ("rotinv", ("point", "rates"), "point"),
+        ("rotinv", ("point", "bogus"), "point"),
+    ],
+)
+def test_config_unknown_key_is_one_error_line(tmp_path, capsys, config, field, where):
+    """A key the family never reads is named, not dropped."""
+    data = json.loads(read(CONFIGS / f"{config}.json"))
+    *parents, key = field
+    node = data
+    for name in parents:
+        node = node[name]
+    node[key] = 3
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run(["sample", "--config", str(bad), "--n", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"pointgraphs: error: {where} has the unknown key {key!r}"]
+
+
+@pytest.mark.parametrize(
     "config, field, value",
     [
         ("graphon", ("seed",), 42.9),

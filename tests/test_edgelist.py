@@ -69,6 +69,10 @@ MALFORMED_LINES = {
     "bare-family": INT4 + "#family\n",
     "bare-fingerprint": INT4 + "#fingerprint\n",
     "v-line-without-label": INT4 + "v 0\n",
+    "repeated-window": INT4 + "#window kind=integer_prefix size=2\n",
+    "window-after-v-line": INT4 + "v 0 1\n#window kind=integer_prefix size=2\n",
+    "repeated-family": INT4 + "#family graphon\n#family graphex\n",
+    "repeated-fingerprint": INT4 + "#fingerprint 00aa\n#fingerprint 00bb\n",
 }
 
 
@@ -133,6 +137,30 @@ def test_read_graph_rejects_malformed_edge_list(tmp_path, capsys, text):
 def test_malformed_line_error_names_the_line(text):
     with pytest.raises(ValueError, match=re.escape(repr(text.splitlines()[-1]))):
         loads_graph(text)
+
+
+def test_seed_and_other_comments_may_repeat_beside_single_headers():
+    # #seed is written by the CLI; only #window, #family and #fingerprint
+    # are headers that may appear once
+    text = INT4 + "#seed 7\n#family graphon\n#fingerprint 00aa\nv 0 1\n# note\nv 1 2\ne 0 1\n"
+    graph = loads_graph(text)
+    assert (graph.family, graph.fingerprint, graph.window.size) == ("graphon", "00aa", 4)
+    assert graph.vertices == (1, 2) and graph.edges == {(0, 1)}
+
+
+@pytest.mark.parametrize("latent", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+def test_non_finite_latents_rejected(tmp_path, capsys, latent):
+    text = INT4 + f"v 0 1 0.5\nv 1 2 {latent}\n"
+    with pytest.raises(ValueError, match="latent .* of vertex 1 is not finite"):
+        loads_graph(text)
+    path = tmp_path / "bad.el"
+    path.write_text(text)
+    assert run(["stats", "--in", str(path)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("pointgraphs: error: latent ")
+    interval = make_window(WindowKind.REAL_INTERVAL, 3.0)
+    with pytest.raises(ValueError, match="of vertex 0 is not finite"):
+        make_graph(interval, (0.5, 1.5), [(0, 1)], latents=(float(latent), 0.25))
 
 
 def test_missing_header_rejected():

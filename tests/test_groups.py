@@ -24,7 +24,7 @@ from pointgraphs import (
     sample,
     sample_generators,
     serialize_element,
-    table_graphs,
+    table_graph,
     transposition,
 )
 from pointgraphs.coins import POSITION_BITS
@@ -40,7 +40,7 @@ def apply_label(g, label):
 
 def apply_graph(g, graph):
     """g acting on a graph: apply_table on the table of this one graph."""
-    return table_graphs(apply_table([g], graph_table([graph])), [graph.fingerprint])[0]
+    return table_graph(apply_table([g], graph_table(graph)), graph.fingerprint)
 
 
 ROT90 = Rotation(np.array([[0.0, -1.0], [1.0, 0.0]]))

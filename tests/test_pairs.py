@@ -14,14 +14,14 @@ from pointgraphs import (
     derive_seeds,
     make_graph,
     make_window,
+    reseeded,
     restrict_graph,
     sample,
-    sample_batch,
     spec_from_dict,
 )
 from pointgraphs.edgelist import dumps_graph, loads_graph
 from pointgraphs.harness import _endpoints, _half_space, _ordered_pairs
-from pointgraphs.pairs import graph_table
+from pointgraphs.pairs import GraphTable, graph_table, table_graph
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -29,7 +29,18 @@ WIN4 = make_window(WindowKind.INTEGER_PREFIX, 4)
 
 # the running example: vertices 1..4, edges {1,2}, {2,3}, {3,4}, {4,2}
 FIG_GRAPH = make_graph(WIN4, (1, 2, 3, 4), {(0, 1), (1, 2), (2, 3), (3, 1)})
-FIG_TABLE = graph_table([FIG_GRAPH])
+FIG_TABLE = graph_table(FIG_GRAPH)
+
+
+def trial_graph(table, t: int, fingerprint=None):
+    """Trial t of a table as a Graph: its rows and edge run cut into a
+    table of one trial."""
+    lo, hi = table.starts[t : t + 2].tolist()
+    cuts = table.edge_starts()
+    latents = table.latents[lo:hi] if table.latents is not None else None
+    one = GraphTable(table.window, table.labels[lo:hi], latents,
+                     table.ends[cuts[t] : cuts[t + 1]] - lo, np.array([0, hi - lo]), table.family)
+    return table_graph(one, fingerprint)
 
 
 def label_edges(graph) -> set:
@@ -49,7 +60,7 @@ def test_count_fig_examples():
     assert _endpoints(FIG_TABLE, is_2).tolist() == [3]
     assert _ordered_pairs(FIG_TABLE, full, full).tolist() == [2 * FIG_GRAPH.n_edges]
     assert _endpoints(FIG_TABLE, full).tolist() == [2 * FIG_GRAPH.n_edges]
-    empty = graph_table([make_graph(WIN4, (1, 2, 3, 4), ())])
+    empty = graph_table(make_graph(WIN4, (1, 2, 3, 4), ()))
     assert _ordered_pairs(empty, full, full).tolist() == [0]
     assert _endpoints(empty, full).tolist() == [0]
 
@@ -244,7 +255,8 @@ SAMPLED = {"graphon_grid": (40, (1, 13, 40)), "graphex": (6.0, (0.5, 2.5, 6.0)),
 def _sampled_graphs(config: str) -> list:
     spec = spec_from_dict(json.loads((CONFIGS / f"{config}.json").read_text()))
     n = SAMPLED[config][0]
-    return [sample(spec, n)] + sample_batch(spec, n, derive_seeds(spec.seed, np.arange(6)))
+    seeds = [spec.seed] + derive_seeds(spec.seed, np.arange(6)).tolist()
+    return [sample(reseeded(spec, s), n) for s in seeds]
 
 
 @pytest.mark.parametrize("config", list(SAMPLED))

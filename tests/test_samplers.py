@@ -35,7 +35,7 @@ from pointgraphs import (
     restrict_graph,
     rotinv_spec,
     sample,
-    sample_batch,
+    sample_table,
     spec_from_dict,
     spec_to_dict,
     window_for,
@@ -43,6 +43,7 @@ from pointgraphs import (
 from pointgraphs import samplers
 from pointgraphs.coins import coin, derive_seed, derive_seeds
 from pointgraphs.kernels import FixedDirectionIndicator, geo_edge_prob
+from tests.test_pairs import trial_graph
 
 
 def mc_mean(values):
@@ -110,8 +111,8 @@ def test_graphon_marginal_edge_probability():
     # edge indicator (1,2) under Constant(p) is Bernoulli(p)
     p, trials = 0.3, 100_000
     spec = graphon_spec(Constant(p), seed=4242)
-    graphs = sample_batch(spec, 2, derive_seeds(spec.seed, np.arange(trials)))
-    hits = sum(1 for g in graphs if (0, 1) in g.edges)
+    table = sample_table(spec, 2, derive_seeds(spec.seed, np.arange(trials)))
+    hits = len(table.ends)  # (0, 1) is the one pair of each trial
     margin = 3 * math.sqrt(p * (1 - p) / trials)
     assert abs(hits / trials - p) < margin
 
@@ -413,7 +414,7 @@ def test_edge_tables_are_sized_for_their_contents():
         restrict_graph(g, window_for(spec, 299)),
         make_graph(g.window, g.vertices, g.edges),
         sample(graphex_spec(GraphexProduct(2.0), y_max=2.0, seed=42), 60.0),
-        sample_batch(spec, 100, derive_seeds(7, np.arange(8)))[3],
+        sample(reseeded(spec, derive_seed(7, 3)), 100),
     ]
     assert g.n_edges > 19_000
     for h in graphs:
@@ -549,7 +550,8 @@ _BATCH_CASES = [
     ids=lambda v: f"{v.family}-{type(v.kernel).__name__}" if isinstance(v, FamilySpec) else None,
 )
 def test_batch_sampler_matches_batch_of_one(monkeypatch, spec, sizes, tile):
-    """One batched call gives, seed for seed, the graphs of sample(reseeded(spec, s), n)."""
+    """One batched call gives, seed for seed, the graphs of sample(reseeded(spec, s), n):
+    trial t of the table, cut out, equals the sample of seed t."""
     monkeypatch.setattr(samplers, "TILE_PAIRS", tile)
     draw, triangles = samplers._draw_edges, samplers._triangles
     points, packed = set(), []
@@ -566,11 +568,11 @@ def test_batch_sampler_matches_batch_of_one(monkeypatch, spec, sizes, tile):
     monkeypatch.setattr(samplers, "_triangles", triangles_spy)
     seeds = np.array([derive_seed(spec.seed, t) for t in range(40)] + [0, 2**64 - 1], np.uint64)
     for n in sizes:
-        batch = samplers.sample_batch(spec, n, seeds)
-        assert len(batch) == len(seeds)
-        for s, graph in zip(seeds.tolist(), batch):
-            assert graph == sample(reseeded(spec, s), n)
-            assert graph.fingerprint == fingerprint(reseeded(spec, s))
+        table = samplers.sample_table(spec, n, seeds)
+        assert table.n_trials == len(seeds)
+        for t, s in enumerate(seeds.tolist()):
+            graph = sample(reseeded(spec, s), n)
+            assert trial_graph(table, t, fingerprint(reseeded(spec, s))) == graph
     # trials with no point and with one point, and a tile holding the whole
     # triangles of several trials
     assert {1} <= points if spec.family == "graphon" else {0, 1} <= points

@@ -9,15 +9,12 @@ from pointgraphs import (
     WindowKind,
     chi2_sf,
     chi_square_gof,
-    derive_seeds,
     graph_stats,
-    graph_stats_batch,
     kolmogorov_sf,
     ks_two_sample,
     make_graph,
     make_window,
     sample,
-    sample_batch,
     spec_from_dict,
 )
 from pointgraphs.stats import TILE_COLUMNS
@@ -187,16 +184,6 @@ def test_wide_oracle_graph_spans_several_tiles_and_has_triangles():
     graph = ORACLE_GRAPHS["wider-than-one-tile"]()
     assert graph.n_vertices > 2 * TILE_COLUMNS
     assert graph_stats(graph).triangle_count > 0
-
-
-def test_graph_stats_batch_equals_per_graph_calls():
-    graphs = [build() for build in ORACLE_GRAPHS.values()]
-    spec = spec_from_dict({"family": "graphon", "kernel": {"type": "constant", "p": 0.5},
-                           "seed": 3})
-    graphs += sample_batch(spec, 6, derive_seeds(3, np.arange(200)))
-    graphs += graphs[:4][::-1]
-    assert graph_stats_batch(graphs) == [graph_stats(g) for g in graphs]
-    assert graph_stats_batch([]) == []
 
 
 def test_graph_stats_memory_is_linear_in_vertices_and_edges():

@@ -2,10 +2,12 @@
 
 The harness restricts, acts, computes statistics and compares whole
 tables.  Each of those must give, trial for trial, what the one-graph
-forms give on the graphs that ``sample_batch`` cuts from the same table.
+forms give on the graphs cut from the same table, one per trial.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,10 +40,11 @@ from pointgraphs import (
     restrict_graph,
     restrict_table,
     rotinv_spec,
-    sample_batch,
+    sample,
     sample_generators,
     sample_table,
-    table_graphs,
+    spec_from_dict,
+    table_graph,
     table_stats,
     window_for,
 )
@@ -49,6 +52,7 @@ from pointgraphs import groups, pairs
 from pointgraphs.coins import CoinPRF, coin_batch, derive_seeds
 from pointgraphs.windows import contains_column
 from tests.test_groups import apply_label
+from tests.test_pairs import trial_graph
 
 # (spec, n, m) per family; graphex and rotinv draw trials with no point
 CASES = {
@@ -85,12 +89,14 @@ def test_chunk_table_equals_per_trial_calls(case, seed, trials):
     fingerprints = [fingerprint(reseeded(spec, s)) for s in seeds.tolist()]
     win_n = window_for(spec, n)
     table = sample_table(spec, m, seeds)
-    graphs = sample_batch(spec, m, seeds)
-    assert table_graphs(table, fingerprints) == graphs
+    graphs = [trial_graph(table, t, fp) for t, fp in enumerate(fingerprints)]
+    assert graphs == [sample(reseeded(spec, s), m) for s in seeds.tolist()]
 
     # restriction
     restricted = restrict_table(table, win_n)
-    assert table_graphs(restricted, fingerprints) == [restrict_graph(g, win_n) for g in graphs]
+    assert [trial_graph(restricted, t, fp) for t, fp in enumerate(fingerprints)] == [
+        restrict_graph(g, win_n) for g in graphs
+    ]
     direct = sample_table(spec, n, seeds)
     assert not differing_trials(restricted, direct).any()
 
@@ -99,7 +105,8 @@ def test_chunk_table_equals_per_trial_calls(case, seed, trials):
     us = coin_batch(CoinPRF(seed), "g", np.arange(trials)[:, None],
                     np.arange(generator_coins(gen_set)))
     gens = sample_generators(gen_set, us)
-    moved = table_graphs(apply_table(gens, table), fingerprints)
+    acted = apply_table(gens, table)
+    moved = [trial_graph(acted, t) for t in range(trials)]
     for g, graph, got in zip(gens, graphs, moved):
         assert got.ends.tobytes() == graph.ends.tobytes() and got.latents == graph.latents
         assert got.vertices == tuple(apply_label(g, v) for v in graph.vertices)
@@ -121,7 +128,7 @@ def test_chunk_table_equals_per_trial_calls(case, seed, trials):
     invariance = certify._invariance_stats(spec, win_n.size)
     columns = invariance(table)
     for name, column in columns.items():
-        assert column.tolist() == [invariance(graph_table([g]))[name][0] for g in graphs]
+        assert column.tolist() == [invariance(graph_table(g))[name][0] for g in graphs]
 
     # exact equality names exactly the trial that was changed
     filled = np.flatnonzero(np.diff(table.starts))
@@ -131,6 +138,33 @@ def test_chunk_table_equals_per_trial_calls(case, seed, trials):
         changed = pairs.GraphTable(table.window, labels, table.latents, table.ends,
                                    table.starts, table.family)
         assert np.flatnonzero(differing_trials(changed, table)).tolist() == [filled[0]]
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("config", sorted(p.stem for p in CONFIGS.glob("*.json")))
+def test_one_graph_survives_its_one_trial_table(config):
+    spec = spec_from_dict(json.loads((CONFIGS / f"{config}.json").read_text()))
+    sizes = {"graphon": (1, 7, 40), "graphex": (0.05, 1.5, 6.0), "rotinv": (0.05, 3.0, 30.0)}
+    graphs = [sample(reseeded(spec, s), n) for n in sizes[spec.family] for s in (1, 2)]
+    graphs += [restrict_graph(g, window_for(spec, sizes[spec.family][0])) for g in graphs]
+    if spec.family == "graphex":  # no point of the smallest window has an edge
+        assert graphs[0].n_vertices == 0
+    assert any(g.n_edges for g in graphs)
+    for g in graphs:
+        table = graph_table(g)
+        assert table.n_trials == 1 and table.ends is g.ends
+        assert table_graph(table, g.fingerprint) == g
+
+
+def test_table_graph_takes_one_trial_only():
+    spec, n, _ = CASES["graphon"]
+    for trials in (0, 2):
+        table = sample_table(spec, n, derive_seeds(spec.seed, np.arange(trials)))
+        assert table.n_trials == trials
+        with pytest.raises(ValueError, match=f"a table of {trials} trials is not one graph"):
+            table_graph(table, fingerprint(spec))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5])
