@@ -48,11 +48,9 @@ from .pairs import (
     Graph,
     GraphTable,
     differing_trials,
-    graph_table,
     make_graph,
     restrict_graph,
     restrict_table,
-    table_graph,
 )
 from .samplers import (
     FamilySpec,

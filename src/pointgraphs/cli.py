@@ -17,6 +17,7 @@ import sys
 
 from . import harness
 from .edgelist import dumps_graph, read_graph
+from .kernels import config_object
 from .pairs import restrict_graph
 from .samplers import FamilySpec, extend_sample, fingerprint, sample, spec_from_dict
 from .stats import chi_square_gof, graph_stats
@@ -77,7 +78,7 @@ def _build_parser() -> _Parser:
 
 def _load_spec(args) -> FamilySpec:
     with open(args.config) as fh:
-        data = json.load(fh)
+        data = config_object(json.load(fh))
     if getattr(args, "seed", None) is not None:
         data["seed"] = args.seed
     elif "seed" not in data:

@@ -9,8 +9,9 @@ the first of them to the end of the file, every non-blank line is an
 ``e`` line.  Real numbers are written with 17 significant digits so the
 decimal round-trip is bit-exact.
 
-Header and ``v`` lines are read and written one line at a time; the ``e``
-block is parsed and formatted in bulk, as integer columns.
+Header and ``v`` lines are read one line at a time, and the ``e`` block is
+parsed in bulk, as integer columns.  Both blocks are written in bulk from
+the graph's columns.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import numpy as np
 from .pairs import Graph, make_graph
 from .windows import Window, WindowKind, make_window
 
-# e lines are formatted in blocks of this many, so the formatting
-# temporaries (about 0.5 MiB of ints, tuple and text) do not grow with the
-# edge count.
+# v and e lines are formatted in blocks of this many, so the formatting
+# temporaries (about 0.5 MiB of numbers, tuple and text for e lines) do not
+# grow with the graph.
 _E_LINES = 2**12
 # One e line as loadtxt reads it; a two-character tag field keeps a longer
 # tag such as "ex" distinguishable from "e".
@@ -52,17 +53,18 @@ def write_graph(graph: Graph, fh) -> None:
         fh.write(f"#family {graph.family}\n")
     if graph.fingerprint is not None:
         fh.write(f"#fingerprint {graph.fingerprint}\n")
-    for i, v in enumerate(graph.vertices):
-        if graph.window.kind is WindowKind.INTEGER_PREFIX:
-            label = str(v)
-        elif graph.window.kind is WindowKind.REAL_INTERVAL:
-            label = fmt_real(v)
-        else:
-            label = " ".join(fmt_real(c) for c in v)
-        line = f"v {i} {label}"
-        if graph.latents is not None:
-            line += f" {fmt_real(graph.latents[i])}"
-        fh.write(line + "\n")
+    table = graph.table
+    columns = list(table.labels.T) if table.labels.ndim == 2 else [table.labels]
+    label = " %d" if graph.window.kind is WindowKind.INTEGER_PREFIX else " %.17g"  # as fmt_real
+    v_line = "v %d" + label * len(columns)
+    if table.latents is not None:
+        columns.append(table.latents)
+        v_line += " %.17g"
+    v_line += "\n"
+    for lo in range(0, graph.n_vertices, _E_LINES):
+        hi = min(lo + _E_LINES, graph.n_vertices)
+        rows = zip(range(lo, hi), *(c[lo:hi].tolist() for c in columns))
+        fh.write(v_line * (hi - lo) % tuple(itertools.chain.from_iterable(rows)))
     for lo in range(0, graph.n_edges, _E_LINES):
         block = graph.ends[lo : lo + _E_LINES]
         fh.write("e %d %d\n" * len(block) % tuple(block.ravel().tolist()))

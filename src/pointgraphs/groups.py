@@ -158,7 +158,7 @@ def _act(elements, labels: np.ndarray, trials: np.ndarray) -> np.ndarray:
 
 def apply_table(elements, table: GraphTable) -> GraphTable:
     """Relabel trial t of the table by elements[t]; edges and latents ride
-    along.  A graph is a table of one trial (pairs.graph_table), and a
+    along.  A graph's table (Graph.table) is a table of one trial, and a
     label a table of one vertex."""
     return replace(table, labels=_act(elements, table.labels, table.row_trials()))
 

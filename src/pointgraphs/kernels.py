@@ -307,15 +307,32 @@ def config_integer(value, name: str) -> int:
     return int(value)
 
 
+def config_object(value, name: str | None = None) -> dict:
+    """A config value that must be a JSON object: the field ``name``, or
+    the whole config."""
+    if not isinstance(value, dict):
+        where = "config" if name is None else f"config field {name!r}"
+        raise ValueError(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
+def config_array(value, name: str):
+    """A config value that must be a JSON array (or, from Python, a tuple)."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"config field {name!r} must be a JSON array, got {value!r}")
+    return value
+
+
 def kernel_from_dict(data: dict):
-    try:
-        cls = _KERNEL_TYPES[data["type"]]
-    except KeyError as exc:
-        raise ValueError(f"unknown kernel type {data.get('type')!r}") from exc
+    kind = config_object(data, "kernel").get("type")
+    if not isinstance(kind, str) or kind not in _KERNEL_TYPES:
+        raise ValueError(f"unknown kernel type {kind!r}")
+    cls = _KERNEL_TYPES[kind]
     kwargs = {k: v for k, v in data.items() if k != "type"}
     if cls is GraphonGrid:
         kwargs["values"] = tuple(
-            tuple(config_number(v, "values") for v in row) for row in kwargs["values"]
+            tuple(config_number(v, "values") for v in config_array(row, "values"))
+            for row in config_array(kwargs["values"], "values")
         )
     else:
         kwargs = {k: config_number(v, k) for k, v in kwargs.items()}

@@ -2,17 +2,17 @@
 
 A simple undirected graph is the concrete form of a symmetric counting
 measure on pairs of labels: edge {x, y} puts one atom on (x, y) and one on
-(y, x).  A ``Graph`` stores each atom pair once, as a row (i, j) with i < j
-of one read-only int64 array of index pairs into its vertex labels, the
-rows strictly increasing in (i, j).  This module holds that type and its
+(y, x).  Each atom pair is stored once, as a row (i, j) with i < j of one
+int64 array of index pairs into the vertex labels, the rows strictly
+increasing in (i, j).  This module holds the graph types and their
 restriction to a smaller window (the projection from larger windows down
 to smaller ones).
 
-The graphs of many trials travel as one ``GraphTable``: label, latent and
-edge arrays for all of them, cut into trials by offsets.  Restriction and
+Graphs travel as one ``GraphTable``: label, latent and edge arrays for
+the graphs of many trials, cut into trials by offsets.  Restriction and
 the comparison of two tables run once over a whole table.  A ``Graph`` is
-made from a table of one trial only (``table_graph``), and a graph is
-turned into such a table by ``graph_table``.
+a table of exactly one trial, made read-only, with its fingerprint; its
+Python views of labels, latents and edges are built on each call.
 """
 
 from __future__ import annotations
@@ -30,119 +30,6 @@ from .windows import (
     label_column,
     label_matches,
 )
-
-
-def _frozen(ends: np.ndarray) -> np.ndarray:
-    ends.flags.writeable = False
-    return ends
-
-
-_NO_EDGES = _frozen(np.zeros((0, 2), dtype=np.int64))
-
-
-@dataclass(frozen=True, eq=False)
-class Graph:
-    """Vertex-labelled undirected graph inside a declared window.
-
-    ``ends`` is a read-only (E, 2) int64 array of index pairs (i, j),
-    i < j, into ``vertices``, its rows strictly increasing in (i, j).
-    ``latents`` optionally carries one auxiliary value per vertex (graphon
-    latent, graphex mark, radial coordinate).  ``fingerprint`` ties a
-    sampled graph back to the generating family and seed.
-
-    The constructor trusts its arguments; ``make_graph`` validates them.
-    """
-
-    window: Window
-    vertices: tuple
-    ends: np.ndarray
-    latents: tuple | None = None
-    family: str | None = None
-    fingerprint: str | None = None
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.ends)
-
-    @property
-    def edges(self) -> frozenset:
-        """The index pairs (i, j) as a frozenset of Python-int tuples, built
-        on each call from ``ends``.
-
-        Each edge costs its tuple and two ints and no other Python object;
-        ``ends`` is the form without any.
-        """
-        flat = iter(self.ends.ravel().tolist())  # i0, j0, i1, j1, ...
-        return frozenset(zip(flat, flat))
-
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return (
-            self.window == other.window
-            and self.family == other.family
-            and self.fingerprint == other.fingerprint
-            and self.vertices == other.vertices
-            and self.latents == other.latents
-            and self.ends.shape == other.ends.shape
-            and self.ends.tobytes() == other.ends.tobytes()
-        )
-
-    def __hash__(self):
-        return hash((
-            self.window, self.family, self.fingerprint, self.vertices, self.latents,
-            self.ends.shape, self.ends.tobytes(),
-        ))
-
-
-def make_graph(window, vertices, edges, latents=None, family=None, fingerprint=None) -> Graph:
-    """Validated Graph constructor.  Edges, index pairs or an (E, 2) integer
-    array, may be given in either orientation and in any order; they are
-    stored as sorted rows (i, j) with i < j.  An edge given twice, or a
-    latent that is NaN or infinite, is an error."""
-    vertices = tuple(vertices)
-    if len(set(vertices)) != len(vertices):
-        raise ValueError("vertex labels must be distinct")
-    ball = window.kind is WindowKind.EUCLIDEAN_BALL
-    for v in vertices:
-        if not label_matches(window.kind, v) or (ball and len(v) != window.dim):
-            contains(window, v)  # raises the TypeError that names the label's fault
-    for v, inside in zip(vertices, contains_column(window, label_column(window, vertices))):
-        if not inside:
-            raise ValueError(f"vertex label {v!r} lies outside the declared window")
-    ends = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
-    if ends.size == 0:
-        ends = _NO_EDGES
-    if ends.ndim != 2 or ends.shape[1] != 2:
-        raise ValueError("edges must be pairs of vertex indices")
-    if ends.dtype.kind not in "iu":
-        raise TypeError("edge endpoints must be integer vertex indices")
-    lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
-    if np.any(lo == hi):
-        raise ValueError("self-loops are not permitted")
-    n = len(vertices)
-    outside = (lo < 0) | (hi >= n)
-    if outside.any():
-        i, j = ends[np.argmax(outside)].tolist()
-        raise ValueError(f"edge ({i}, {j}) references a missing vertex")
-    if len(ends):
-        keys = lo.astype(np.int64) * n + hi.astype(np.int64)  # (i, j) sorts as i * n + j
-        keys.sort()
-        if np.any(keys[1:] == keys[:-1]):
-            raise ValueError("an edge is listed more than once")
-        ends = _frozen(np.stack(np.divmod(keys, n), axis=1))
-    if latents is not None:
-        latents = tuple(latents)
-        if len(latents) != len(vertices):
-            raise ValueError("latents must align with vertices")
-        for i, x in enumerate(latents):
-            if not math.isfinite(x):
-                raise ValueError(f"latent {x!r} of vertex {i} is not finite")
-    return Graph(window, vertices, ends, latents, family, fingerprint)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,27 +67,138 @@ class GraphTable:
         return np.repeat(np.arange(self.n_trials), np.diff(self.edge_starts()))
 
 
-def graph_table(graph: Graph) -> GraphTable:
-    """The table of one trial that holds ``graph``; it shares the graph's
-    read-only ``ends``."""
-    labels = label_column(graph.window, graph.vertices)
-    latents = np.array(graph.latents, dtype=float) if graph.latents is not None else None
-    starts = np.array([0, graph.n_vertices])
-    return GraphTable(graph.window, labels, latents, graph.ends, starts, graph.family)
+@dataclass(frozen=True, eq=False)
+class Graph:
+    """Vertex-labelled undirected graph inside a declared window: a table of
+    exactly one trial, and a ``fingerprint`` that ties a sampled graph back
+    to the generating family and seed.
+
+    The table's columns are the graph's one storage form, made read-only
+    here.  ``ends`` is the (E, 2) int64 array of index pairs (i, j), i < j,
+    into the labels, its rows strictly increasing in (i, j); the latents,
+    when present, carry one auxiliary value per vertex (graphon latent,
+    graphex mark, radial coordinate).  ``vertices``, ``latents`` and
+    ``edges`` are Python views of the columns, built on each call.
+
+    The constructor trusts the table; ``make_graph`` validates outside input.
+    """
+
+    table: GraphTable
+    fingerprint: str | None = None
+
+    def __post_init__(self):
+        if self.table.n_trials != 1:
+            raise ValueError(f"a table of {self.table.n_trials} trials is not one graph")
+        for column in (self.table.labels, self.table.latents, self.table.ends):
+            if column is not None:
+                column.flags.writeable = False
+
+    @property
+    def window(self) -> Window:
+        return self.table.window
+
+    @property
+    def family(self) -> str | None:
+        return self.table.family
+
+    @property
+    def ends(self) -> np.ndarray:
+        return self.table.ends
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.table.labels)
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.table.ends)
+
+    @property
+    def vertices(self) -> tuple:
+        """The labels as a tuple of ints or floats, or of float tuples for
+        ball points."""
+        labels = self.table.labels.tolist()
+        if self.window.kind is WindowKind.EUCLIDEAN_BALL:
+            return tuple(map(tuple, labels))
+        return tuple(labels)
+
+    @property
+    def latents(self) -> tuple | None:
+        if self.table.latents is None:
+            return None
+        return tuple(self.table.latents.tolist())
+
+    @property
+    def edges(self) -> frozenset:
+        """The index pairs (i, j) as a frozenset of Python-int tuples, built
+        on each call from ``ends``.
+
+        Each edge costs its tuple and two ints and no other Python object;
+        ``ends`` is the form without any.
+        """
+        flat = iter(self.ends.ravel().tolist())  # i0, j0, i1, j1, ...
+        return frozenset(zip(flat, flat))
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.fingerprint == other.fingerprint and not differing_trials(
+            self.table, other.table
+        )[0]
+
+    def __hash__(self):
+        # labels and latents are left out: equal ones may differ in bits (0.0, -0.0)
+        return hash(
+            (self.fingerprint, self.window, self.family, self.n_vertices, self.ends.tobytes())
+        )
 
 
-def table_graph(table: GraphTable, fingerprint: str | None) -> Graph:
-    """The graph of a table of one trial, with the given fingerprint; its
-    ``ends`` is a read-only view of the table's."""
-    if table.n_trials != 1:
-        raise ValueError(f"a table of {table.n_trials} trials is not one graph")
-    labels = table.labels.tolist()
-    if table.window.kind is WindowKind.EUCLIDEAN_BALL:
-        labels = map(tuple, labels)
-    latents = tuple(table.latents.tolist()) if table.latents is not None else None
-    return Graph(
-        table.window, tuple(labels), _frozen(table.ends.view()), latents, table.family, fingerprint
-    )
+def make_graph(window, vertices, edges, latents=None, family=None, fingerprint=None) -> Graph:
+    """Validated Graph constructor.  Edges, index pairs or an (E, 2) integer
+    array, may be given in either orientation and in any order; they are
+    stored as sorted rows (i, j) with i < j.  An edge given twice, or a
+    latent that is NaN or infinite, is an error."""
+    vertices = tuple(vertices)
+    if len(set(vertices)) != len(vertices):
+        raise ValueError("vertex labels must be distinct")
+    ball = window.kind is WindowKind.EUCLIDEAN_BALL
+    for v in vertices:
+        if not label_matches(window.kind, v) or (ball and len(v) != window.dim):
+            contains(window, v)  # raises the TypeError that names the label's fault
+    labels = label_column(window, vertices)
+    for v, inside in zip(vertices, contains_column(window, labels)):
+        if not inside:
+            raise ValueError(f"vertex label {v!r} lies outside the declared window")
+    ends = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    if ends.size == 0:
+        ends = np.zeros((0, 2), dtype=np.int64)
+    if ends.ndim != 2 or ends.shape[1] != 2:
+        raise ValueError("edges must be pairs of vertex indices")
+    if ends.dtype.kind not in "iu":
+        raise TypeError("edge endpoints must be integer vertex indices")
+    lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
+    if np.any(lo == hi):
+        raise ValueError("self-loops are not permitted")
+    n = len(vertices)
+    outside = (lo < 0) | (hi >= n)
+    if outside.any():
+        i, j = ends[np.argmax(outside)].tolist()
+        raise ValueError(f"edge ({i}, {j}) references a missing vertex")
+    keys = lo.astype(np.int64) * n + hi.astype(np.int64)  # (i, j) sorts as i * n + j
+    keys.sort()
+    if np.any(keys[1:] == keys[:-1]):
+        raise ValueError("an edge is listed more than once")
+    ends = np.stack(np.divmod(keys, n), axis=1)
+    if latents is not None:
+        latents = tuple(latents)
+        if len(latents) != n:
+            raise ValueError("latents must align with vertices")
+        for i, x in enumerate(latents):
+            if not math.isfinite(x):
+                raise ValueError(f"latent {x!r} of vertex {i} is not finite")
+        latents = np.array(latents, dtype=float)
+    table = GraphTable(window, labels, latents, ends, np.array([0, n]), family)
+    return Graph(table, fingerprint)
 
 
 def restrict_table(table: GraphTable, window: Window) -> GraphTable:
@@ -241,8 +239,8 @@ def restrict_table(table: GraphTable, window: Window) -> GraphTable:
 
 def restrict_graph(graph: Graph, window: Window) -> Graph:
     """Induced subgraph on the vertices inside the window: restrict_table
-    on the table of this one graph."""
-    return table_graph(restrict_table(graph_table(graph), window), graph.fingerprint)
+    on the graph's table."""
+    return Graph(restrict_table(graph.table, window), graph.fingerprint)
 
 
 def differing_trials(a: GraphTable, b: GraphTable) -> np.ndarray:
@@ -251,11 +249,11 @@ def differing_trials(a: GraphTable, b: GraphTable) -> np.ndarray:
     latents or edges (fingerprints are not compared)."""
     if a.n_trials != b.n_trials:
         raise ValueError("tables hold different numbers of trials")
+    if a.window != b.window or a.family != b.family or (a.latents is None) != (b.latents is None):
+        return np.ones(a.n_trials, dtype=bool)  # label columns of two shapes may not compare
     sizes_a, sizes_b = np.diff(a.starts), np.diff(b.starts)
     edges_a, edges_b = np.diff(a.edge_starts()), np.diff(b.edge_starts())
     differ = (sizes_a != sizes_b) | (edges_a != edges_b)
-    if a.window != b.window or a.family != b.family or (a.latents is None) != (b.latents is None):
-        differ[:] = True
     same = ~differ  # trials of one shape, compared row by row and edge by edge
     rows_a, rows_b = np.repeat(same, sizes_a), np.repeat(same, sizes_b)
     bad = a.labels[rows_a] != b.labels[rows_b]

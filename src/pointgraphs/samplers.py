@@ -43,8 +43,10 @@ from .kernels import (
     GeoKernel,
     GraphexKernel,
     GraphonKernel,
+    config_array,
     config_integer,
     config_number,
+    config_object,
     geo_edge_prob,
     graphex_edge_prob,
     graphex_support_bound,
@@ -52,7 +54,7 @@ from .kernels import (
     kernel_from_dict,
     kernel_to_dict,
 )
-from .pairs import Graph, GraphTable, table_graph
+from .pairs import Graph, GraphTable
 from .windows import (
     Window,
     WindowKind,
@@ -181,8 +183,8 @@ def _known_keys(data: dict, keys, where: str) -> None:
 
 def spec_from_dict(data: dict) -> FamilySpec:
     try:
-        family = data.get("family")
-        if family not in _FAMILY_KEYS:
+        family = config_object(data).get("family")
+        if not isinstance(family, str) or family not in _FAMILY_KEYS:
             raise ValueError(f"unknown family {family!r}")
         _known_keys(data, ("family", "kernel", "seed", *_FAMILY_KEYS[family]), f"{family} config")
         kernel = kernel_from_dict(data["kernel"])
@@ -191,14 +193,16 @@ def spec_from_dict(data: dict) -> FamilySpec:
             return graphon_spec(kernel, seed)
         if family == "graphex":
             return graphex_spec(kernel, config_number(data["y_max"], "y_max"), seed)
-        pdata = data["point"]
-        if pdata["type"] not in _POINT_KEYS:
-            raise ValueError(f"unknown point spec {pdata['type']!r}")
-        _known_keys(pdata, ("type", _POINT_KEYS[pdata["type"]]), "point")
-        if pdata["type"] == "poisson":
+        pdata = config_object(data["point"], "point")
+        kind = pdata["type"]
+        if not isinstance(kind, str) or kind not in _POINT_KEYS:
+            raise ValueError(f"unknown point spec {kind!r}")
+        _known_keys(pdata, ("type", _POINT_KEYS[kind]), "point")
+        if kind == "poisson":
             point = PoissonRate(float(config_number(pdata["rate"], "rate")))
         else:
-            point = RadialTable(tuple(config_number(r, "rates") for r in pdata["rates"]))
+            rates = config_array(pdata["rates"], "rates")
+            point = RadialTable(tuple(config_number(r, "rates") for r in rates))
         return rotinv_spec(kernel, config_integer(data["dim"], "dim"), point, seed)
     except KeyError as exc:
         raise ValueError(f"config is missing the key {exc.args[0]!r}") from exc
@@ -224,7 +228,7 @@ def reseeded(spec: FamilySpec, seed: int) -> FamilySpec:
 # many seeds (trials) in one pass, each coin call covering every trial,
 # with the trials' points laid out one after another and ragged point
 # counts held as segment offsets.  sample(spec, n) is the one-trial table
-# of seed spec.seed, made a Graph.
+# of seed spec.seed, held by a Graph.
 
 
 @dataclass(frozen=True)
@@ -493,7 +497,7 @@ def sample_table(spec: FamilySpec, n: float, seeds) -> GraphTable:
 def _sample_one(spec: FamilySpec, n: float, family: str) -> Graph:
     if spec.family != family:
         raise ValueError(f"spec is not a {family} family")
-    return table_graph(sample_table(spec, n, spec.seed), fingerprint(spec))
+    return Graph(sample_table(spec, n, spec.seed), fingerprint(spec))
 
 
 def sample_graphon(spec: FamilySpec, n: int) -> Graph:

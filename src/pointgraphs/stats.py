@@ -45,7 +45,7 @@ GATHER_WORDS = 2**14
 def graph_stats(graph: Graph) -> GraphStats:
     """Exact edge count, degree histogram, triangle count, and max degree.
     Memory is O(V + E) plus one tile."""
-    degrees, _, triangles = _union_stats(graph.ends, np.array([0, graph.n_vertices]))
+    degrees, _, triangles = _union_stats(graph.ends, graph.table.starts)
     histogram = {d: c for d, c in enumerate(np.bincount(degrees).tolist()) if c}
     return GraphStats(graph.n_edges, histogram, int(triangles[0]), max(histogram, default=0))
 

@@ -30,3 +30,21 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
         if name not in referenced and name not in TEST_ORACLES
     }
     assert not unused, unused
+
+
+def test_every_imported_name_is_used_in_its_module():
+    unused = {}
+    for path in sorted((ROOT / "src" / "pointgraphs").glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the re-exports
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    assert not unused, unused

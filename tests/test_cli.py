@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from pointgraphs.cli import run
 from pointgraphs.coins import derive_seed
 from pointgraphs.edgelist import loads_graph
+from pointgraphs.samplers import spec_from_dict
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -467,6 +469,12 @@ def test_config_unknown_key_is_one_error_line(tmp_path, capsys, config, field, w
         ("rotinv", ("dim",), False),
         pytest.param("graphon", ("seed",), 2.0**53, id="graphon-seed-float-2^53"),
         pytest.param("rotinv", ("dim",), -(2.0**60), id="rotinv-dim-float-minus-2^60"),
+        ("graphon", ("kernel",), [1]),
+        ("graphon", ("kernel",), "constant"),
+        ("graphon_grid", ("kernel", "values"), 3),
+        ("graphon_grid", ("kernel", "values"), [[0.5], 3]),
+        ("rotinv", ("point",), 3),
+        ("rotinv", ("point",), {"type": "radial_table", "rates": 5}),
     ],
 )
 def test_config_numbers_must_be_json_numbers(tmp_path, capsys, config, field, value):
@@ -481,6 +489,41 @@ def test_config_numbers_must_be_json_numbers(tmp_path, capsys, config, field, va
     assert run(["sample", "--config", str(bad), "--n", "3"]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("pointgraphs: error: config field ")
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3", '"graphon"', "null"])
+@pytest.mark.parametrize("seed", [[], ["--seed", "5"]])
+def test_config_that_is_no_json_object_is_one_error_line(tmp_path, capsys, text, seed):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert run(["sample", "--config", str(bad), "--n", "3", *seed]) == 1
+    message = f"config must be a JSON object, got {json.loads(text)!r}"
+    assert capsys.readouterr().err.splitlines() == [f"pointgraphs: error: {message}"]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        spec_from_dict(json.loads(text))
+
+
+@pytest.mark.parametrize(
+    "config, field, message",
+    [
+        ("graphon", ("family",), "unknown family [1]"),
+        ("graphon", ("kernel", "type"), "unknown kernel type [1]"),
+        ("rotinv", ("point", "type"), "unknown point spec [1]"),
+    ],
+)
+def test_config_names_that_are_no_strings_are_one_error_line(
+    tmp_path, capsys, config, field, message
+):
+    data = json.loads(read(CONFIGS / f"{config}.json"))
+    *parents, key = field
+    node = data
+    for name in parents:
+        node = node[name]
+    node[key] = [1]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run(["sample", "--config", str(bad), "--n", "3"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"pointgraphs: error: {message}"]
 
 
 @pytest.mark.parametrize("config, key, value", [("graphon", "seed", 42.0), ("rotinv", "dim", 2.0)])

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pointgraphs import (
     DyadicSwaps,
     DyadicSwapWord,
+    Graph,
     GraphTable,
     GraphexIndicator,
     Permutation,
@@ -17,14 +18,12 @@ from pointgraphs import (
     apply_table,
     extend_element,
     generator_coins,
-    graph_table,
     graphex_spec,
     make_graph,
     make_window,
     sample,
     sample_generators,
     serialize_element,
-    table_graph,
     transposition,
 )
 from pointgraphs.coins import POSITION_BITS
@@ -40,7 +39,7 @@ def apply_label(g, label):
 
 def apply_graph(g, graph):
     """g acting on a graph: apply_table on the table of this one graph."""
-    return table_graph(apply_table([g], graph_table(graph)), graph.fingerprint)
+    return Graph(apply_table([g], graph.table), graph.fingerprint)
 
 
 ROT90 = Rotation(np.array([[0.0, -1.0], [1.0, 0.0]]))

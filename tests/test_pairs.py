@@ -21,7 +21,7 @@ from pointgraphs import (
 )
 from pointgraphs.edgelist import dumps_graph, loads_graph
 from pointgraphs.harness import _endpoints, _half_space, _ordered_pairs
-from pointgraphs.pairs import GraphTable, graph_table, table_graph
+from pointgraphs.pairs import Graph, GraphTable
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -29,7 +29,7 @@ WIN4 = make_window(WindowKind.INTEGER_PREFIX, 4)
 
 # the running example: vertices 1..4, edges {1,2}, {2,3}, {3,4}, {4,2}
 FIG_GRAPH = make_graph(WIN4, (1, 2, 3, 4), {(0, 1), (1, 2), (2, 3), (3, 1)})
-FIG_TABLE = graph_table(FIG_GRAPH)
+FIG_TABLE = FIG_GRAPH.table
 
 
 def trial_graph(table, t: int, fingerprint=None):
@@ -40,7 +40,7 @@ def trial_graph(table, t: int, fingerprint=None):
     latents = table.latents[lo:hi] if table.latents is not None else None
     one = GraphTable(table.window, table.labels[lo:hi], latents,
                      table.ends[cuts[t] : cuts[t + 1]] - lo, np.array([0, hi - lo]), table.family)
-    return table_graph(one, fingerprint)
+    return Graph(one, fingerprint)
 
 
 def label_edges(graph) -> set:
@@ -60,7 +60,7 @@ def test_count_fig_examples():
     assert _endpoints(FIG_TABLE, is_2).tolist() == [3]
     assert _ordered_pairs(FIG_TABLE, full, full).tolist() == [2 * FIG_GRAPH.n_edges]
     assert _endpoints(FIG_TABLE, full).tolist() == [2 * FIG_GRAPH.n_edges]
-    empty = graph_table(make_graph(WIN4, (1, 2, 3, 4), ()))
+    empty = make_graph(WIN4, (1, 2, 3, 4), ()).table
     assert _ordered_pairs(empty, full, full).tolist() == [0]
     assert _endpoints(empty, full).tolist() == [0]
 
@@ -218,6 +218,16 @@ def test_equal_graphs_hash_equal():
     other = make_graph(WIN4, (1, 2, 3, 4), [(0, 1), (1, 2), (2, 3)])
     assert other != FIG_GRAPH
     assert {FIG_GRAPH, flipped, other} == {FIG_GRAPH, other}
+    # labels and latents that differ only in the sign of zero are equal
+    interval = make_window(WindowKind.REAL_INTERVAL, 2.0)
+    plus = make_graph(interval, (0.0, 1.5), [(0, 1)], latents=(0.25, 0.0))
+    minus = make_graph(interval, (-0.0, 1.5), [(0, 1)], latents=(0.25, -0.0))
+    assert np.signbit(minus.table.labels[0]) and np.signbit(minus.table.latents[1])
+    assert plus == minus and hash(plus) == hash(minus)
+    # label columns of two shapes compare unequal, not with an error
+    ball2, ball3 = (make_graph(make_window(WindowKind.EUCLIDEAN_BALL, 3.0, d), [(0.1,) * d], ())
+                    for d in (2, 3))
+    assert ball2 != ball3
 
 
 def _induced_subgraph(graph, window):
@@ -295,6 +305,9 @@ def test_every_constructor_stores_sorted_read_only_int64_ends(config):
     graphs.append(make_graph(WIN4, (1, 2, 3, 4), [(3, 1), (0, 3), (2, 1), (1, 0)]))
     for graph in graphs:
         _assert_sorted_read_only_ends(graph)
+        # the labels and latents are the graph's one copy too
+        assert not graph.table.labels.flags.writeable
+        assert graph.family is None or not graph.table.latents.flags.writeable
 
 
 def test_edges_view_peaks_below_240_bytes_per_edge():

@@ -17,6 +17,7 @@ from pointgraphs import harness as certify
 from pointgraphs import (
     Constant,
     DyadicSwapWord,
+    Graph,
     GraphexIndicator,
     HardDistance,
     Permutation,
@@ -31,7 +32,6 @@ from pointgraphs import (
     fingerprint,
     generator_coins,
     graph_stats,
-    graph_table,
     graphex_spec,
     graphon_spec,
     haar_rotations,
@@ -44,7 +44,6 @@ from pointgraphs import (
     sample_generators,
     sample_table,
     spec_from_dict,
-    table_graph,
     table_stats,
     window_for,
 )
@@ -128,7 +127,7 @@ def test_chunk_table_equals_per_trial_calls(case, seed, trials):
     invariance = certify._invariance_stats(spec, win_n.size)
     columns = invariance(table)
     for name, column in columns.items():
-        assert column.tolist() == [invariance(graph_table(g))[name][0] for g in graphs]
+        assert column.tolist() == [invariance(g.table)[name][0] for g in graphs]
 
     # exact equality names exactly the trial that was changed
     filled = np.flatnonzero(np.diff(table.starts))
@@ -153,18 +152,18 @@ def test_one_graph_survives_its_one_trial_table(config):
         assert graphs[0].n_vertices == 0
     assert any(g.n_edges for g in graphs)
     for g in graphs:
-        table = graph_table(g)
+        table = g.table
         assert table.n_trials == 1 and table.ends is g.ends
-        assert table_graph(table, g.fingerprint) == g
+        assert Graph(table, g.fingerprint) == g
 
 
-def test_table_graph_takes_one_trial_only():
+def test_graph_holds_one_trial_only():
     spec, n, _ = CASES["graphon"]
     for trials in (0, 2):
         table = sample_table(spec, n, derive_seeds(spec.seed, np.arange(trials)))
         assert table.n_trials == trials
         with pytest.raises(ValueError, match=f"a table of {trials} trials is not one graph"):
-            table_graph(table, fingerprint(spec))
+            Graph(table, fingerprint(spec))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5])
