@@ -16,7 +16,7 @@ import secrets
 import sys
 
 from . import harness
-from .edgelist import dumps_graph, read_graph
+from .edgelist import read_graph, write_graph
 from .kernels import config_object
 from .pairs import restrict_graph
 from .samplers import FamilySpec, extend_sample, fingerprint, sample, spec_from_dict
@@ -94,10 +94,13 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _graph_text(graph, seed: int) -> str:
-    text = dumps_graph(graph)
-    cut = text.index("\n") + 1  # after the #window header
-    return f"{text[:cut]}#seed {seed}\n{text[cut:]}"
+def _emit_graph(graph, out_path, seed: int | None = None) -> None:
+    """Stream the graph's edge list to its file, or to stdout."""
+    if out_path:
+        with open(out_path, "w") as fh:
+            write_graph(graph, fh, seed)
+    else:
+        write_graph(graph, sys.stdout, seed)
 
 
 def _finish_report(report, out_path) -> int:
@@ -123,21 +126,19 @@ def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "sample":
         spec = _load_spec(args)
-        graph = sample(spec, args.n)
-        _emit(_graph_text(graph, spec.seed), args.out)
+        _emit_graph(sample(spec, args.n), args.out, spec.seed)
         return 0
     if cmd == "extend":
         spec = _load_spec(args)
         with open(args.infile) as fh:
             graph = read_graph(fh)
-        grown = extend_sample(spec, graph, args.n, args.m)
-        _emit(_graph_text(grown, spec.seed), args.out)
+        _emit_graph(extend_sample(spec, graph, args.n, args.m), args.out, spec.seed)
         return 0
     if cmd == "restrict":
         with open(args.infile) as fh:
             graph = read_graph(fh)
         window = make_window(graph.window.kind, args.n, graph.window.dim)
-        _emit(dumps_graph(restrict_graph(graph, window)), args.out)
+        _emit_graph(restrict_graph(graph, window), args.out)
         return 0
     if cmd == "stats":
         with open(args.infile) as fh:

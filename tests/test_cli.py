@@ -250,6 +250,23 @@ def test_enumerate_command(tmp_path):
     assert "chi_square" in payload
 
 
+@pytest.mark.parametrize("config", ["graphon_grid", "graphex", "rotinv"])
+def test_graph_commands_write_the_same_bytes_to_stdout_and_out(tmp_path, capsys, config):
+    cfg = str(CONFIGS / f"{config}.json")
+    big, grown, small = tmp_path / "big.el", tmp_path / "grown.el", tmp_path / "small.el"
+    for argv, path in [
+        (["sample", "--config", cfg, "--n", "40", "--seed", "3"], big),
+        (["extend", "--config", cfg, "--in", str(big), "--n", "40", "--m", "60",
+          "--seed", "3"], grown),
+        (["restrict", "--in", str(grown), "--n", "20"], small),
+    ]:
+        assert run(argv + ["--out", str(path)]) == 0
+        assert run(argv) == 0
+        assert capsys.readouterr().out.encode("utf-8") == path.read_bytes()
+    assert b"#seed 3\n" in big.read_bytes() and b"#seed 3\n" in grown.read_bytes()
+    assert b"#seed" not in small.read_bytes()
+
+
 def test_identical_invocations_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.el", tmp_path / "b.el"
     cfg = str(CONFIGS / "graphex.json")
@@ -403,16 +420,28 @@ def test_bad_config_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "config, missing",
-    [("graphon", "kernel"), ("graphex", "y_max"), ("rotinv", "point"), ("rotinv", "dim")],
+    [
+        ("graphon", "kernel"),
+        ("graphex", "y_max"),
+        ("rotinv", "point"),
+        ("rotinv", "dim"),
+        ("rotinv", "kernel.r0"),
+        ("graphex", "kernel.a"),
+        ("graphon_grid", "kernel.values"),
+    ],
 )
 def test_config_missing_key_is_one_error_line(tmp_path, capsys, config, missing):
     data = json.loads(read(CONFIGS / f"{config}.json"))
-    del data[missing]
+    *parents, key = missing.split(".")
+    node = data
+    for name in parents:
+        node = node[name]
+    del node[key]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     assert run(["sample", "--config", str(bad), "--n", "2"]) == 1
     err = capsys.readouterr().err
-    assert err.splitlines() == [f"pointgraphs: error: config is missing the key {missing!r}"]
+    assert err.splitlines() == [f"pointgraphs: error: config is missing the key {key!r}"]
 
 
 @pytest.mark.parametrize(
@@ -426,6 +455,9 @@ def test_config_missing_key_is_one_error_line(tmp_path, capsys, config, missing)
         ("rotinv", ("y_max",), "rotinv config"),
         ("rotinv", ("point", "rates"), "point"),
         ("rotinv", ("point", "bogus"), "point"),
+        ("graphon", ("kernel", "q"), "kernel constant"),
+        ("rotinv", ("kernel", "p"), "kernel hard_distance"),
+        ("broken_fixed_direction", ("kernel", "r0"), "kernel fixed_direction_indicator"),
     ],
 )
 def test_config_unknown_key_is_one_error_line(tmp_path, capsys, config, field, where):

@@ -310,17 +310,47 @@ def test_every_constructor_stores_sorted_read_only_int64_ends(config):
         assert graph.family is None or not graph.table.latents.flags.writeable
 
 
-def test_edges_view_peaks_below_240_bytes_per_edge():
-    # The frozenset needs one tuple per edge; a two-item list per edge on the
-    # way to each tuple made the peak ~270 bytes per edge on this graph.
+def test_iterating_edges_peaks_below_a_bound_that_does_not_grow_with_E():
+    # Graph.edges makes its tuples from blocks of ends as they are iterated;
+    # a frozenset of the edges takes ~210 bytes an edge, 4 MiB at n = 305.
     spec = spec_from_dict(json.loads((CONFIGS / "graphon_grid.json").read_text()))
-    graph = sample(spec, 305)
-    assert graph.n_edges >= 20_000
-    tracemalloc.start()
-    try:
-        edges = graph.edges
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    for n in (305, 610):
+        graph = sample(spec, n)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in graph.edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == graph.n_edges >= 20_000 * n // 305
+        assert peak <= 2**19
+
+
+def _edge_view_graphs():
+    spec = spec_from_dict(json.loads((CONFIGS / "graphon_grid.json").read_text()))
+    return [sample(spec, 60), FIG_GRAPH, make_graph(WIN4, (1, 2, 3), ())]
+
+
+@pytest.mark.parametrize("graph", _edge_view_graphs(), ids=["sampled", "made", "no-edges"])
+def test_edges_view_is_the_frozenset_of_the_rows_of_ends(graph):
+    edges, rows = graph.edges, graph.ends.tolist()
+    frozen = frozenset(map(tuple, rows))
+    assert edges == frozen and frozen == edges and edges == set(frozen)
+    assert not edges != frozen and not frozen != edges
+    assert hash(edges) == hash(frozen)
     assert len(edges) == graph.n_edges
-    assert peak <= 240 * graph.n_edges
+    assert list(edges) == list(map(tuple, rows))  # in the order of ends
+    assert all(type(i) is int and type(j) is int for i, j in edges)
+    assert set(edges) == frozen and sorted(edges) == sorted(frozen)
+    more = frozen | {(0, graph.n_vertices)}
+    assert edges != more and more != edges and hash(edges) != hash(more)
+    n = graph.n_vertices
+    for i in range(-1, n + 1):
+        for j in range(-1, n + 1):
+            assert ((i, j) in edges) == ((i, j) in frozen)
+    for i, j in frozen:
+        assert (i, j) in edges and (j, i) not in edges
+        assert (np.int64(i), np.int32(j)) in edges
+    for other in (0, (0,), (0, 1, 2), ("a", "b"), (None, 1), (0.5, 1), "01", (0, 2**70)):
+        assert other not in edges and other not in frozen
+    assert not hasattr(edges, "add")

@@ -1,3 +1,4 @@
+import collections.abc
 import dataclasses
 import hashlib
 import json
@@ -392,7 +393,8 @@ def test_trusted_construction_matches_validating_constructor(spec, sizes):
         for h in graphs:
             made = make_graph(h.window, h.vertices, h.edges, h.latents, h.family, h.fingerprint)
             assert made == h
-            assert type(h.vertices) is tuple and type(h.edges) is frozenset
+            assert type(h.vertices) is tuple and isinstance(h.edges, collections.abc.Set)
+            assert h.edges == frozenset(map(tuple, h.ends.tolist()))
             assert type(h.latents) is tuple
             assert _scalar_types(h) <= {int, float}
 
@@ -543,7 +545,9 @@ _BATCH_CASES = [
 ]
 
 
-@pytest.mark.parametrize("tile", [64, samplers.TILE_PAIRS])
+# tiles of 64 pairs, of the package's 2^14 and of 2^16 pairs: the tiling must
+# not move a bit
+@pytest.mark.parametrize("tile", [64, samplers.TILE_PAIRS, 2**16])
 @pytest.mark.parametrize(
     "spec, sizes",
     _BATCH_CASES,
@@ -590,6 +594,22 @@ def test_rotinv_sampling_memory_is_tiled():
         tracemalloc.stop()
     assert graph.n_vertices > 1000
     assert peak < 16 * 2**20
+
+
+def test_dense_sampling_memory_is_tiled():
+    # every one of the 44,850 pairs draws a coin; the graph itself takes
+    # ~0.3 MiB, and tiles of 2^16 pairs of kernel, index and coin
+    # temporaries would make the peak 4.5 MiB
+    spec = graphon_spec(GraphonGrid(((0.8, 0.2), (0.2, 0.6))), seed=42)
+    sample(spec, 300)
+    tracemalloc.start()
+    try:
+        graph = sample(spec, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.n_edges > 19_000
+    assert peak < 2.5 * 2**20
 
 
 # --- extend_sample --------------------------------------------------------------
