@@ -15,13 +15,15 @@ is the SplitMix64 finalizer, a bijection of 64-bit words.  A coin is
 
 The same few functions run on Python ints, one key at a time (coin,
 coin_u64, coin_position), and on numpy uint64 columns, where the batch
-functions hash every key of a batch in one pass of array arithmetic that
-wraps and is masked all the same.  So there is one definition of the bits,
-and since integer arithmetic is exact either way, a key's coin depends on
-neither the size of its batch nor its place in it.  The seed may be a
-uint64 column too, broadcast against the key columns, so one call hashes
-the keys of many seeds (many trials) at once; a coin is still a pure
-function of (seed, tag, key).
+functions hash every key of a batch in one pass of array arithmetic.  Ints
+are masked to 64 bits after each product; uint64 arithmetic wraps mod 2^64
+by itself, so arrays need no mask, and each step hashes, in place, the
+fresh array of h + c * PHI, never an input column.  So there is one
+definition of the bits, and since integer arithmetic is exact either way,
+a key's coin depends on neither the size of its batch nor its place in
+it.  The seed may be a uint64 column too, broadcast against the key
+columns, so one call hashes the keys of many seeds (many trials) at once;
+a coin is still a pure function of (seed, tag, key).
 
 Edge coins are keyed by vertex ids: each vertex key (an int or a flat
 tuple of ints) is hashed to a 64-bit id, and the coin of a pair is keyed
@@ -80,26 +82,49 @@ class CoinPRF:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
-def _mix(h):
-    """SplitMix64 finalizer of a 64-bit word (int) or words (uint64 array)."""
+def _mix(h: int) -> int:
+    """SplitMix64 finalizer of a 64-bit word."""
     h = ((h ^ (h >> 30)) * _M1) & _MASK64
     h = ((h ^ (h >> 27)) * _M2) & _MASK64
     return h ^ (h >> 31)
 
 
-def _absorb(h, words):
-    """h = mix(h + c * PHI) for each key component c in turn."""
-    for c in words:
-        h = _mix((h + c * _PHI) & _MASK64)
+def _mix_words(h: np.ndarray) -> np.ndarray:
+    """_mix of every uint64 word of h, in place; the products wrap mod 2^64."""
+    h ^= h >> 30
+    h *= _M1
+    h ^= h >> 27
+    h *= _M2
+    h ^= h >> 31
     return h
 
 
+def _absorb(h, words):
+    """h = mix(h + c * PHI) for each key component c in turn.  The words may
+    be a generator, so that each column exists only while it is absorbed."""
+    for c in words:
+        if isinstance(c, np.ndarray):
+            h = _mix_words(np.add(np.multiply(c, _PHI, dtype=np.uint64), h))
+        else:
+            h = _mix((h + c * _PHI) & _MASK64)
+    return h
+
+
+def _top(h, bits: int):
+    """The top ``bits`` bits of hash words: in place on a uint64 array, which
+    the hash returned fresh."""
+    if isinstance(h, np.ndarray):
+        h >>= 64 - bits
+        return h
+    return h >> (64 - bits)
+
+
 def _unit(h):
-    return (h >> 11) * 2.0**-53
+    return _top(h, 53) * 2.0**-53
 
 
 def _position(h):
-    return (h >> (64 - POSITION_BITS)) * 2.0**-POSITION_BITS
+    return _top(h, POSITION_BITS) * 2.0**-POSITION_BITS
 
 
 def _words(col) -> np.ndarray:
@@ -109,7 +134,7 @@ def _words(col) -> np.ndarray:
         return np.zeros(a.shape, dtype=np.uint64)
     if a.dtype.kind not in "iu":
         raise TypeError(f"coin key columns must hold integers, got dtype {a.dtype}")
-    return a.astype(np.uint64)  # two's complement for negative components
+    return a.astype(np.uint64, copy=False)  # two's complement for negative components
 
 
 def _int_word(c) -> int:
@@ -148,11 +173,11 @@ def _key_id(key) -> int:
 def key_ids(keys) -> np.ndarray:
     """64-bit ids of vertex keys: ints, or flat int tuples all of one length."""
     a = np.asarray(keys)
-    return _absorb(0, [_words(c) for c in ([a] if a.ndim == 1 else a.T)])
+    return _absorb(0, (_words(c) for c in ([a] if a.ndim == 1 else a.T)))
 
 
 def _rows(prf: CoinPRF, tag: str, cols) -> np.ndarray:
-    return _absorb(_tag_base(prf.seed, tag), [_words(c) for c in cols])
+    return _absorb(_tag_base(prf.seed, tag), (_words(c) for c in cols))
 
 
 def coin_batch(prf: CoinPRF, tag: str, *cols) -> np.ndarray:
@@ -168,8 +193,9 @@ def coin_position_batch(prf: CoinPRF, tag: str, *cols) -> np.ndarray:
 
 
 def edge_coin_batch(prf: CoinPRF, ids_a, ids_b) -> np.ndarray:
-    """Edge coins of the pairs (ids_a[t], ids_b[t]) of key_ids values."""
-    pair = [np.minimum(ids_a, ids_b), np.maximum(ids_a, ids_b)]
+    """Edge coins of the pairs (ids_a[t], ids_b[t]) of key_ids values; the
+    two columns may be views of one array, and neither is written."""
+    pair = (order(ids_a, ids_b) for order in (np.minimum, np.maximum))
     return _unit(_absorb(_tag_base(prf.seed, "edge"), pair))
 
 

@@ -128,11 +128,12 @@ def _ks_report(test_name, spec, sizes, seeds, alpha, chunks_a, chunks_b) -> Test
 
 # Trials are sampled in chunks of about this many vertex pairs.  A chunk's
 # table holds 16 bytes an edge and 8 to 8 * dim bytes a vertex and a
-# latent, and its sampler call walks the chunk's pairs in tiles of at most
-# samplers.TILE_PAIRS (2^14), so a chunk is kept to half a tile: the
-# harness then holds about as much memory as one sample, however many
-# trials it runs, and pays its per-chunk numpy overhead a few times per
-# report rather than once per trial.
+# latent, and its sampler call draws the chunk's edges in packed tiles of
+# at most samplers.PACKED_PAIRS (2^11) pairs, about four a chunk, whose
+# coin temporaries set the harness's peak.  The harness then holds about
+# as much memory as one small sample, however many trials it runs, and
+# pays its per-chunk numpy overhead a few times per report rather than
+# once per trial.
 CHUNK_PAIRS = 2**13
 
 

@@ -64,13 +64,18 @@ from .windows import (
     window_to_dict,
 )
 
-# The pair matrix is evaluated in row tiles of about this many pairs, so a
-# sample's working memory grows with the point count, not with its square.
-# A tile's kernel, index and coin temporaries take about 60 bytes a pair,
-# so they set a dense sample's peak: graphon_grid at n=300 peaks at
-# 1.6 MiB of traced allocations with tiles of 2^14 pairs, and at 4.5 MiB
-# with tiles of 2^16.
+# The pair matrix of a large sample is evaluated in row blocks of about
+# this many pairs, so its working memory grows with the point count, not
+# with its square.  A block's kernel, index and coin temporaries set a
+# dense sample's peak: graphon_grid at n=300 peaks at 1.4 MiB of traced
+# allocations with blocks of 2^14 pairs, and at 4.1 MiB with blocks of 2^16.
 TILE_PAIRS = 2**14
+
+# Small trials are packed whole into tiles of at most this many pairs.  A
+# packed tile holds its pairs' index, trial, seed and probability columns,
+# about 100 bytes a pair at its peak, so this budget, not TILE_PAIRS, sets
+# the peak of the harness, which draws thousands of small trials a chunk.
+PACKED_PAIRS = 2**11
 
 
 class SpecMismatchError(ValueError):
@@ -246,11 +251,6 @@ class _TrialKeys:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, i):
-        """Vertex i's key as the coins take it: an int or a tuple of ints."""
-        key = self.rows[i].tolist()
-        return tuple(key) if isinstance(key, list) else key
-
 
 def _pair_views(x: np.ndarray, rows, cols):
     """x[rows] and x[cols] shaped so that an elementwise kernel gives the
@@ -273,11 +273,15 @@ def _triangles(starts: np.ndarray):
 
 def _accepted(seed, ids, ii, jj, q):
     """The pairs (ii, jj) of probabilities q > 0 that their edge coins accept,
-    in order; ``seed`` is an int or the column of each pair's trial seed."""
+    in order; ``seed`` is an int or the column of each pair's trial seed.
+    Certain pairs (q >= 1) draw no coin."""
     hit = q >= 1.0
-    unsure = ~hit
-    prf = CoinPRF(seed if isinstance(seed, int) else seed[unsure])
-    hit[unsure] = edge_coin_batch(prf, ids[ii[unsure]], ids[jj[unsure]]) < q[unsure]
+    if not hit.any():
+        hit = edge_coin_batch(CoinPRF(seed), ids[ii], ids[jj]) < q
+    else:
+        unsure = ~hit
+        prf = CoinPRF(seed if isinstance(seed, int) else seed[unsure])
+        hit[unsure] = edge_coin_batch(prf, ids[ii[unsure]], ids[jj[unsure]]) < q[unsure]
     return ii[hit], jj[hit]
 
 
@@ -288,9 +292,9 @@ def _draw_edges(prf: CoinPRF, keys: _TrialKeys, block):
     its own seed: prf.seed is an int for one trial, or the uint64 column
     of the trials' seeds.  ``block(rows, cols)`` gives the edge
     probabilities of P[rows, cols] (see _pair_views).  The upper triangles
-    are walked in tiles of about TILE_PAIRS pairs: consecutive trials that
-    fit one tile together are packed into it whole, and a trial that fills
-    a tile by itself (a single trial, say) is cut into row blocks.  Each
+    are walked in tiles: consecutive trials that fit PACKED_PAIRS pairs
+    together are packed into one tile whole, and any other trial (a single
+    trial, say) is cut into row blocks of about TILE_PAIRS pairs.  Each
     tile's edge coins are drawn in one batch, keyed by the ids of the
     vertex keys.  Certain edges (p >= 1) and impossible ones (p <= 0)
     consume no coin; since coins are keyed rather than sequential, skipping
@@ -313,13 +317,15 @@ def _draw_edges(prf: CoinPRF, keys: _TrialKeys, block):
     hits = []
     t = 0
     while t < len(sizes):
-        u = int(np.searchsorted(before, before[t] + TILE_PAIRS, side="right")) - 1
+        u = int(np.searchsorted(before, before[t] + PACKED_PAIRS, side="right")) - 1
         if u > t + 1:  # trials t..u-1 share one tile
             ii, jj = _triangles(starts[t : u + 1])
             p = block(ii, jj)
-            keep = np.flatnonzero(p > 0.0)
-            ii, jj = ii[keep], jj[keep]
-            hits.append(_accepted(seeds[trial_of[ii]], ids, ii, jj, p[keep]))
+            possible = p > 0.0
+            if not possible.all():
+                keep = np.flatnonzero(possible)
+                ii, jj, p = ii[keep], jj[keep], p[keep]
+            hits.append(_accepted(seeds[trial_of[ii]], ids, ii, jj, p))
             t = u
             continue
         lo, hi = int(starts[t]), int(starts[t + 1])

@@ -195,6 +195,36 @@ def test_coin_does_not_depend_on_batch_position():
         assert np.array_equal(edge_coin_batch(s, ids[:-1][cut], ids[1:][cut]), edges[cut])
 
 
+@pytest.mark.parametrize("writeable", [False, True], ids=["read-only", "writeable"])
+@pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+def test_hashing_never_writes_into_its_inputs(dtype, writeable):
+    # the batch hash works in place, but only on arrays it made itself: a
+    # read-only input raises on a stray write, and overlapping views of one
+    # writeable array would see one
+    keys = (np.arange(1, 302, dtype=np.uint64) * 0x9E3779B97F4A7C15).astype(dtype)
+    rows = keys.reshape(-1, 7)
+    seeds = keys.astype(np.uint64)[:-1]
+    for a in (keys, rows, seeds):
+        a.flags.writeable = writeable
+    before = [a.copy() for a in (keys, rows, seeds)]
+    ids = key_ids(keys)
+    assert np.array_equal(ids, key_ids(keys.copy()))
+    assert np.array_equal(key_ids(rows), key_ids(rows.copy()))
+    for prf in (CoinPRF(7), CoinPRF(seeds)):
+        fresh = CoinPRF(prf.seed if isinstance(prf.seed, int) else prf.seed.copy())
+        got = coin_batch(prf, "cnt", keys[:-1], keys[1:])
+        assert np.array_equal(got, coin_batch(fresh, "cnt", keys[:-1].copy(), keys[1:].copy()))
+        got = coin_position_batch(prf, "posx", keys[1:], keys[:-1], keys[1:])
+        want = coin_position_batch(fresh, "posx", keys[1:].copy(), keys[:-1].copy(), keys[1:].copy())
+        assert np.array_equal(got, want)
+    ids.flags.writeable = writeable
+    got = edge_coin_batch(CoinPRF(seeds), ids[:-1], ids[1:])
+    assert np.array_equal(got, edge_coin_batch(CoinPRF(seeds.copy()), ids[:-1].copy(), ids[1:].copy()))
+    assert np.array_equal(ids, key_ids(keys.copy()))
+    for a, copy in zip((keys, rows, seeds), before):
+        assert np.array_equal(a, copy)
+
+
 _SEEDS = np.array([0, 1, 42, 2**63, 2**64 - 1], dtype=np.uint64)
 
 

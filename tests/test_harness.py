@@ -241,18 +241,31 @@ def test_reports_do_not_depend_on_the_trial_chunks(monkeypatch, chunk):
 
 
 def test_harness_memory_does_not_grow_with_trials():
-    spec = graphon_spec(Constant(0.5), seed=24)
+    # the reports of the benchmark's certify-suite: exact projectivity at
+    # 500 and 2000 trials, two invariance tests and the negative control
+    graphon = graphon_spec(Constant(0.5), seed=24)
+    graphex = graphex_spec(GraphexIndicator(1.0), y_max=1.0, seed=25)
+    rotinv = rotinv_spec(HardDistance(0.5), dim=2, point=PoissonRate(3.0), seed=26)
+    negative = graphon_spec(WindowScaledConstant(0.6), seed=27)
+    runs = [
+        (lambda: certify.test_projectivity(graphon, 5, 20, 500), True),
+        (lambda: certify.test_projectivity(graphon, 5, 20, 2000), True),
+        (lambda: certify.test_invariance(graphex, 2, 250), True),
+        (lambda: certify.test_invariance(rotinv, 8, 100), True),
+        (lambda: certify.test_projectivity(negative, 3, 6, 1000, mode="distributional"), False),
+    ]
     peaks = []
-    for trials in (500, 2000):
+    for run, passes in runs:
         tracemalloc.start()
         try:
-            report = certify.test_projectivity(spec, 5, 20, trials)
+            report = run()
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert report.passed
-    # chunks of ~CHUNK_PAIRS pairs: well under 2 MiB at any trial count
-    assert max(peaks) < 2 * 2**20
+        assert report.passed == passes
+    # chunks of ~CHUNK_PAIRS pairs, drawn in packed tiles of at most
+    # samplers.PACKED_PAIRS pairs: under 0.5 MiB at any trial count
+    assert max(peaks) < 2**19, peaks
     assert peaks[1] < 1.5 * peaks[0]
 
 

@@ -42,7 +42,7 @@ from pointgraphs import (
     window_for,
 )
 from pointgraphs import samplers
-from pointgraphs.coins import coin, derive_seed, derive_seeds
+from pointgraphs.coins import CoinPRF, coin, derive_seed, derive_seeds
 from pointgraphs.kernels import FixedDirectionIndicator, geo_edge_prob
 from tests.test_pairs import trial_graph
 
@@ -514,11 +514,13 @@ def test_tiled_edges_match_whole_matrix_reference(monkeypatch, spec, n):
     assert len(tiles) >= 3
     for rows, cols, tile in tiles:
         assert np.array_equal(tile, pmat[rows, cols])  # bit for bit
+    # vertex keys as the scalar coins take them: an int or a tuple of ints
+    vertex = [tuple(key) if isinstance(key, list) else key for key in keys.rows.tolist()]
     want = []
     for i in range(k):
         for j in range(i + 1, k):
             p = pmat[i, j]
-            if p >= 1.0 or (p > 0.0 and coin(prf, "edge", keys[i], keys[j]) < p):
+            if p >= 1.0 or (p > 0.0 and coin(prf, "edge", vertex[i], vertex[j]) < p):
                 want.append((i, j))
     ii, jj = edges
     assert ii.dtype == jj.dtype == np.int64
@@ -545,18 +547,25 @@ _BATCH_CASES = [
 ]
 
 
-# tiles of 64 pairs, of the package's 2^14 and of 2^16 pairs: the tiling must
-# not move a bit
-@pytest.mark.parametrize("tile", [64, samplers.TILE_PAIRS, 2**16])
+# row blocks of 64 pairs, of the package's 2^14 and of 2^16 pairs, each with
+# packed tiles of 64 pairs, of the package's 2^11 and of 2^14 pairs (named by
+# the row block): neither budget may move a bit
+@pytest.mark.parametrize(
+    "tile, packed_pairs",
+    [pytest.param(64, 64, id="64"),
+     pytest.param(samplers.TILE_PAIRS, samplers.PACKED_PAIRS, id=str(samplers.TILE_PAIRS)),
+     pytest.param(2**16, 2**14, id=str(2**16))],
+)
 @pytest.mark.parametrize(
     "spec, sizes",
     _BATCH_CASES,
     ids=lambda v: f"{v.family}-{type(v.kernel).__name__}" if isinstance(v, FamilySpec) else None,
 )
-def test_batch_sampler_matches_batch_of_one(monkeypatch, spec, sizes, tile):
+def test_batch_sampler_matches_batch_of_one(monkeypatch, spec, sizes, tile, packed_pairs):
     """One batched call gives, seed for seed, the graphs of sample(reseeded(spec, s), n):
     trial t of the table, cut out, equals the sample of seed t."""
     monkeypatch.setattr(samplers, "TILE_PAIRS", tile)
+    monkeypatch.setattr(samplers, "PACKED_PAIRS", packed_pairs)
     draw, triangles = samplers._draw_edges, samplers._triangles
     points, packed = set(), []
 
@@ -581,6 +590,38 @@ def test_batch_sampler_matches_batch_of_one(monkeypatch, spec, sizes, tile):
     # triangles of several trials
     assert {1} <= points if spec.family == "graphon" else {0, 1} <= points
     assert max(packed) > 2
+
+
+def test_packed_trials_beside_a_trial_past_the_budget():
+    """Small trials go into packed tiles, and a trial past PACKED_PAIRS into
+    row blocks between them; each trial's edges are its scalar coins' edges."""
+    sizes = [3, 2, 0, 4, 70, 1, 5, 3]  # 70 points: 2,415 pairs > 2^11
+    assert 70 * 69 // 2 > samplers.PACKED_PAIRS > sum(k * (k - 1) // 2 for k in sizes if k < 70)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    keys = samplers._TrialKeys(np.arange(starts[-1]) * 7 + 1, starts)
+    x = (np.arange(starts[-1]) % 9) / 4.0  # p = min(x_i * x_j, 1): some 0, some 1
+    seeds = np.array([derive_seed(5, t) for t in range(len(sizes))], np.uint64)
+    tiles = []
+
+    def block(rows, cols):
+        tiles.append((rows, cols))
+        a, b = samplers._pair_views(x, rows, cols)
+        return np.minimum(a * b, 1.0)
+
+    ii, jj = samplers._draw_edges(CoinPRF(seeds), keys, block)
+    packed = [rows for rows, _ in tiles if not isinstance(rows, slice)]
+    blocks = [rows for rows, _ in tiles if isinstance(rows, slice)]
+    assert len(packed) == 2 and blocks  # trials 0-3, then the big one, then 5-7
+    assert all(starts[4] <= b.start < starts[5] for b in blocks)
+    want = []
+    for t, seed in enumerate(seeds.tolist()):
+        for i in range(starts[t], starts[t + 1]):
+            for j in range(i + 1, starts[t + 1]):
+                p = min(x[i] * x[j], 1.0)
+                key_i, key_j = keys.rows[i].tolist(), keys.rows[j].tolist()
+                if p >= 1.0 or (p > 0.0 and coin(CoinPRF(seed), "edge", key_i, key_j) < p):
+                    want.append((i, j))
+    assert list(zip(ii.tolist(), jj.tolist())) == want
 
 
 def test_rotinv_sampling_memory_is_tiled():
