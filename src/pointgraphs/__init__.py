@@ -1,14 +1,6 @@
 """Random graphs as point processes on nested label-space windows."""
 
-from .coins import (
-    CoinPRF,
-    coin,
-    coin_position,
-    coin_u64,
-    derive_seed,
-    derive_seeds,
-    poisson_from_uniform,
-)
+from .coins import CoinPRF, derive_seeds, poisson_from_uniform
 from .groups import (
     DyadicSwaps,
     DyadicSwapWord,

@@ -8,19 +8,15 @@ radial shell) is the same no matter how large the window is.
 
 The engine is counter-based, in the manner of SplitMix64 (Steele, Lea &
 Flood, OOPSLA 2014) and of the counter-based generators of Salmon et al.
-(SC 2011).  A base word is derived once per (seed, tag); each integer key
+(SC 2011).  A base word is derived from (seed, tag); each integer key
 component c is then absorbed as h = mix(h + c * PHI) mod 2^64, where mix
 is the SplitMix64 finalizer, a bijection of 64-bit words.  A coin is
 (h >> 11) * 2^-53 and a position coin (h >> 21) * 2^-43, both exact.
 
-The same few functions run on Python ints, one key at a time (coin,
-coin_u64, coin_position), and on numpy uint64 columns, where the batch
-functions hash every key of a batch in one pass of array arithmetic.  Ints
-are masked to 64 bits after each product; uint64 arithmetic wraps mod 2^64
-by itself, so arrays need no mask, and each step hashes, in place, the
-fresh array of h + c * PHI, never an input column.  So there is one
-definition of the bits, and since integer arithmetic is exact either way,
-a key's coin depends on neither the size of its batch nor its place in
+Every key of a batch is hashed in one pass of numpy uint64 arithmetic,
+which wraps mod 2^64 by itself, and each step hashes, in place, the fresh
+array of h + c * PHI, never an input column.  Integer arithmetic is exact,
+so a key's coin depends on neither the size of its batch nor its place in
 it.  The seed may be a uint64 column too, broadcast against the key
 columns, so one call hashes the keys of many seeds (many trials) at once;
 a coin is still a pure function of (seed, tag, key).
@@ -48,16 +44,11 @@ import numpy as np
 # graph drawn by another engine is never taken for one drawn by this one.
 COIN_VERSION = 3
 
-# Tags whose two-component key names an unordered pair of vertex keys;
-# coin(s, "edge", a, b) == coin(s, "edge", b, a).
-UNORDERED_PAIR_TAGS = frozenset({"edge"})
-
 # Real-line positions are quantized to this many fractional bits so that
 # dyadic-interval translations stay exact in double precision (exact for
 # labels below 2**(53 - POSITION_BITS) = 1024; groups rejects swaps past it).
 POSITION_BITS = 43
 
-_MASK64 = (1 << 64) - 1
 _PHI = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
@@ -78,19 +69,14 @@ class CoinPRF:
         if isinstance(self.seed, np.ndarray):
             if self.seed.dtype != np.uint64:
                 raise TypeError(f"seed columns must have dtype uint64, got {self.seed.dtype}")
-        elif not (0 <= self.seed <= _MASK64):
+        elif not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise TypeError(f"seed must be an int or a uint64 array, got {self.seed!r}")
+        elif not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
-def _mix(h: int) -> int:
-    """SplitMix64 finalizer of a 64-bit word."""
-    h = ((h ^ (h >> 30)) * _M1) & _MASK64
-    h = ((h ^ (h >> 27)) * _M2) & _MASK64
-    return h ^ (h >> 31)
-
-
 def _mix_words(h: np.ndarray) -> np.ndarray:
-    """_mix of every uint64 word of h, in place; the products wrap mod 2^64."""
+    """SplitMix64 finalizer of every uint64 word of h, in place; products wrap mod 2^64."""
     h ^= h >> 30
     h *= _M1
     h ^= h >> 27
@@ -99,32 +85,22 @@ def _mix_words(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def _absorb(h, words):
-    """h = mix(h + c * PHI) for each key component c in turn.  The words may
-    be a generator, so that each column exists only while it is absorbed."""
+def _absorb(h: np.ndarray, words) -> np.ndarray:
+    """h = mix(h + c * PHI) for each uint64 key column c in turn.  The words
+    may be a generator, so that each column exists only while it is absorbed."""
     for c in words:
-        if isinstance(c, np.ndarray):
-            h = _mix_words(np.add(np.multiply(c, _PHI, dtype=np.uint64), h))
-        else:
-            h = _mix((h + c * _PHI) & _MASK64)
+        h = _mix_words(np.add(np.multiply(c, _PHI, dtype=np.uint64), h))
     return h
 
 
-def _top(h, bits: int):
-    """The top ``bits`` bits of hash words: in place on a uint64 array, which
-    the hash returned fresh."""
-    if isinstance(h, np.ndarray):
-        h >>= 64 - bits
-        return h
-    return h >> (64 - bits)
+def _unit(h: np.ndarray) -> np.ndarray:
+    h >>= 11  # in place: the hash returned h fresh
+    return h * 2.0**-53
 
 
-def _unit(h):
-    return _top(h, 53) * 2.0**-53
-
-
-def _position(h):
-    return _top(h, POSITION_BITS) * 2.0**-POSITION_BITS
+def _position(h: np.ndarray) -> np.ndarray:
+    h >>= 64 - POSITION_BITS
+    return h * 2.0**-POSITION_BITS
 
 
 def _words(col) -> np.ndarray:
@@ -137,43 +113,37 @@ def _words(col) -> np.ndarray:
     return a.astype(np.uint64, copy=False)  # two's complement for negative components
 
 
-def _int_word(c) -> int:
-    if not isinstance(c, int) or isinstance(c, bool):
-        raise TypeError(f"coin key components must be ints or flat int tuples, got {c!r}")
-    if not (-(1 << 63) <= c <= _MASK64):
-        raise ValueError(f"coin key component {c} does not fit in 64 bits")
-    return c & _MASK64
-
-
 @functools.lru_cache(maxsize=256)
-def _tag_word(tag: str) -> int:
+def _tag_word(tag: str) -> np.ndarray:
+    """The tag's own word, as a read-only uint64 array of one word."""
     data = tag.encode("utf-8")
     words = [len(data)] + [int.from_bytes(data[i : i + 8], "little") for i in range(0, len(data), 8)]
-    return _absorb(0, words)
+    h = _absorb(np.zeros(1, dtype=np.uint64), np.array(words, dtype=np.uint64)[:, None])
+    h.flags.writeable = False
+    return h
 
 
-@functools.lru_cache(maxsize=64)
-def _int_tag_base(seed: int, tag: str) -> int:
-    return _absorb(_tag_word(tag), [seed])
-
-
-def _tag_base(seed, tag: str):
+def _tag_base(seed, tag: str) -> np.ndarray:
     """Base word of (seed, tag): the seed absorbed into the tag's own word;
     a uint64 seed column gives the column of its seeds' base words."""
     if isinstance(seed, np.ndarray):
         return _absorb(_tag_word(tag), [seed])
-    return _int_tag_base(seed, tag)
+    return _cached_base(seed, tag)
 
 
-def _key_id(key) -> int:
-    """key_ids of a single vertex key."""
-    return _absorb(0, [_int_word(c) for c in (key if isinstance(key, tuple) else (key,))])
+@functools.lru_cache(maxsize=64)
+def _cached_base(seed: int, tag: str) -> np.ndarray:
+    """_tag_base of an int seed, read-only; a sample needs its edge base per row block."""
+    h = _absorb(_tag_word(tag), [np.asarray(seed, dtype=np.uint64)])
+    h.flags.writeable = False
+    return h
 
 
 def key_ids(keys) -> np.ndarray:
     """64-bit ids of vertex keys: ints, or flat int tuples all of one length."""
     a = np.asarray(keys)
-    return _absorb(0, (_words(c) for c in ([a] if a.ndim == 1 else a.T)))
+    cols = [a] if a.ndim == 1 else a.T
+    return _absorb(np.zeros(1, dtype=np.uint64), (_words(c) for c in cols))
 
 
 def _rows(prf: CoinPRF, tag: str, cols) -> np.ndarray:
@@ -181,14 +151,15 @@ def _rows(prf: CoinPRF, tag: str, cols) -> np.ndarray:
 
 
 def coin_batch(prf: CoinPRF, tag: str, *cols) -> np.ndarray:
-    """coin(prf, tag, *key) for every key; column i holds key component i.
-    Columns broadcast against each other and against a seed column, so a
-    (rows, 1) column and a (width,) column key a (rows, width) grid."""
+    """The coins of (prf.seed, tag, key) for every key; column i holds key
+    component i.  Columns broadcast against each other and against a seed
+    column, so a (rows, 1) column and a (width,) column key a (rows, width) grid."""
     return _unit(_rows(prf, tag, cols))
 
 
 def coin_position_batch(prf: CoinPRF, tag: str, *cols) -> np.ndarray:
-    """coin_position(prf, tag, *key) for every key; column i holds component i."""
+    """coin_batch quantized to POSITION_BITS fractional bits, for positions
+    on the real line, where dyadic-interval swaps need dyadic labels."""
     return _position(_rows(prf, tag, cols))
 
 
@@ -199,43 +170,8 @@ def edge_coin_batch(prf: CoinPRF, ids_a, ids_b) -> np.ndarray:
     return _unit(_absorb(_tag_base(prf.seed, "edge"), pair))
 
 
-def _scalar_hash(prf: CoinPRF, tag: str, key: tuple) -> int:
-    """The engine on one key: int components are absorbed as they are,
-    tuple components as their key id, and an unordered pair as its two ids."""
-    if tag in UNORDERED_PAIR_TAGS and len(key) == 2:
-        a, b = (_key_id(k) for k in key)
-        words = (min(a, b), max(a, b))
-    else:
-        words = [_key_id(part) if isinstance(part, tuple) else _int_word(part) for part in key]
-    return _absorb(_tag_base(prf.seed, tag), words)
-
-
-def coin(prf: CoinPRF, tag: str, *key) -> float:
-    """Deterministic uniform variate in [0, 1) for (seed, tag, key)."""
-    return _unit(_scalar_hash(prf, tag, key))
-
-
-def coin_u64(prf: CoinPRF, tag: str, *key) -> int:
-    """Deterministic 64-bit integer for (seed, tag, key); used to derive seeds."""
-    return _scalar_hash(prf, tag, key)
-
-
-def coin_position(prf: CoinPRF, tag: str, *key) -> float:
-    """Uniform variate quantized to POSITION_BITS fractional bits.
-
-    Used for positions on the real line, where exactness of dyadic-interval
-    swaps requires every label to be a not-too-fine dyadic rational.
-    """
-    return _position(_scalar_hash(prf, tag, key))
-
-
-def derive_seed(seed: int, run_index: int) -> int:
-    """Per-run seed for batch execution, keyed on (seed, "trial", run_index)."""
-    return coin_u64(CoinPRF(seed), "trial", run_index)
-
-
 def derive_seeds(seed: int, run_indices) -> np.ndarray:
-    """derive_seed(seed, t) for every t of an integer column, as uint64."""
+    """The uint64 seed of each run t of an integer column, keyed on (seed, "trial", t)."""
     return _rows(CoinPRF(seed), "trial", [run_indices])
 
 

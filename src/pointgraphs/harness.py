@@ -10,9 +10,9 @@ larger window and then acting agrees with acting first.
 
 All verdicts are Bonferroni-corrected over the statistics involved, and a
 report is reproducible byte for byte from its seeds.  Trial t samples with
-the seed derive_seed(seed, t), and draws its group element and window
-labels from coins keyed by (seed, tag, t, draw index), so no draw depends
-on another trial's.
+the seed that derive_seeds keys on (seed, "trial", t), and draws its group
+element and window labels from coins keyed by (seed, tag, t, draw index),
+so no draw depends on another trial's.
 
 Trials run in chunks.  A chunk is one ``GraphTable`` per side, from one
 batched sampler call: the label, latent and edge arrays of all its trials,

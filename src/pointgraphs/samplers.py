@@ -126,6 +126,11 @@ class FamilySpec:
     dim: int | None = None
     point: object | None = None
 
+    def __post_init__(self):
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise TypeError(f"a spec's seed must be an int, got {self.seed!r}")
+        CoinPRF(self.seed)  # in [0, 2^64)
+
 
 def graphon_spec(kernel, seed: int) -> FamilySpec:
     if not isinstance(kernel, GraphonKernel):

@@ -32,13 +32,12 @@ from pointgraphs import (
     graphex_spec,
     graphon_spec,
     haar_rotations,
-    reseeded,
     rotinv_spec,
-    sample,
     sample_generators,
+    sample_table,
 )
 from pointgraphs.cli import run
-from pointgraphs.coins import POSITION_BITS, CoinPRF, coin_batch, derive_seed
+from pointgraphs.coins import POSITION_BITS, CoinPRF, coin_batch, derive_seeds
 from tests.test_groups import apply_label
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -159,17 +158,13 @@ def test_criterion_5_geometric_mean_degree():
     lam, r0, volume = 3.0, 0.3, 50.0
     spec = rotinv_spec(HardDistance(r0), dim=2, point=PoissonRate(lam), seed=501)
     inner = ball_radius(2, volume) - r0
-    sums, counts = [], []
-    for t in range(2000):
-        g = sample(reseeded(spec, derive_seed(spec.seed, t)), volume)
-        deg = [0] * g.n_vertices
-        for i, j in g.edges:
-            deg[i] += 1
-            deg[j] += 1
-        interior = [deg[i] for i, r in enumerate(g.latents) if r < inner]
-        sums.append(sum(interior))
-        counts.append(len(interior))
-    sums, counts = np.asarray(sums, float), np.asarray(counts, float)
+    n_runs = 2000
+    table = sample_table(spec, volume, derive_seeds(spec.seed, np.arange(n_runs)))
+    deg = np.bincount(table.ends.ravel(), minlength=len(table.labels))
+    interior = table.latents < inner
+    trial = table.row_trials()[interior]
+    sums = np.bincount(trial, weights=deg[interior], minlength=n_runs)
+    counts = np.bincount(trial, minlength=n_runs).astype(float)
     mean = float(sums.sum() / counts.sum())
     resid = sums - mean * counts
     se = float(math.sqrt(np.sum(resid**2)) / counts.sum())
@@ -184,10 +179,8 @@ def test_criterion_6_graphex_edge_moment_vs_oracle():
     c, y_max, n = 0.5, 1.0, 3.0
     spec = graphex_spec(GraphexIndicator(c), y_max=y_max, seed=601)
     n_runs = 4000
-    counts = [
-        sample(reseeded(spec, derive_seed(spec.seed, t)), n).n_edges
-        for t in range(n_runs)
-    ]
+    table = sample_table(spec, n, derive_seeds(spec.seed, np.arange(n_runs)))
+    counts = np.diff(table.edge_starts())
     mean_s = float(np.mean(counts))
     se_s = float(np.std(counts, ddof=1) / math.sqrt(n_runs))
     # independent brute-force oracle at 10x the sample size: drop unit-rate

@@ -4,8 +4,6 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# scalar forms kept as oracles for the batched coin engine in tests/test_coins.py
-TEST_ORACLES = {"coin", "coin_position", "derive_seed"}
 
 
 def test_every_public_definition_has_a_caller_outside_the_tests():
@@ -24,11 +22,7 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-    unused = {
-        name: where
-        for name, where in defined.items()
-        if name not in referenced and name not in TEST_ORACLES
-    }
+    unused = {name: where for name, where in defined.items() if name not in referenced}
     assert not unused, unused
 
 

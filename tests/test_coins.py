@@ -3,16 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pointgraphs import (
-    CoinPRF,
-    PoissonRate,
-    RadialTable,
-    coin,
-    coin_position,
-    coin_u64,
-    derive_seed,
-    poisson_from_uniform,
-)
+from pointgraphs import CoinPRF, PoissonRate, RadialTable, poisson_from_uniform
 from pointgraphs.coins import (
     MAX_POISSON_RATE,
     POSITION_BITS,
@@ -22,38 +13,39 @@ from pointgraphs.coins import (
     edge_coin_batch,
     key_ids,
 )
+from tests import reference
 
 
 def test_repeated_call_is_deterministic():
     s = CoinPRF(42)
-    assert coin(s, "u", 7) == coin(s, "u", 7)
-    assert coin_u64(s, "u", 7) == coin_u64(s, "u", 7)
+    assert np.array_equal(coin_batch(s, "u", [7]), coin_batch(s, "u", [7]))
+    assert np.array_equal(derive_seeds(42, [7]), derive_seeds(42, [7]))
 
 
 def test_edge_pair_key_is_canonicalized():
     s = CoinPRF(42)
-    assert coin(s, "edge", 2, 5) == coin(s, "edge", 5, 2)
+    ids = key_ids([2, 5])
+    assert edge_coin_batch(s, ids[:1], ids[1:]) == edge_coin_batch(s, ids[1:], ids[:1])
     # structured point identities canonicalize the same way
-    assert coin(s, "edge", (3, 1, 2), (0, 0, 1)) == coin(s, "edge", (0, 0, 1), (3, 1, 2))
+    ids = key_ids([(3, 1, 2), (0, 0, 1)])
+    assert edge_coin_batch(s, ids[:1], ids[1:]) == edge_coin_batch(s, ids[1:], ids[:1])
 
 
 def test_ordered_tags_do_not_canonicalize():
     s = CoinPRF(42)
-    assert coin(s, "cnt", 2, 5) != coin(s, "cnt", 5, 2)
+    assert coin_batch(s, "cnt", [2], [5]) != coin_batch(s, "cnt", [5], [2])
 
 
 def test_tags_and_keys_separate_streams():
     s = CoinPRF(1)
-    assert coin(s, "lat", 1) != coin(s, "edge", 1, 1)
-    assert coin(s, "lat", 1) != coin(s, "lat", 2)
-    assert coin(CoinPRF(1), "lat", 1) != coin(CoinPRF(2), "lat", 1)
+    assert coin_batch(s, "lat", [1]) != edge_coin_batch(s, key_ids([1]), key_ids([1]))
+    assert coin_batch(s, "lat", [1]) != coin_batch(s, "lat", [2])
+    assert coin_batch(CoinPRF(1), "lat", [1]) != coin_batch(CoinPRF(2), "lat", [1])
 
 
 def test_values_in_unit_interval():
-    s = CoinPRF(9)
-    for k in range(1000):
-        u = coin(s, "u", k)
-        assert 0.0 <= u < 1.0
+    u = coin_batch(CoinPRF(9), "u", np.arange(1000))
+    assert np.all((0.0 <= u) & (u < 1.0))
 
 
 def one_sample_ks_vs_uniform(values) -> float:
@@ -73,18 +65,10 @@ def test_uniformity_ks_100k_keys():
 
 
 def test_position_coin_is_dyadic():
-    s = CoinPRF(3)
-    for k in range(200):
-        u = coin_position(s, "posx", k)
-        scaled = u * 2.0**POSITION_BITS
-        assert scaled == int(scaled)
-        assert 0.0 <= u < 1.0
-
-
-def test_rejects_bad_key_component():
-    s = CoinPRF(0)
-    with pytest.raises(TypeError):
-        coin(s, "u", 1.5)
+    u = coin_position_batch(CoinPRF(3), "posx", np.arange(200))
+    scaled = u * 2.0**POSITION_BITS
+    assert np.array_equal(scaled, np.floor(scaled))
+    assert np.all((0.0 <= u) & (u < 1.0))
 
 
 def test_seed_range_validated():
@@ -94,13 +78,25 @@ def test_seed_range_validated():
         CoinPRF(1 << 64)
 
 
+@pytest.mark.parametrize(
+    "seed", [1.5, np.float64(3), True, np.uint64(3), "7", None],
+    ids=["float", "float64", "bool", "uint64-scalar", "str", "none"],
+)
+def test_seeds_must_be_ints(seed):
+    # a float seed would otherwise hash as its floor
+    with pytest.raises(TypeError):
+        CoinPRF(seed)
+    with pytest.raises(TypeError):
+        derive_seeds(seed, [0])
+
+
 def test_derive_seed_adjacent_seeds_share_no_trial_seed():
     # seed XOR t made seed 42 trial 1 equal seed 43 trial 0
-    trials = range(10_000)
+    trials = np.arange(10_000)
     for seed in (42, 1 << 40):
-        here = {derive_seed(seed, t) for t in trials}
+        here = set(derive_seeds(seed, trials).tolist())
         assert len(here) == len(trials)
-        assert here.isdisjoint(derive_seed(seed + 1, t) for t in trials)
+        assert here.isdisjoint(derive_seeds(seed + 1, trials).tolist())
 
 
 def test_poisson_inverse_cdf_small_values():
@@ -129,7 +125,7 @@ def test_poisson_rates_past_underflow_rejected():
 def test_poisson_from_coins_matches_mean_and_variance():
     s = CoinPRF(55)
     rate = 2.5
-    draws = [poisson_from_uniform(coin(s, "cnt", k), rate) for k in range(20000)]
+    draws = [poisson_from_uniform(u, rate) for u in coin_batch(s, "cnt", np.arange(20000)).tolist()]
     mean = sum(draws) / len(draws)
     var = sum((d - mean) ** 2 for d in draws) / len(draws)
     # 3 standard errors: sd(mean) = sqrt(rate/N)
@@ -141,14 +137,16 @@ def test_poisson_from_coins_matches_mean_and_variance():
 
 _CELLS = np.arange(24)
 _SAMPLER_KEYS = [
-    # (scalar function, batch function, tag, key columns) as the samplers draw them
-    (coin, coin_batch, "lat", [_CELLS + 1]),
-    (coin, coin_batch, "cnt", [_CELLS // 3, _CELLS % 3]),
-    (coin, coin_batch, "cnt", [_CELLS + 1]),
-    (coin_position, coin_position_batch, "posx", [_CELLS // 6, _CELLS % 2, _CELLS % 3 + 1]),
-    (coin_position, coin_position_batch, "posy", [_CELLS // 6, _CELLS % 2, _CELLS % 3 + 1]),
-    (coin, coin_batch, "rad", [_CELLS // 4 + 1, _CELLS % 4 + 1]),
-    (coin, coin_batch, "ang", [_CELLS // 8 + 1, _CELLS // 4 % 2 + 1, _CELLS % 4]),
+    # (reference function, batch function, tag, key columns) as the samplers draw them
+    (reference.coin, coin_batch, "lat", [_CELLS + 1]),
+    (reference.coin, coin_batch, "cnt", [_CELLS // 3, _CELLS % 3]),
+    (reference.coin, coin_batch, "cnt", [_CELLS + 1]),
+    (reference.coin_position, coin_position_batch, "posx",
+     [_CELLS // 6, _CELLS % 2, _CELLS % 3 + 1]),
+    (reference.coin_position, coin_position_batch, "posy",
+     [_CELLS // 6, _CELLS % 2, _CELLS % 3 + 1]),
+    (reference.coin, coin_batch, "rad", [_CELLS // 4 + 1, _CELLS % 4 + 1]),
+    (reference.coin, coin_batch, "ang", [_CELLS // 8 + 1, _CELLS // 4 % 2 + 1, _CELLS % 4]),
 ]
 
 
@@ -157,7 +155,7 @@ def test_batch_equals_scalar_calls(scalar, batch, tag, cols):
     s = CoinPRF(77)
     for size in (0, 1, 3, len(cols[0])):
         part = [c[:size] for c in cols]
-        want = [scalar(s, tag, *key) for key in zip(*(c.tolist() for c in part))]
+        want = [scalar(77, tag, *key) for key in zip(*(c.tolist() for c in part))]
         assert batch(s, tag, *part).tolist() == want  # bit for bit
 
 
@@ -170,13 +168,14 @@ def test_batch_equals_scalar_calls(scalar, batch, tag, cols):
 def test_edge_batch_equals_scalar_calls_and_is_symmetric(keys):
     s = CoinPRF(78)
     ids = key_ids(keys)
+    assert ids.tolist() == [reference.key_id(key) for key in keys]
     assert ids.tolist() == [key_ids(keys[t : t + 1])[0] for t in range(len(keys))]
     ii, jj = np.triu_indices(len(keys), 1)
     for size in (0, 1, 3, len(ii)):
         got = edge_coin_batch(s, ids[ii[:size]], ids[jj[:size]])
-        assert got.tolist() == [coin(s, "edge", keys[i], keys[j]) for i, j in zip(ii[:size], jj[:size])]
+        want = [reference.edge_coin(78, keys[i], keys[j]) for i, j in zip(ii[:size], jj[:size])]
+        assert got.tolist() == want
         assert np.array_equal(got, edge_coin_batch(s, ids[jj[:size]], ids[ii[:size]]))
-    assert coin(s, "edge", keys[3], keys[1]) == coin(s, "edge", keys[1], keys[3])
 
 
 def test_coin_does_not_depend_on_batch_position():
@@ -234,15 +233,16 @@ def test_seed_column_broadcasts_against_key_columns(n_keys):
     got = coin_batch(CoinPRF(_SEEDS[:, None]), "cnt", keys[None, :], (keys % 3)[None, :])
     assert got.shape == (len(_SEEDS), n_keys)
     for row, seed in zip(got.tolist(), _SEEDS.tolist()):
-        assert row == [coin(CoinPRF(seed), "cnt", k, k % 3) for k in keys.tolist()]
+        assert row == coin_batch(CoinPRF(seed), "cnt", keys, keys % 3).tolist()
     per_key = np.resize(_SEEDS, n_keys)  # one seed per key, aligned
     assert coin_position_batch(CoinPRF(per_key), "posx", keys, keys).tolist() == [
-        coin_position(CoinPRF(s), "posx", k, k) for s, k in zip(per_key.tolist(), keys.tolist())
+        coin_position_batch(CoinPRF(s), "posx", [k], [k])[0]
+        for s, k in zip(per_key.tolist(), keys.tolist())
     ]
     ids = key_ids(keys + 1)
     assert edge_coin_batch(CoinPRF(per_key), ids, ids[::-1]).tolist() == [
-        coin(CoinPRF(s), "edge", a, b)
-        for s, a, b in zip(per_key.tolist(), (keys + 1).tolist(), (keys + 1)[::-1].tolist())
+        edge_coin_batch(CoinPRF(s), ids[k : k + 1], ids[::-1][k : k + 1])[0]
+        for k, s in enumerate(per_key.tolist())
     ]
 
 
@@ -251,7 +251,8 @@ def test_key_columns_broadcast_against_each_other():
     trials, draws = np.arange(5) * 3, np.arange(4)
     got = coin_batch(CoinPRF(42), "generator", trials[:, None], draws)
     assert got.tolist() == [
-        [coin(CoinPRF(42), "generator", t, k) for k in draws.tolist()] for t in trials.tolist()
+        [coin_batch(CoinPRF(42), "generator", [t], [k])[0] for k in draws.tolist()]
+        for t in trials.tolist()
     ]
 
 
@@ -266,50 +267,42 @@ def test_derive_seeds_is_derive_seed_per_trial(n_trials):
     for seed in (0, 42, 2**64 - 1):
         got = derive_seeds(seed, trials)
         assert got.dtype == np.uint64
-        assert got.tolist() == [derive_seed(seed, t) for t in trials.tolist()]
+        assert got.tolist() == [reference.derive_seed(seed, t) for t in trials.tolist()]
 
 
 def test_batch_rejects_non_integer_columns():
-    with pytest.raises(TypeError):
-        coin_batch(CoinPRF(0), "u", np.array([1.5]))
-
-
-_MASK = (1 << 64) - 1
-
-
-def _mix_reference(h: int) -> int:
-    h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _MASK
-    return h ^ (h >> 31)
-
-
-def _absorb_reference(h: int, words) -> int:
-    for c in words:
-        h = _mix_reference((h + c * 0x9E3779B97F4A7C15) & _MASK)
-    return h
-
-
-def _hash_reference(seed: int, tag: str, *words) -> int:
-    data = tag.encode()
-    tag_words = [len(data)] + [int.from_bytes(data[i : i + 8], "little") for i in range(0, len(data), 8)]
-    return _absorb_reference(_absorb_reference(_absorb_reference(0, tag_words), [seed]), words)
+    # float, bool and object columns, as arrays and as lists
+    bad = (np.array([1.5]), np.array([True, False]), np.array([1, 2], dtype=object), [1.0], [True])
+    for col in bad:
+        with pytest.raises(TypeError):
+            coin_batch(CoinPRF(0), "u", col)
+        with pytest.raises(TypeError):
+            coin_position_batch(CoinPRF(0), "posx", [1], col)
+        with pytest.raises(TypeError):
+            key_ids(col)
 
 
 def test_known_answers_coin_version_2():
     # Pinned outputs: any change to the coin bits must fail here and ship
-    # as a new COIN_VERSION, never as a silent drift.
+    # as a new COIN_VERSION, never as a silent drift.  Each answer is read
+    # off the batch engine and off the written definition in
+    # tests/reference.py: mix(h + c * PHI) from a (seed, tag) base (the seed
+    # absorbed into the tag's word), outputs by exact shifts, edges keyed
+    # by sorted ids.
     s = CoinPRF(42)
-    assert coin(s, "lat", 7) == 0.1302725118362451
-    assert coin_u64(s, "trial", 1) == 13260724068789866238 == derive_seed(42, 1)
-    assert coin_position(s, "posx", 1, 2, 3) == 0.5134704845422675
-    assert coin(s, "edge", 1, 2) == 0.6679909733958638
-    assert coin(s, "edge", (3, 1, 2), (0, 0, 1)) == 0.30316252694422197
-    assert coin(CoinPRF(0), "rad", 1, 1) == 0.1850645629708617
-    # ... and they follow the written definition: mix(h + c * PHI) from a
-    # (seed, tag) base (the seed absorbed into the tag's word), outputs by
-    # exact shifts, edges keyed by sorted ids.
-    assert coin(s, "lat", 7) == (_hash_reference(42, "lat", 7) >> 11) * 2.0**-53
-    assert coin_u64(s, "trial", 1) == _hash_reference(42, "trial", 1)
-    assert coin_position(s, "posx", 1, 2, 3) == (_hash_reference(42, "posx", 1, 2, 3) >> 21) * 2.0**-43
-    ids = sorted(_absorb_reference(0, key) for key in ((3, 1, 2), (0, 0, 1)))
-    assert coin(s, "edge", (3, 1, 2), (0, 0, 1)) == (_hash_reference(42, "edge", *ids) >> 11) * 2.0**-53
+    ids = key_ids([1, 2])
+    tuple_ids = key_ids([(3, 1, 2), (0, 0, 1)])
+    answers = [
+        (0.1302725118362451, coin_batch(s, "lat", [7]), reference.coin(42, "lat", 7)),
+        (13260724068789866238, derive_seeds(42, [1]), reference.derive_seed(42, 1)),
+        (0.5134704845422675, coin_position_batch(s, "posx", [1], [2], [3]),
+         reference.coin_position(42, "posx", 1, 2, 3)),
+        (0.6679909733958638, edge_coin_batch(s, ids[:1], ids[1:]), reference.edge_coin(42, 1, 2)),
+        (0.30316252694422197, edge_coin_batch(s, tuple_ids[:1], tuple_ids[1:]),
+         reference.edge_coin(42, (3, 1, 2), (0, 0, 1))),
+        (0.1850645629708617, coin_batch(CoinPRF(0), "rad", [1], [1]),
+         reference.coin(0, "rad", 1, 1)),
+    ]
+    for want, engine, second in answers:
+        assert engine.tolist() == [want]
+        assert second == want

@@ -42,8 +42,9 @@ from pointgraphs import (
     window_for,
 )
 from pointgraphs import samplers
-from pointgraphs.coins import CoinPRF, coin, derive_seed, derive_seeds
+from pointgraphs.coins import CoinPRF, derive_seeds
 from pointgraphs.kernels import FixedDirectionIndicator, geo_edge_prob
+from tests import reference
 from tests.test_pairs import trial_graph
 
 
@@ -131,8 +132,8 @@ def test_graphon_restriction_is_induced_subgraph():
 def test_window_scaled_constant_breaks_projectivity():
     spec = graphon_spec(WindowScaledConstant(0.8), seed=3)
     mismatch = 0
-    for t in range(200):
-        s = reseeded(spec, derive_seed(spec.seed, t))
+    for seed in derive_seeds(spec.seed, np.arange(200)).tolist():
+        s = reseeded(spec, seed)
         if restrict_graph(sample(s, 8), window_for(s, 4)).edges != sample(s, 4).edges:
             mismatch += 1
     assert mismatch > 0
@@ -175,8 +176,8 @@ def test_graphex_edge_count_matches_closed_form_moment():
     # unordered pairs of a unit-rate process thinned to marks <= c:
     # E[#edges] = (n c)^2 / 2, here 0.5
     spec = graphex_spec(GraphexIndicator(0.5), y_max=1.0, seed=777)
-    counts = [sample(reseeded(spec, derive_seed(spec.seed, t)), 2.0).n_edges for t in range(5000)]
-    mean, se = mc_mean(counts)
+    table = sample_table(spec, 2.0, derive_seeds(spec.seed, np.arange(5000)))
+    mean, se = mc_mean(np.diff(table.edge_starts()))
     assert abs(mean - 0.5) < 3 * se
 
 
@@ -193,19 +194,16 @@ def test_graphex_point_process_is_unit_rate_poisson():
     # E[#vertices] = E[K] - P(K = 1) with K ~ Poisson(n * y_max)
     n, y_max = 8.0, 1.0
     spec = graphex_spec(GraphexIndicator(1.0), y_max=y_max, seed=314)
-    sizes, xs = [], []
-    for t in range(3000):
-        g = sample(reseeded(spec, derive_seed(spec.seed, t)), n)
-        sizes.append(g.n_vertices)
-        xs.extend(g.vertices)
+    table = sample_table(spec, n, derive_seeds(spec.seed, np.arange(3000)))
+    xs = table.labels
     lam = n * y_max
     want = lam - lam * math.exp(-lam)
-    mean, se = mc_mean(sizes)
+    mean, se = mc_mean(np.diff(table.starts))
     assert abs(mean - want) < 3 * se
     # positions are uniform over [0, n); with >= 20,000 of them a uniform
     # sample exceeds D = 0.02 with probability ~1e-8 (Kolmogorov tail)
     assert len(xs) >= 20_000
-    assert one_sample_ks_vs_uniform(np.asarray(xs) / n) < 0.02
+    assert one_sample_ks_vs_uniform(xs / n) < 0.02
 
 
 def test_rotinv_volume_coordinates_are_uniform():
@@ -214,11 +212,8 @@ def test_rotinv_volume_coordinates_are_uniform():
 
     n = 12.0
     spec = rotinv_spec(Constant(0.0), dim=3, point=PoissonRate(2.0), seed=271)
-    vols = []
-    for t in range(1000):
-        g = sample(reseeded(spec, derive_seed(spec.seed, t)), n)
-        vd = pointgraphs.unit_ball_volume(3)
-        vols.extend(vd * r**3 / n for r in g.latents)
+    table = sample_table(spec, n, derive_seeds(spec.seed, np.arange(1000)))
+    vols = pointgraphs.unit_ball_volume(3) * table.latents**3 / n
     # with >= 20,000 points a uniform sample exceeds D = 0.02 with
     # probability ~1e-8 (Kolmogorov tail)
     assert len(vols) >= 20_000
@@ -227,16 +222,14 @@ def test_rotinv_volume_coordinates_are_uniform():
 
 def test_graphon_latents_are_uniform():
     spec = graphon_spec(Constant(0.0), seed=161)
-    xs = []
-    for t in range(100):
-        xs.extend(sample(reseeded(spec, derive_seed(spec.seed, t)), 50).latents)
+    xs = sample_table(spec, 50, derive_seeds(spec.seed, np.arange(100))).latents
     assert one_sample_ks_vs_uniform(xs) < 0.03
 
 
 def test_graphex_restriction_preserves_edge_configuration():
     spec = graphex_spec(GraphexProduct(2.0), y_max=2.0, seed=6)
-    for t in range(100):
-        s = reseeded(spec, derive_seed(spec.seed, t))
+    for seed in derive_seeds(spec.seed, np.arange(100)).tolist():
+        s = reseeded(spec, seed)
         big = sample(s, 4.0)
         small = sample(s, 1.0)
         w1 = window_for(s, 1.0)
@@ -256,11 +249,8 @@ def test_rotinv_zero_kernel_keeps_points_only():
 
 def test_rotinv_point_count_is_poisson_rate_volume():
     spec = rotinv_spec(Constant(0.0), dim=2, point=PoissonRate(3.0), seed=21)
-    counts = [
-        sample(reseeded(spec, derive_seed(spec.seed, t)), 4.0).n_vertices
-        for t in range(2000)
-    ]
-    mean, se = mc_mean(counts)
+    table = sample_table(spec, 4.0, derive_seeds(spec.seed, np.arange(2000)))
+    mean, se = mc_mean(np.diff(table.starts))
     assert abs(mean - 12.0) < 3 * se
 
 
@@ -288,10 +278,8 @@ def test_rotinv_constant_kernel_edge_moment():
     # E[#edges] = p E[K(K-1)]/2 with K ~ Poisson(lam*n), so p (lam n)^2 / 2
     lam, n, p = 2.0, 3.0, 0.3
     spec = rotinv_spec(Constant(p), dim=2, point=PoissonRate(lam), seed=88)
-    counts = [
-        sample(reseeded(spec, derive_seed(spec.seed, t)), n).n_edges for t in range(3000)
-    ]
-    mean, se = mc_mean(counts)
+    table = sample_table(spec, n, derive_seeds(spec.seed, np.arange(3000)))
+    mean, se = mc_mean(np.diff(table.edge_starts()))
     assert abs(mean - p * (lam * n) ** 2 / 2.0) < 3 * se
 
 
@@ -307,8 +295,8 @@ def test_rotinv_hard_distance_edges_match_geometry():
 
 def test_rotinv_restriction_exact():
     spec = rotinv_spec(SoftDistance(0.7, 2.0), dim=2, point=PoissonRate(3.0), seed=44)
-    for t in range(50):
-        s = reseeded(spec, derive_seed(spec.seed, t))
+    for seed in derive_seeds(spec.seed, np.arange(50)).tolist():
+        s = reseeded(spec, seed)
         big = sample(s, 8.0)
         small = sample(s, 2.0)
         got = restrict_graph(big, window_for(s, 2.0))
@@ -416,7 +404,7 @@ def test_edge_tables_are_sized_for_their_contents():
         restrict_graph(g, window_for(spec, 299)),
         make_graph(g.window, g.vertices, g.edges),
         sample(graphex_spec(GraphexProduct(2.0), y_max=2.0, seed=42), 60.0),
-        sample(reseeded(spec, derive_seed(7, 3)), 100),
+        sample(reseeded(spec, int(derive_seeds(7, [3])[0])), 100),
     ]
     assert g.n_edges > 19_000
     for h in graphs:
@@ -514,13 +502,13 @@ def test_tiled_edges_match_whole_matrix_reference(monkeypatch, spec, n):
     assert len(tiles) >= 3
     for rows, cols, tile in tiles:
         assert np.array_equal(tile, pmat[rows, cols])  # bit for bit
-    # vertex keys as the scalar coins take them: an int or a tuple of ints
+    # vertex keys as the reference coins take them: an int or a tuple of ints
     vertex = [tuple(key) if isinstance(key, list) else key for key in keys.rows.tolist()]
     want = []
     for i in range(k):
         for j in range(i + 1, k):
             p = pmat[i, j]
-            if p >= 1.0 or (p > 0.0 and coin(prf, "edge", vertex[i], vertex[j]) < p):
+            if p >= 1.0 or (p > 0.0 and reference.edge_coin(prf.seed, vertex[i], vertex[j]) < p):
                 want.append((i, j))
     ii, jj = edges
     assert ii.dtype == jj.dtype == np.int64
@@ -579,7 +567,8 @@ def test_batch_sampler_matches_batch_of_one(monkeypatch, spec, sizes, tile, pack
 
     monkeypatch.setattr(samplers, "_draw_edges", draw_spy)
     monkeypatch.setattr(samplers, "_triangles", triangles_spy)
-    seeds = np.array([derive_seed(spec.seed, t) for t in range(40)] + [0, 2**64 - 1], np.uint64)
+    edge_seeds = np.array([0, 2**64 - 1], np.uint64)
+    seeds = np.concatenate((derive_seeds(spec.seed, np.arange(40)), edge_seeds))
     for n in sizes:
         table = samplers.sample_table(spec, n, seeds)
         assert table.n_trials == len(seeds)
@@ -600,7 +589,7 @@ def test_packed_trials_beside_a_trial_past_the_budget():
     starts = np.concatenate(([0], np.cumsum(sizes)))
     keys = samplers._TrialKeys(np.arange(starts[-1]) * 7 + 1, starts)
     x = (np.arange(starts[-1]) % 9) / 4.0  # p = min(x_i * x_j, 1): some 0, some 1
-    seeds = np.array([derive_seed(5, t) for t in range(len(sizes))], np.uint64)
+    seeds = derive_seeds(5, np.arange(len(sizes)))
     tiles = []
 
     def block(rows, cols):
@@ -619,7 +608,7 @@ def test_packed_trials_beside_a_trial_past_the_budget():
             for j in range(i + 1, starts[t + 1]):
                 p = min(x[i] * x[j], 1.0)
                 key_i, key_j = keys.rows[i].tolist(), keys.rows[j].tolist()
-                if p >= 1.0 or (p > 0.0 and coin(CoinPRF(seed), "edge", key_i, key_j) < p):
+                if p >= 1.0 or (p > 0.0 and reference.edge_coin(seed, key_i, key_j) < p):
                     want.append((i, j))
     assert list(zip(ii.tolist(), jj.tolist())) == want
 
@@ -719,6 +708,24 @@ def test_fingerprint_tracks_seed_and_kernel():
     assert fingerprint(a) == fingerprint(graphon_spec(Constant(0.5), seed=1))
     assert fingerprint(a) != fingerprint(graphon_spec(Constant(0.5), seed=2))
     assert fingerprint(a) != fingerprint(graphon_spec(Constant(0.6), seed=1))
+
+
+def test_spec_seeds_must_be_64_bit_ints():
+    # np.asarray(1.5, dtype=np.uint64) is 1: a float seed would draw seed 1's
+    # graph under a fingerprint of its own
+    spec = graphon_spec(Constant(0.5), seed=1)
+    for seed in (1.5, True, np.float64(3), np.uint64(3), np.array([1], np.uint64)):
+        with pytest.raises(TypeError):
+            graphon_spec(Constant(0.5), seed)
+        with pytest.raises(TypeError):
+            reseeded(spec, seed)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            reseeded(spec, seed)
+    with pytest.raises(TypeError):
+        graphex_spec(GraphexIndicator(0.5), y_max=1.0, seed=1.5)
+    with pytest.raises(TypeError):
+        rotinv_spec(Constant(0.0), dim=2, point=PoissonRate(1.0), seed=False)
 
 
 def test_fingerprint_hashes_the_canonical_spec_json():
