@@ -3,18 +3,13 @@
 from .coins import CoinPRF, derive_seeds, poisson_from_uniform
 from .groups import (
     DyadicSwaps,
-    DyadicSwapWord,
-    Permutation,
     RandomRotations,
-    Rotation,
     Transpositions,
     apply_table,
     extend_element,
     generator_coins,
-    haar_rotations,
     sample_generators,
     serialize_element,
-    transposition,
 )
 from .harness import (
     EnumeratedDistribution,

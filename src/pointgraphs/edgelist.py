@@ -102,6 +102,15 @@ def _read_edges(lines) -> np.ndarray:
     return np.stack((rows["i"], rows["j"]), axis=1)
 
 
+def _number(parse, text: str, line: str):
+    """parse(text), int or float, with a ValueError that names the line."""
+    try:
+        return parse(text)
+    except ValueError:
+        kind = "an integer" if parse is int else "a real number"
+        raise ValueError(f"{text!r} is not {kind}: {line!r}") from None
+
+
 def _read_window(line: str) -> Window:
     """Parse a "#window kind=K size=S [dim=D]" header line."""
     fields = {}
@@ -114,8 +123,8 @@ def _read_window(line: str) -> Window:
         raise ValueError(f"#window line needs kind= and size=: {line!r}")
     return make_window(
         WindowKind(fields["kind"]),
-        float(fields["size"]),
-        int(fields["dim"]) if "dim" in fields else None,
+        _number(float, fields["size"], line),
+        _number(int, fields["dim"], line) if "dim" in fields else None,
     )
 
 
@@ -156,23 +165,23 @@ def read_graph(fh) -> Graph:
             if window is None:
                 raise ValueError("v line before #window header")
             tok = line.split()
-            idx = int(tok[1])
+            idx = _number(int, tok[1], line)
             if idx != len(vertices):
                 raise ValueError("v lines must be in index order")
             ncomp = window.dim or 1
             if len(tok) < 2 + ncomp:
                 raise ValueError(f"v line has fewer than {ncomp} label components: {line!r}")
             if window.kind is WindowKind.INTEGER_PREFIX:
-                label = int(tok[2])
+                label = _number(int, tok[2], line)
             elif window.kind is WindowKind.REAL_INTERVAL:
-                label = float(tok[2])
+                label = _number(float, tok[2], line)
             else:
-                label = tuple(float(c) for c in tok[2 : 2 + ncomp])
+                label = tuple(_number(float, c, line) for c in tok[2 : 2 + ncomp])
             rest = tok[2 + ncomp :]
             if len(rest) > 1:
                 raise ValueError(f"v line has tokens past the latent: {line!r}")
             vertices.append(label)
-            latents.append(float(rest[0]) if rest else None)
+            latents.append(_number(float, rest[0], line) if rest else None)
         elif line.startswith("e "):
             if window is None:
                 raise ValueError("e line before #window header")

@@ -5,21 +5,22 @@ demand bit-identical agreement with the smaller one; any mismatch fails)
 and a distributional mode (independent seeds, Kolmogorov-Smirnov on graph
 statistics).  Invariance draws one random generator per trial and compares
 label-dependent statistics of the transformed sample against the plain
-one.  Compatibility checks, exactly, that embedding a group element into a
+one.  Compatibility checks, exactly, that embedding a group generator into a
 larger window and then acting agrees with acting first.
 
 All verdicts are Bonferroni-corrected over the statistics involved, and a
 report is reproducible byte for byte from its seeds.  Trial t samples with
 the seed that derive_seeds keys on (seed, "trial", t), and draws its group
-element and window labels from coins keyed by (seed, tag, t, draw index),
+generator and window labels from coins keyed by (seed, tag, t, draw index),
 so no draw depends on another trial's.
 
 Trials run in chunks.  A chunk is one ``GraphTable`` per side, from one
 batched sampler call: the label, latent and edge arrays of all its trials,
 cut into trials by offsets, with no Python object per trial or per vertex.
-Restriction, the group action (one element per trial), the invariance
+Restriction, the group action (one generator per trial), the invariance
 statistics, the graph statistics and exact equality each run once per
-chunk over the whole table, and every per-trial result is a column.  The
+chunk over the whole table, and every per-trial result is a column; so
+are the chunk's generators, one array row per trial (see groups).  The
 chunk's coins are drawn in one batch per tag and consumed before the next
 chunk is drawn, so memory stays O(chunk) whatever the trial count.
 """
@@ -149,8 +150,8 @@ def _trial_coins(spec: FamilySpec, tag: str, trials: np.ndarray, width: int) -> 
     return coin_batch(CoinPRF(spec.seed), tag, trials[:, None], np.arange(width))
 
 
-def _generators(spec: FamilySpec, gen_set: GeneratorSet, trials: np.ndarray) -> list:
-    """The group element of each trial, from that trial's own coins."""
+def _generators(spec: FamilySpec, gen_set: GeneratorSet, trials: np.ndarray) -> np.ndarray:
+    """The generator row of each trial, from that trial's own coins."""
     return sample_generators(
         gen_set, _trial_coins(spec, "generator", trials, generator_coins(gen_set))
     )
@@ -321,9 +322,9 @@ def test_invariance(
     for trials in _chunks(N, mean_pairs(spec, win_n.size)):
         table = sample_table(spec, n, derive_seeds(spec.seed, trials))
         gens = _generators(spec, gen_set, trials)
-        shown += [serialize_element(g) for t, g in zip(trials.tolist(), gens) if t < 3]
+        shown += [serialize_element(gen_set, g) for t, g in zip(trials.tolist(), gens) if t < 3]
         base.append(stats_fn(table))
-        moved.append(stats_fn(apply_table(gens, table)))
+        moved.append(stats_fn(apply_table(gen_set, gens, table)))
     sizes = {"N": N, "n": win_n.size, "m": None}
     seeds = {"seed": spec.seed, "generators": shown}
     return _ks_report("invariance", spec, sizes, seeds, alpha, base, moved)
@@ -377,7 +378,8 @@ def test_compatibility(spec: FamilySpec, n, m, trials: int, k_max: int = 3) -> T
     projectivity and invariance run, over one table per chunk of trials;
     an action that merges the two labels counts as a pair mismatch.  Trial
     t draws its generator and its labels x, a, b from coins keyed by
-    (spec.seed, t), one coin batch per chunk of trials.
+    (spec.seed, t), one coin batch per chunk of trials.  A failing report
+    names its first mismatching trial and that trial's generator.
     """
     if n > m:
         raise ValueError("need n <= m")
@@ -388,19 +390,22 @@ def test_compatibility(spec: FamilySpec, n, m, trials: int, k_max: int = 3) -> T
     width = _label_coins(win_n)
     label_mismatch = 0
     pair_mismatch = 0
+    details = {}
     for chunk in _chunks(trials):  # each trial acts on one label and one edge
         us = _trial_coins(spec, "label", chunk, 3 * width)
         gens = _generators(spec, gen_set, chunk)
-        exts = [extend_element(g, win_n, win_m) for g in gens]
+        exts = extend_element(gen_set, gens, win_n, win_m)
         xs = _window_labels(win_n, us[:, :width])
         ones = np.arange(len(chunk) + 1)
         points = GraphTable(win_n, xs, None, np.zeros((0, 2), dtype=np.int64), ones)
-        moved_x = differing_trials(apply_table(exts, points), apply_table(gens, points))
+        moved_x = differing_trials(
+            apply_table(gen_set, exts, points), apply_table(gen_set, gens, points)
+        )
         label_mismatch += int(np.count_nonzero(moved_x))
         as_ = _window_labels(win_m, us[:, width : 2 * width])
         bs = _window_labels(win_m, us[:, 2 * width :])
         kept = np.flatnonzero(_rows_differ(as_, bs))
-        exts = [exts[i] for i in kept]
+        exts = exts[kept]
         rows = np.arange(2 * len(kept))
         pair = GraphTable(
             win_m,
@@ -410,11 +415,17 @@ def test_compatibility(spec: FamilySpec, n, m, trials: int, k_max: int = 3) -> T
             np.arange(0, len(rows) + 1, 2),
             spec.family,
         )
-        moved = apply_table(exts, pair)
+        moved = apply_table(gen_set, exts, pair)
         left = restrict_table(moved, win_n)
-        right = apply_table(exts, restrict_table(pair, win_n))
+        right = apply_table(gen_set, exts, restrict_table(pair, win_n))
         merged = ~_rows_differ(moved.labels[0::2], moved.labels[1::2])
-        pair_mismatch += int(np.count_nonzero(merged | differing_trials(left, right)))
+        bad_pair = kept[merged | differing_trials(left, right)]
+        pair_mismatch += len(bad_pair)
+        bad = np.concatenate((np.flatnonzero(moved_x), bad_pair))
+        if len(bad) and not details:
+            t = bad.min()
+            generator = serialize_element(gen_set, gens[t])
+            details["first_mismatch"] = {"trial": int(chunk[t]), "generator": generator}
     p_values = {
         "labels_exact": 1.0 if label_mismatch == 0 else 0.0,
         "pairs_exact": 1.0 if pair_mismatch == 0 else 0.0,
@@ -429,7 +440,7 @@ def test_compatibility(spec: FamilySpec, n, m, trials: int, k_max: int = 3) -> T
         verdict=_verdict(p_values, alpha),
         alpha=alpha,
         seeds={"seed": spec.seed},
-        details={"label_mismatches": label_mismatch, "pair_mismatches": pair_mismatch},
+        details={**details, "label_mismatches": label_mismatch, "pair_mismatches": pair_mismatch},
     )
 
 

@@ -279,8 +279,11 @@ def _triangles(starts: np.ndarray):
 def _accepted(seed, ids, ii, jj, q):
     """The pairs (ii, jj) of probabilities q > 0 that their edge coins accept,
     in order; ``seed`` is an int or the column of each pair's trial seed.
-    Certain pairs (q >= 1) draw no coin."""
+    Certain pairs (q >= 1) draw no coin, and a batch with no unsure pair,
+    an empty one included, draws none."""
     hit = q >= 1.0
+    if hit.all():
+        return ii, jj
     if not hit.any():
         hit = edge_coin_batch(CoinPRF(seed), ids[ii], ids[jj]) < q
     else:

@@ -31,7 +31,6 @@ from pointgraphs import (
     generator_coins,
     graphex_spec,
     graphon_spec,
-    haar_rotations,
     rotinv_spec,
     sample_generators,
     sample_table,
@@ -213,25 +212,23 @@ def test_criterion_7_numerical_hygiene():
     worst_norm = 0.0
     angles = []
     for dim in (2, 3):
-        width = generator_coins(RandomRotations(dim))
-        for q in haar_rotations(dim, keyed_uniforms(701 + dim, 5_000, width)):
-            worst_ortho = max(
-                worst_ortho, float(np.max(np.abs(q.matrix.T @ q.matrix - np.eye(dim))))
-            )
-            worst_det = max(worst_det, abs(float(np.linalg.det(q.matrix)) - 1.0))
+        gen = RandomRotations(dim)
+        for q in sample_generators(gen, keyed_uniforms(701 + dim, 5_000, generator_coins(gen))):
+            worst_ortho = max(worst_ortho, float(np.max(np.abs(q.T @ q - np.eye(dim)))))
+            worst_det = max(worst_det, abs(float(np.linalg.det(q)) - 1.0))
             x = tuple(rng.standard_normal(dim) * 3.0)
             nx = math.sqrt(sum(c * c for c in x))
-            ny = math.sqrt(sum(c * c for c in apply_label(q, x)))
+            ny = math.sqrt(sum(c * c for c in apply_label(gen, q, x)))
             worst_norm = max(worst_norm, abs(nx - ny))
             if dim == 2:
-                angles.append(math.atan2(q.matrix[1, 0], q.matrix[0, 0]) % (2 * math.pi))
+                angles.append(math.atan2(q[1, 0], q[0, 0]) % (2 * math.pi))
     # a Haar rotation of the plane turns by a uniform angle
     ks_p = float(kstest(np.asarray(angles) / (2 * math.pi), "uniform").pvalue)
     swap_failures = 0
     gen = DyadicSwaps(4.0, 5)
     for theta in sample_generators(gen, keyed_uniforms(702, 10_000, generator_coins(gen))):
         x = int(rng.integers(0, 4)) + int(rng.integers(0, 1 << POSITION_BITS)) * 2.0**-POSITION_BITS
-        if apply_label(theta, apply_label(theta, x)) != x:
+        if apply_label(gen, theta, apply_label(gen, theta, x)) != x:
             swap_failures += 1
     elapsed = time.time() - t0
     ok = (

@@ -73,6 +73,13 @@ MALFORMED_LINES = {
     "window-after-v-line": INT4 + "v 0 1\n#window kind=integer_prefix size=2\n",
     "repeated-family": INT4 + "#family graphon\n#family graphex\n",
     "repeated-fingerprint": INT4 + "#fingerprint 00aa\n#fingerprint 00bb\n",
+    "float-label-in-integer-window": INT4 + "v 0 1.5\n",
+    "integral-float-label-in-integer-window": INT4 + "v 0 1.0\n",
+    "v-line-non-integer-index": INT4 + "v x 0.5\n",
+    "v-line-non-real-latent": "#window kind=real_interval size=4\nv 0 0.5 abc\n",
+    "v-line-non-real-latent-of-integer-label": INT4 + "v 0 1 x\n",
+    "window-non-integer-dim": "#window kind=euclidean_ball size=4 dim=2.5\n",
+    "window-non-real-size": "#window kind=integer_prefix size=four\n",
 }
 
 
@@ -83,7 +90,6 @@ MALFORMED_LINES = {
         INT4 + "v 0 2\nv 1 2\n",
         INT4 + "v 0 1\nv 1 2\ne 1 1\n",
         INT4 + "v 0 1\nv 1 2\ne 0 2\n",
-        INT4 + "v 0 1.5\n",
         "#window kind=euclidean_ball size=10 dim=3\nv 0 0.1 0.2\n",
         INT4 + "v 0 1 0.5 junk\nv 1 2 0.25\n",
         INT4 + "v 0 1 0.5\nv 1 2 0.25 7\ne 0 1\n",
@@ -105,7 +111,6 @@ MALFORMED_LINES = {
         "duplicate-label",
         "self-loop",
         "edge-to-missing-vertex",
-        "float-label-in-integer-window",
         "ball-label-of-wrong-dimension",
         "token-past-latent",
         "number-past-latent",

@@ -6,13 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from pointgraphs import (
     DyadicSwaps,
-    DyadicSwapWord,
     Graph,
     GraphTable,
     GraphexIndicator,
-    Permutation,
     RandomRotations,
-    Rotation,
     Transpositions,
     WindowKind,
     apply_table,
@@ -24,25 +21,30 @@ from pointgraphs import (
     sample,
     sample_generators,
     serialize_element,
-    transposition,
 )
 from pointgraphs.coins import POSITION_BITS
 from tests.test_pairs import FIG_GRAPH, label_edges
 
 
-def apply_label(g, label):
-    """g acting on one label: apply_table on a table of one vertex."""
+def apply_label(gen_set, g, label):
+    """The generator row g of the set acting on one label: apply_table on a
+    table of one vertex."""
     one = GraphTable(None, np.array([label]), None, np.zeros((0, 2), np.int64), np.array([0, 1]))
-    moved = apply_table([g], one).labels.tolist()[0]
+    moved = apply_table(gen_set, np.asarray(g)[None], one).labels.tolist()[0]
     return tuple(moved) if isinstance(moved, list) else moved
 
 
-def apply_graph(g, graph):
-    """g acting on a graph: apply_table on the table of this one graph."""
-    return Graph(apply_table([g], graph.table), graph.fingerprint)
+def apply_graph(gen_set, g, graph):
+    """The generator row g acting on a graph: apply_table on the table of
+    this one graph."""
+    return Graph(apply_table(gen_set, np.asarray(g)[None], graph.table), graph.fingerprint)
 
 
-ROT90 = Rotation(np.array([[0.0, -1.0], [1.0, 0.0]]))
+# a swap row (i, j, k) acts the same under any set of dyadic swaps, and a
+# transposition row under any set of transpositions
+SWAPS = DyadicSwaps(1024, 40)
+PLANE = RandomRotations(2)
+ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 # the smallest and the largest uniform a coin can take
 EXTREMES = (0.0, 1.0 - 2.0**-53)
 
@@ -68,56 +70,58 @@ def dyadic_label(rng, n):
 
 
 def test_swap_moves_quarter_to_three_quarters():
-    theta = DyadicSwapWord(((1, 2, 1),))
-    assert apply_label(theta, 0.25) == 0.75
-    assert apply_label(theta, 0.75) == 0.25
+    assert apply_label(SWAPS, (1, 2, 1), 0.25) == 0.75
+    assert apply_label(SWAPS, (1, 2, 1), 0.75) == 0.25
 
 
 def test_swap_boundary_belongs_to_upper_interval():
-    theta = DyadicSwapWord(((1, 2, 1),))
-    assert apply_label(theta, 0.5) == 1.0  # 0.5 is in (0, 1/2]
-    assert apply_label(theta, 0.0) == 0.0  # 0 is in no dyadic interval
-    assert apply_label(theta, 1.5) == 1.5  # identity outside support
+    assert apply_label(SWAPS, (1, 2, 1), 0.5) == 1.0  # 0.5 is in (0, 1/2]
+    assert apply_label(SWAPS, (1, 2, 1), 0.0) == 0.0  # 0 is in no dyadic interval
+    assert apply_label(SWAPS, (1, 2, 1), 1.5) == 1.5  # identity outside support
 
 
 def test_permutation_identity_outside_support():
-    g = transposition(2, 1, 2)
-    assert apply_label(g, 3) == 3
-    assert apply_label(g, 1) == 2
+    assert apply_label(Transpositions(2), (1, 2), 3) == 3
+    assert apply_label(Transpositions(2), (1, 2), 1) == 2
 
 
 def test_rotation_quarter_turn():
-    assert apply_label(ROT90, (1.0, 0.0)) == pytest.approx((0.0, 1.0))
+    assert apply_label(PLANE, ROT90, (1.0, 0.0)) == pytest.approx((0.0, 1.0))
 
 
 def test_apply_label_variant_mismatch():
     with pytest.raises(TypeError):
-        apply_label(transposition(3, 1, 2), 0.5)
+        apply_label(Transpositions(3), (1, 2), 0.5)
     with pytest.raises(TypeError):
-        apply_label(DyadicSwapWord(((1, 2, 1),)), (1.0, 0.0))
+        apply_label(SWAPS, (1, 2, 1), (1.0, 0.0))
     with pytest.raises(TypeError):
-        apply_label(ROT90, 1)
+        apply_label(PLANE, ROT90, 1)
+    with pytest.raises(TypeError):
+        apply_label(RandomRotations(3), ROT90, (1.0, 0.0))
 
 
 # --- apply_graph ------------------------------------------------------------
 
 
 def test_apply_graph_relabels_fig_graph():
-    got = apply_graph(transposition(4, 1, 2), FIG_GRAPH)
+    got = apply_graph(Transpositions(4), (1, 2), FIG_GRAPH)
     assert got.vertices == (2, 1, 3, 4)
     assert got.edges == FIG_GRAPH.edges and got.window == FIG_GRAPH.window
     assert label_edges(got) == {frozenset(e) for e in [(2, 1), (1, 3), (3, 4), (4, 1)]}
 
 
 def test_apply_graph_identity():
-    assert apply_graph(Permutation(tuple(range(1, 5))), FIG_GRAPH) == FIG_GRAPH
+    # a transposition of labels the graph does not hold, and one done twice
+    assert apply_graph(Transpositions(6), (5, 6), FIG_GRAPH) == FIG_GRAPH
+    once = apply_graph(Transpositions(4), (2, 4), FIG_GRAPH)
+    assert once != FIG_GRAPH and apply_graph(Transpositions(4), (2, 4), once) == FIG_GRAPH
 
 
 def test_apply_graph_swap_missing_labels_is_noop():
     w2 = make_window(WindowKind.REAL_INTERVAL, 2.0)
     g = make_graph(w2, (0.1, 1.9), [(0, 1)], latents=(0.5, 0.25), family="graphex")
-    theta = DyadicSwapWord(((2, 3, 2),))  # swaps (0.25,0.5] and (0.5,0.75]
-    assert apply_graph(theta, g) == g
+    # swaps (0.25,0.5] and (0.5,0.75]
+    assert apply_graph(DyadicSwaps(2.0, 2), (2, 3, 2), g) == g
 
 
 # --- extend_element ---------------------------------------------------------
@@ -126,44 +130,72 @@ def test_apply_graph_swap_missing_labels_is_noop():
 def test_extend_permutation_fixes_new_points():
     w2 = make_window(WindowKind.INTEGER_PREFIX, 2)
     w4 = make_window(WindowKind.INTEGER_PREFIX, 4)
-    got = extend_element(transposition(2, 1, 2), w2, w4)
-    assert got == Permutation((2, 1, 3, 4))
+    rows = np.array([[1, 2], [2, 1]])
+    got = extend_element(Transpositions(2), rows, w2, w4)
+    assert got is rows
+    for g in got:
+        assert [apply_label(Transpositions(4), g, x) for x in (1, 2, 3, 4)] == [2, 1, 3, 4]
+    with pytest.raises(ValueError, match="degree 3"):
+        extend_element(Transpositions(3), rows, w2, w4)
 
 
 def test_extend_swap_word_unchanged():
     w1 = make_window(WindowKind.REAL_INTERVAL, 1.0)
     w5 = make_window(WindowKind.REAL_INTERVAL, 5.0)
-    theta = DyadicSwapWord(((1, 2, 1),))
-    assert extend_element(theta, w1, w5) is theta
+    rows = np.array([[1, 2, 1], [2, 1, 1]])
+    assert extend_element(DyadicSwaps(1.0, 1), rows, w1, w5) is rows
 
 
 def test_extend_rotation_identity_embedding():
     w1 = make_window(WindowKind.EUCLIDEAN_BALL, 1.0, dim=2)
     w9 = make_window(WindowKind.EUCLIDEAN_BALL, 9.0, dim=2)
-    assert extend_element(ROT90, w1, w9) is ROT90
+    rows = ROT90[None]
+    assert extend_element(PLANE, rows, w1, w9) is rows
+    with pytest.raises(ValueError, match="dimension"):
+        extend_element(RandomRotations(3), rows, w1, w9)
 
 
 def test_extend_rejects_swap_support_outside_window():
     w1 = make_window(WindowKind.REAL_INTERVAL, 1.0)
     w2 = make_window(WindowKind.REAL_INTERVAL, 2.0)
-    with pytest.raises(ValueError):
-        extend_element(DyadicSwapWord(((3, 4, 1),)), w1, w2)  # support up to 2
+    rows = np.array([[1, 2, 1], [3, 4, 1]])  # the second reaches up to 2
+    with pytest.raises(ValueError, match=r"swap \(3, 4, 1\)"):
+        extend_element(DyadicSwaps(1.0, 1), rows, w1, w2)
 
 
 def test_extend_rejects_kind_mismatch():
+    w1 = make_window(WindowKind.INTEGER_PREFIX, 1)
     w2 = make_window(WindowKind.INTEGER_PREFIX, 2)
     w4 = make_window(WindowKind.REAL_INTERVAL, 4.0)
-    with pytest.raises(ValueError):
-        extend_element(transposition(2, 1, 2), w2, w4)
+    with pytest.raises(ValueError, match="share a kind"):
+        extend_element(Transpositions(2), np.array([[1, 2]]), w2, w4)
+    with pytest.raises(ValueError, match="nested"):
+        extend_element(Transpositions(2), np.array([[1, 2]]), w2, w1)
+
+
+@pytest.mark.parametrize(
+    "gen_set, rows, own",
+    [
+        (Transpositions(2), np.array([[1, 2]]), WindowKind.INTEGER_PREFIX),
+        (DyadicSwaps(1.0, 1), np.array([[1, 2, 1]]), WindowKind.REAL_INTERVAL),
+        (PLANE, ROT90[None], WindowKind.EUCLIDEAN_BALL),
+    ],
+    ids=["transpositions", "dyadic-swaps", "rotations"],
+)
+def test_extend_rejects_a_set_on_windows_of_another_kind(gen_set, rows, own):
+    for kind in [k for k in WindowKind if k is not own]:
+        dim = 2 if kind is WindowKind.EUCLIDEAN_BALL else None
+        w1, w4 = make_window(kind, 1, dim=dim), make_window(kind, 4, dim=dim)
+        with pytest.raises(ValueError, match="act on"):
+            extend_element(gen_set, rows, w1, w4)
 
 
 # --- swaps applied twice ---------------------------------------------------
 
 
 def test_swap_composed_with_itself_is_identity():
-    theta = DyadicSwapWord(((1, 2, 1),))
     for x in [0.0, 0.125, 0.25, 0.5, 0.625, 1.0, 1.75]:
-        assert apply_label(theta, apply_label(theta, x)) == x
+        assert apply_label(SWAPS, (1, 2, 1), apply_label(SWAPS, (1, 2, 1), x)) == x
 
 
 # --- generator sampling -----------------------------------------------------
@@ -171,27 +203,27 @@ def test_swap_composed_with_itself_is_identity():
 
 def test_transpositions_of_two_always_swap():
     gen = Transpositions(2)
-    for g in sample_generators(gen, uniforms(np.random.default_rng(0), gen, 20)):
-        assert g == Permutation((2, 1))
+    rows = sample_generators(gen, uniforms(np.random.default_rng(0), gen, 20))
+    assert rows.dtype == np.int64 and rows.shape == (20 + 4, 2)
+    assert {tuple(g) for g in rows.tolist()} == {(1, 2), (2, 1)}
 
 
 def test_sampled_transpositions_move_two_labels_in_range():
     gen = Transpositions(5)
-    for g in sample_generators(gen, uniforms(np.random.default_rng(3), gen, 200)):
-        moved = [i for i, y in enumerate(g.mapping, 1) if y != i]
-        assert len(moved) == 2 and g.degree == 5
+    for a, b in sample_generators(gen, uniforms(np.random.default_rng(3), gen, 200)).tolist():
+        assert a != b and 1 <= min(a, b) and max(a, b) <= 5
 
 
 def test_dyadic_swaps_n1_kmax1_unique_element():
     gen = DyadicSwaps(1, 1)
-    for g in sample_generators(gen, uniforms(np.random.default_rng(0), gen, 20)):
-        assert g == DyadicSwapWord(((1, 2, 1),)) or g == DyadicSwapWord(((2, 1, 1),))
+    rows = sample_generators(gen, uniforms(np.random.default_rng(0), gen, 20))
+    assert rows.dtype == np.int64 and rows.shape == (20 + 8, 3)
+    assert {tuple(g) for g in rows.tolist()} == {(1, 2, 1), (2, 1, 1)}
 
 
 def test_sampled_swaps_fit_in_window():
     gen = DyadicSwaps(2.0, 3)
-    for g in sample_generators(gen, uniforms(np.random.default_rng(7), gen, 200)):
-        (i, j, k), = g.word
+    for i, j, k in sample_generators(gen, uniforms(np.random.default_rng(7), gen, 200)).tolist():
         assert max(i, j) * 2.0**-k <= 2.0
         assert i != j and k <= 3
 
@@ -199,9 +231,11 @@ def test_sampled_swaps_fit_in_window():
 def test_sampled_rotations_are_orthogonal():
     for dim in (2, 3, 4):
         gen = RandomRotations(dim)
-        for q in sample_generators(gen, np.random.default_rng(11).random((20, generator_coins(gen)))):
-            assert np.max(np.abs(q.matrix.T @ q.matrix - np.eye(dim))) < 1e-10
-            assert abs(np.linalg.det(q.matrix) - 1.0) < 1e-10
+        qs = sample_generators(gen, np.random.default_rng(11).random((20, generator_coins(gen))))
+        assert qs.shape == (20, dim, dim)
+        for q in qs:
+            assert np.max(np.abs(q.T @ q - np.eye(dim))) < 1e-10
+            assert abs(np.linalg.det(q) - 1.0) < 1e-10
 
 
 def test_a_generator_depends_on_its_own_row_only():
@@ -209,15 +243,8 @@ def test_a_generator_depends_on_its_own_row_only():
     for gen in (Transpositions(7), DyadicSwaps(3.0, 4), RandomRotations(3)):
         us = rng.random((50, generator_coins(gen)))
         batch = sample_generators(gen, us)
-        alone = [sample_generators(gen, us[i : i + 1])[0] for i in range(len(us))]
-        assert [serialize_element(g) for g in batch] == [serialize_element(g) for g in alone]
-
-
-def test_rotation_constructor_rejects_reflection():
-    with pytest.raises(ValueError):
-        Rotation(np.array([[1.0, 0.0], [0.0, -1.0]]))
-    with pytest.raises(ValueError):
-        Rotation(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        alone = np.concatenate([sample_generators(gen, us[i : i + 1]) for i in range(len(us))])
+        assert batch.shape == alone.shape and batch.tobytes() == alone.tobytes()
 
 
 # --- exactness and measure preservation --------------------------------------
@@ -232,19 +259,8 @@ def test_swap_involution_exact_on_dyadic_labels(seed, data):
     m = math.floor(n * 2**k)
     i = data.draw(st.integers(min_value=1, max_value=m))
     j = data.draw(st.integers(min_value=1, max_value=m).filter(lambda v: v != i))
-    theta = DyadicSwapWord(((i, j, k),))
     x = dyadic_label(rng, n)
-    assert apply_label(theta, apply_label(theta, x)) == x
-
-
-def test_swap_words_past_exactness_limit_rejected():
-    # (1501, 2501, 0) would send 1500 + 2^-42 to 2500.0 and leave it there
-    with pytest.raises(ValueError, match="exactness limit 1024"):
-        DyadicSwapWord(((1501, 2501, 0),))
-    with pytest.raises(ValueError, match="exactness limit 1024"):
-        DyadicSwapWord(((1, 2049, 1),))  # support reaches 1024.5
-    DyadicSwapWord(((1, 1024, 0),))
-    DyadicSwapWord(((1, 2**50, 40),))
+    assert apply_label(SWAPS, (i, j, k), apply_label(SWAPS, (i, j, k), x)) == x
 
 
 def test_swap_generators_past_exactness_limit_rejected():
@@ -260,22 +276,22 @@ def test_swap_twice_restores_every_sampled_label_at_n_1024():
     for x in labels:
         k = int(rng.integers(0, 41))
         i = max(1, math.ceil(x * 2**k))  # the dyadic interval holding x
-        theta = DyadicSwapWord(((i, 1024 * 2**k + 1 - i, k),))  # and its mirror image
-        y = apply_label(theta, x)
+        theta = (i, 1024 * 2**k + 1 - i, k)  # and its mirror image
+        y = apply_label(SWAPS, theta, x)
         assert y != x and 0.0 < y <= 1024.0
-        assert apply_label(theta, y) == x
+        assert apply_label(SWAPS, theta, y) == x
 
 
 def test_swap_box_count_identity():
     # counting labels that land in a box after the swap equals counting in
     # the preimage of the box, computed independently
     rng = np.random.default_rng(123)
-    theta = DyadicSwapWord(((1, 3, 2),))
+    theta = (1, 3, 2)
     labels = [dyadic_label(rng, 1.0) for _ in range(5000)]
-    moved = [apply_label(theta, x) for x in labels]
+    moved = [apply_label(SWAPS, theta, x) for x in labels]
     lo, hi = 0.5, 0.75  # the box (preimage under theta is (0, 0.25] here)
     direct = sum(1 for x in moved if lo < x <= hi)
-    preimage = sum(1 for x in labels if lo < apply_label(theta, x) <= hi)
+    preimage = sum(1 for x in labels if lo < apply_label(SWAPS, theta, x) <= hi)
     assert direct == preimage
     explicit = sum(1 for x in labels if 0.0 < x <= 0.25)
     assert direct == explicit
@@ -286,8 +302,8 @@ def test_swap_preserves_uniformity_ks():
 
     rng = np.random.default_rng(99)
     labels = [dyadic_label(rng, 2.0) for _ in range(4000)]
-    theta = DyadicSwapWord(((1, 4, 2), (2, 3, 1)))
-    moved = [apply_label(theta, x) for x in labels]
+    # two successive swaps: (1, 4, 2), then (2, 3, 1)
+    moved = [apply_label(SWAPS, (2, 3, 1), apply_label(SWAPS, (1, 4, 2), x)) for x in labels]
     fresh = [dyadic_label(rng, 2.0) for _ in range(4000)]
     _, p = ks_two_sample(moved, fresh)
     assert p > 0.001
@@ -299,7 +315,7 @@ def test_rotations_preserve_norm():
     for q in sample_generators(gen, rng.random((200, generator_coins(gen)))):
         x = tuple(rng.standard_normal(3) * 5.0)
         before = math.sqrt(sum(c * c for c in x))
-        after = math.sqrt(sum(c * c for c in apply_label(q, x)))
+        after = math.sqrt(sum(c * c for c in apply_label(gen, q, x)))
         assert abs(before - after) < 1e-10
 
 
@@ -307,7 +323,8 @@ def test_rotations_preserve_norm():
 
 
 def test_serialize_forms():
-    assert serialize_element(Permutation((2, 1, 3))) == "perm:[2,1,3]"
-    assert serialize_element(DyadicSwapWord(((1, 2, 1),))) == "dyadic:[(1,2,1)]"
-    rot = serialize_element(ROT90)
-    assert rot.startswith("rot:d=2;rows=") and ";" in rot.split("rows=")[1]
+    assert serialize_element(Transpositions(3), np.array([1, 2])) == "perm:[2,1,3]"
+    assert serialize_element(Transpositions(3), np.array([3, 2])) == "perm:[1,3,2]"
+    assert serialize_element(DyadicSwaps(1.0, 1), np.array([1, 2, 1])) == "dyadic:[(1,2,1)]"
+    rot = serialize_element(PLANE, ROT90)
+    assert rot == "rot:d=2;rows=0,-1;1,0"

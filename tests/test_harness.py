@@ -11,12 +11,10 @@ from pointgraphs import harness as certify
 from pointgraphs import (
     Constant,
     DyadicSwaps,
-    DyadicSwapWord,
     FixedDirectionIndicator,
     GraphexIndicator,
     GraphonGrid,
     HardDistance,
-    Permutation,
     PoissonRate,
     Transpositions,
     WindowKind,
@@ -29,7 +27,6 @@ from pointgraphs import (
     graphon_spec,
     make_window,
     rotinv_spec,
-    transposition,
 )
 from pointgraphs.coins import CoinPRF, coin_batch
 
@@ -107,8 +104,11 @@ def test_invariance_rotinv_passes():
 
 def test_invariance_identity_generator_gives_p_one(monkeypatch):
     spec = graphon_spec(Constant(0.4), seed=21)
-    identity = Permutation(tuple(range(1, 6)))
-    monkeypatch.setattr(certify, "sample_generators", lambda gen_set, us: [identity] * len(us))
+
+    def identity(gen_set, us):
+        return np.ones((len(us), 2), dtype=np.int64)  # (1, 1) fixes every label
+
+    monkeypatch.setattr(certify, "sample_generators", identity)
     report = certify.test_invariance(spec, 5, 600)
     assert report.passed
     assert all(p == 1.0 for p in report.p_values.values())
@@ -134,34 +134,48 @@ def test_compatibility_all_families_exact():
         assert report.details["pair_mismatches"] == 0
 
 
-def _leaky_extension(g, window_n, window_m):
-    """A wrong embedding: the canonical extension, then a swap of the unit
-    just below n with the unit just above it, which moves labels across
-    the boundary of window n."""
-    ext = extend_element(g, window_n, window_m)
-    n = int(window_n.size)
-    if isinstance(ext, Permutation):
-        swap = {n: n + 1, n + 1: n}
-        return Permutation(tuple(swap.get(y, y) for y in ext.mapping))
-    return DyadicSwapWord(ext.word + ((n, n + 1, 0),))
+def _leaky_extension(gen_set, gens, window_n, window_m):
+    """A wrong embedding, as a map on the canonical extension's rows.  A
+    transposition of n moves n + 1 in its place, a dyadic swap moves its
+    second interval one unit up, and a rotation is composed with a fixed
+    small one.  The first two move labels across the boundary of window
+    n; a rotation keeps norms, so it moves labels but keeps pairs."""
+    ext = extend_element(gen_set, gens, window_n, window_m)
+    if isinstance(gen_set, Transpositions):
+        return np.where(ext == window_n.size, window_n.size + 1, ext)
+    if isinstance(gen_set, DyadicSwaps):
+        shifted = ext.copy()
+        shifted[:, 1] += 2 ** ext[:, 2]  # j + 2^k: the interval one unit up
+        return shifted
+    c, s = math.cos(1e-3), math.sin(1e-3)
+    tilt = np.eye(gen_set.dim)
+    tilt[:2, :2] = [[c, -s], [s, c]]
+    return ext @ tilt
 
 
-@pytest.mark.parametrize(
-    "spec, n, m",
-    [
-        (graphon_spec(Constant(0.5), seed=3), 4, 9),
-        (graphex_spec(GraphexIndicator(1.0), y_max=1.0, seed=3), 2.0, 6.0),
-    ],
-    ids=["graphon", "graphex"],
-)
-def test_compatibility_fails_on_a_leaky_embedding(monkeypatch, spec, n, m):
+LEAKY_CASES = {
+    "graphon": (graphon_spec(Constant(0.5), seed=3), 4, 9),
+    "graphex": (graphex_spec(GraphexIndicator(1.0), y_max=1.0, seed=3), 2.0, 6.0),
+    "rotinv": (rotinv_spec(HardDistance(0.5), dim=2, point=PoissonRate(2.0), seed=3), 2.0, 8.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEAKY_CASES))
+def test_compatibility_fails_on_a_leaky_embedding(monkeypatch, case):
+    spec, n, m = LEAKY_CASES[case]
     canonical = certify.test_compatibility(spec, n, m, 1000)
-    assert canonical.passed
+    assert canonical.passed and "first_mismatch" not in canonical.details
     monkeypatch.setattr(certify, "extend_element", _leaky_extension)
     report = certify.test_compatibility(spec, n, m, 1000)
     assert report.verdict == "Fail"
     assert report.details["label_mismatches"] > 0
-    assert report.details["pair_mismatches"] > 0
+    if case != "rotinv":
+        assert report.details["pair_mismatches"] > 0
+    first = report.details["first_mismatch"]
+    assert 0 <= first["trial"] < 1000
+    if case == "graphon":  # only a transposition of n leaks
+        mapping = json.loads(first["generator"].removeprefix("perm:"))
+        assert len(mapping) == n and mapping[n - 1] != n
 
 
 def test_enumerate_constant_half_is_uniform():
@@ -287,8 +301,9 @@ DRAWS = 10_000
 
 def test_transposition_draws_are_uniform():
     spec = graphon_spec(Constant(0.5), seed=32)
-    counts = Counter(g.mapping for g in certify._generators(spec, Transpositions(5), np.arange(DRAWS)))
-    cells = [transposition(5, a, b).mapping for a, b in itertools.combinations(range(1, 6), 2)]
+    rows = certify._generators(spec, Transpositions(5), np.arange(DRAWS))
+    counts = Counter(tuple(sorted(g)) for g in rows.tolist())  # (a, b) and (b, a) are one
+    cells = list(itertools.combinations(range(1, 6), 2))
     assert set(counts) == set(cells)
     _, p = chi_square_gof([counts[c] for c in cells], [1 / len(cells)] * len(cells), DRAWS)
     assert p > 0.001
@@ -298,7 +313,7 @@ def test_dyadic_swap_draws_are_uniform_per_depth():
     # depth k uniform over 0..3, then an ordered pair of the 2 * 2^k intervals
     spec = graphex_spec(GraphexIndicator(1.0), y_max=1.0, seed=33)
     gen = DyadicSwaps(2.0, 3)
-    counts = Counter(g.word[0] for g in certify._generators(spec, gen, np.arange(DRAWS)))
+    counts = Counter(tuple(g) for g in certify._generators(spec, gen, np.arange(DRAWS)).tolist())
     probs = {}
     for k in range(4):
         m = 2 * 2**k

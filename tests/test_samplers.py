@@ -518,6 +518,22 @@ def test_tiled_edges_match_whole_matrix_reference(monkeypatch, spec, n):
     assert np.all((np.diff(ii) > 0) | ((np.diff(ii) == 0) & (np.diff(jj) > 0)))
 
 
+def test_edge_coins_are_drawn_only_for_unsure_pairs(monkeypatch):
+    """Tiles whose pairs are all certain, or that keep no pair, draw no edge
+    coin; a dense graphon draws one batch per row block of its triangle."""
+    draw, calls = samplers.edge_coin_batch, []
+
+    def spy(prf, ids_a, ids_b):
+        calls.append(len(ids_a))
+        return draw(prf, ids_a, ids_b)
+
+    monkeypatch.setattr(samplers, "edge_coin_batch", spy)
+    hard = sample(rotinv_spec(HardDistance(0.5), 3, PoissonRate(3.0), 7), 400)
+    assert hard.n_edges > 0 and calls == []
+    dense = sample(graphon_spec(GraphonGrid(((0.8, 0.2), (0.2, 0.6))), seed=1), 300)
+    assert dense.n_edges > 0 and len(calls) == 6 and sum(calls) == 300 * 299 // 2
+
+
 _BATCH_CASES = [
     (graphon_spec(Constant(0.4), seed=81), (1, 2, 30)),
     (graphon_spec(GraphonGrid(((0.9, 0.1, 1.0), (0.1, 0.0, 0.5), (1.0, 0.5, 0.3))), 82),

@@ -16,13 +16,10 @@ from hypothesis import given, settings, strategies as st
 from pointgraphs import harness as certify
 from pointgraphs import (
     Constant,
-    DyadicSwapWord,
     Graph,
     GraphexIndicator,
     HardDistance,
-    Permutation,
     PoissonRate,
-    Rotation,
     SoftDistance,
     WindowKind,
     WindowScaledConstant,
@@ -34,7 +31,6 @@ from pointgraphs import (
     graph_stats,
     graphex_spec,
     graphon_spec,
-    haar_rotations,
     make_window,
     reseeded,
     restrict_graph,
@@ -64,14 +60,14 @@ CASES = {
 }
 
 
-def _swap_oracle(x: float, word) -> float:
-    """A dyadic swap word on one label, in Python floats."""
-    for i, j, k in word:
-        width = 2.0**-k
-        if (i - 1) * width < x <= i * width:
-            x += (j - i) * width
-        elif (j - 1) * width < x <= j * width:
-            x -= (j - i) * width
+def _swap_oracle(x: float, swap) -> float:
+    """A dyadic swap (i, j, k) on one label, in Python floats."""
+    i, j, k = swap
+    width = 2.0**-k
+    if (i - 1) * width < x <= i * width:
+        return x + (j - i) * width
+    if (j - 1) * width < x <= j * width:
+        return x - (j - i) * width
     return x
 
 
@@ -104,18 +100,18 @@ def test_chunk_table_equals_per_trial_calls(case, seed, trials):
     us = coin_batch(CoinPRF(seed), "g", np.arange(trials)[:, None],
                     np.arange(generator_coins(gen_set)))
     gens = sample_generators(gen_set, us)
-    acted = apply_table(gens, table)
+    acted = apply_table(gen_set, gens, table)
     moved = [trial_graph(acted, t) for t in range(trials)]
     for g, graph, got in zip(gens, graphs, moved):
         assert got.ends.tobytes() == graph.ends.tobytes() and got.latents == graph.latents
-        assert got.vertices == tuple(apply_label(g, v) for v in graph.vertices)
-        if isinstance(g, Permutation):
-            images = tuple(g.mapping[v - 1] if v <= g.degree else v for v in graph.vertices)
-            assert got.vertices == images
-        elif isinstance(g, DyadicSwapWord):
-            assert got.vertices == tuple(_swap_oracle(v, g.word) for v in graph.vertices)
+        assert got.vertices == tuple(apply_label(gen_set, g, v) for v in graph.vertices)
+        if isinstance(gen_set, groups.Transpositions):
+            a, b = g.tolist()
+            assert got.vertices == tuple({a: b, b: a}.get(v, v) for v in graph.vertices)
+        elif isinstance(gen_set, groups.DyadicSwaps):
+            assert got.vertices == tuple(_swap_oracle(v, g.tolist()) for v in graph.vertices)
         else:  # the sums may round differently from a matrix product
-            want = [g.matrix @ np.asarray(v) for v in graph.vertices]
+            want = [g @ np.asarray(v) for v in graph.vertices]
             assert np.allclose(np.reshape(got.vertices, (-1, spec.dim)),
                                np.reshape(want, (-1, spec.dim)), rtol=0, atol=1e-12)
 
@@ -237,28 +233,27 @@ def test_haar_rotations_check_the_stack_once(monkeypatch):
         check(qs, dets)
 
     monkeypatch.setattr(groups, "_check_rotations", spy)
-    width = generator_coins(certify.RandomRotations(3))
-    us = coin_batch(CoinPRF(11), "r", np.arange(500)[:, None], np.arange(width))
-    rotations = haar_rotations(3, us)
+    gen_set = certify.RandomRotations(3)
+    us = coin_batch(CoinPRF(11), "r", np.arange(500)[:, None], np.arange(generator_coins(gen_set)))
+    rotations = sample_generators(gen_set, us)
     assert calls == [500]
-    # each one still a rotation, and one from outside input is checked alone
+    # each one still a rotation
     for q in rotations[:20]:
-        assert np.allclose(q.matrix.T @ q.matrix, np.eye(3), atol=1e-12)
-    Rotation(rotations[0].matrix.copy())
-    assert calls == [500, 1]
+        assert np.allclose(q.T @ q, np.eye(3), atol=1e-12)
     with pytest.raises(ValueError):
-        Rotation(rotations[0].matrix * 1.01)
+        check(rotations[:1] * 1.01, np.linalg.det(rotations[:1]))
 
 
 def test_permutations_and_swaps_act_on_ragged_tables():
-    # trials of different sizes, permutations of different degrees
+    # trials of different sizes, one of them empty
     table = pairs.GraphTable(None, np.array([1, 2, 3, 1, 5, 2]), None,
                              np.zeros((0, 2), np.int64), np.array([0, 3, 3, 6]))
-    gens = [Permutation((2, 1)), Permutation((1,)), Permutation((3, 1, 2, 4, 5))]
-    assert apply_table(gens, table).labels.tolist() == [2, 1, 3, 3, 5, 1]
-    reals = pairs.GraphTable(None, np.array([0.25, 0.75, 0.25, 0.0]), None,
-                             np.zeros((0, 2), np.int64), np.array([0, 2, 4]))
-    words = [DyadicSwapWord(((1, 2, 1),)), DyadicSwapWord(())]
-    assert apply_table(words, reals).labels.tolist() == [0.75, 0.25, 0.25, 0.0]
+    gens = np.array([[1, 2], [1, 3], [5, 1]])
+    assert apply_table(groups.Transpositions(5), gens, table).labels.tolist() == [2, 1, 3, 5, 1, 2]
+    reals = pairs.GraphTable(None, np.array([0.25, 0.75, 0.25, 0.0, 1.5]), None,
+                             np.zeros((0, 2), np.int64), np.array([0, 2, 2, 5]))
+    swaps = np.array([[1, 2, 1], [1, 2, 0], [1, 6, 2]])  # at depths 1, 0 and 2
+    got = apply_table(groups.DyadicSwaps(2.0, 2), swaps, reals).labels.tolist()
+    assert got == [0.75, 0.25, 1.5, 0.0, 0.25]
     with pytest.raises(TypeError):
-        apply_table([words[0], gens[0]], reals)
+        apply_table(groups.Transpositions(5), gens[:3], reals)
