@@ -203,23 +203,31 @@ def _math_map(fn, x: np.ndarray) -> np.ndarray:
     return np.array(list(map(fn, x.ravel().tolist()))).reshape(x.shape)
 
 
-def poisson_from_uniform(u: float, rate: float) -> int:
-    """Poisson(rate) variate by inverting the CDF at a single uniform.
+def poisson_from_uniform(u, rate: float):
+    """Poisson(rate) counts by inverting the CDF at uniforms: a float u
+    gives an int count, an array of them an int64 array.
 
     One uniform in, one count out, so a cell's count is a pure function of
-    its coin.  Runs the cumulative sum until it passes u.
+    its coin.  The count at u is the number of the rate's running CDF sums
+    that are <= u (see _poisson_cdf); since the sums never decrease, that
+    is where a loop that adds masses while u >= cdf would stop.
     """
     if not (0 <= rate <= MAX_POISSON_RATE):
         raise ValueError(f"Poisson rate must lie in [0, {MAX_POISSON_RATE:g}], got {rate!r}")
-    if rate == 0:
-        return 0
+    return np.searchsorted(_poisson_cdf(rate), u, side="right")
+
+
+@functools.lru_cache(maxsize=64)
+def _poisson_cdf(rate: float) -> np.ndarray:
+    """The running sums of the Poisson(rate) masses, read-only: the masses
+    start at exp(-rate), each is the one before times rate / k, and the
+    sums stop before the first mass that underflows to 0."""
     pmf = math.exp(-rate)
-    cdf = pmf
-    k = 0
-    while u >= cdf:
+    sums = [pmf]
+    k = 1
+    while (pmf := pmf * (rate / k)) > 0.0:
+        sums.append(sums[-1] + pmf)
         k += 1
-        pmf *= rate / k
-        if pmf <= 0.0:  # underflow guard; u in the far tail
-            break
-        cdf += pmf
-    return k
+    cdf = np.array(sums)
+    cdf.flags.writeable = False
+    return cdf

@@ -405,7 +405,7 @@ def _graphex_table(spec: FamilySpec, n: float, seeds) -> GraphTable:
     rows = math.ceil(spec.y_max)
     a, b = np.divmod(np.arange(math.ceil(window.size) * rows), rows)
     u_cnt = coin_batch(CoinPRF(col[:, None]), "cnt", a[None, :], b[None, :])
-    counts = [poisson_from_uniform(u, 1.0) for u in u_cnt.ravel().tolist()]
+    counts = poisson_from_uniform(u_cnt.ravel(), 1.0)
     (trial, a, b), idx = _cell_points(counts, *_trial_cells(len(col), a, b))
     point_prf = CoinPRF(col[trial])
     x = a + coin_position_batch(point_prf, "posx", a, b, idx)
@@ -462,12 +462,14 @@ def _rotinv_table(spec: FamilySpec, n: float, seeds) -> GraphTable:
     # a direct sample and a restriction from a larger window.
     shells = np.arange(1, math.ceil(window.size) + 2)
     if isinstance(spec.point, PoissonRate):
-        rates = [spec.point.rate] * len(shells)
+        rates = np.full(len(shells), spec.point.rate)
     else:
-        rates = [spec.point.rate(shell) for shell in shells.tolist()]
-    u_cnt = coin_batch(CoinPRF(col[:, None]), "cnt", shells[None, :]).ravel().tolist()
-    counts = [poisson_from_uniform(u, rate) for u, rate in zip(u_cnt, rates * len(col))]
-    (trial, sh), idx = _cell_points(counts, *_trial_cells(len(col), shells))
+        rates = np.array([spec.point.rate(shell) for shell in shells.tolist()])
+    u_cnt = coin_batch(CoinPRF(col[:, None]), "cnt", shells[None, :])
+    counts = np.empty(u_cnt.shape, dtype=np.int64)
+    for rate in set(rates.tolist()):  # one count table per distinct rate
+        counts[:, rates == rate] = poisson_from_uniform(u_cnt[:, rates == rate], rate)
+    (trial, sh), idx = _cell_points(counts.ravel(), *_trial_cells(len(col), shells))
     n_ang = 2 * ((dim + 1) // 2)  # Box-Muller pairs cover dim coordinates
     ang = coin_batch(
         CoinPRF(np.repeat(col[trial], n_ang)),

@@ -16,10 +16,14 @@ straight from the written definition:
 * a coin is (h >> 11) * 2^-53 and a position coin (h >> 21) * 2^-43.
 
 Negative key components are absorbed in two's complement.  Tests compare
-the package's batch functions with these, bit for bit.
+the package's batch functions with these, bit for bit.  A Poisson count is
+defined here too, by the CDF inversion loop that the package's count tables
+replace.
 """
 
 from __future__ import annotations
+
+import math
 
 _MASK = (1 << 64) - 1
 
@@ -65,3 +69,19 @@ def edge_coin(seed: int, a, b) -> float:
 def derive_seed(seed: int, t: int) -> int:
     """The seed of trial t: the hash of (seed, "trial", t)."""
     return hash_key(seed, "trial", t)
+
+
+def poisson_count(u: float, rate: float) -> int:
+    """Poisson(rate) at the uniform u: add the masses exp(-rate), then each
+    mass before times rate / k, while u >= their running sum, and stop at
+    the first mass that underflows to 0."""
+    pmf = math.exp(-rate)
+    cdf = pmf
+    k = 0
+    while u >= cdf:
+        k += 1
+        pmf *= rate / k
+        if pmf <= 0.0:
+            break
+        cdf += pmf
+    return k

@@ -7,6 +7,7 @@ from pointgraphs import CoinPRF, PoissonRate, RadialTable, poisson_from_uniform
 from pointgraphs.coins import (
     MAX_POISSON_RATE,
     POSITION_BITS,
+    _poisson_cdf,
     coin_batch,
     coin_position_batch,
     derive_seeds,
@@ -120,6 +121,20 @@ def test_poisson_rates_past_underflow_rejected():
     assert abs(poisson_from_uniform(0.5, MAX_POISSON_RATE) - MAX_POISSON_RATE) < 2
     PoissonRate(MAX_POISSON_RATE)
     RadialTable((MAX_POISSON_RATE,))
+
+
+@pytest.mark.parametrize("rate", [1e-9, 1e-3, 0.5, 1.0, 3.0, 40.0, 300.0, MAX_POISSON_RATE])
+def test_poisson_table_matches_the_inversion_loop(rate):
+    # every entry of the rate's table and its two neighbouring doubles, the
+    # only places a count can step, plus coins in between
+    cdf = _poisson_cdf(rate)
+    edges = np.concatenate((np.nextafter(cdf, -np.inf), cdf, np.nextafter(cdf, np.inf)))
+    us = np.unique(np.concatenate((edges, [0.0], coin_batch(CoinPRF(8), "cnt", np.arange(2000)))))
+    counts = poisson_from_uniform(us, rate)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [reference.poisson_count(u, rate) for u in us.tolist()]
+    assert poisson_from_uniform(float(us[1]), rate) == counts[1]
+    assert _poisson_cdf(rate) is cdf and not cdf.flags.writeable
 
 
 def test_poisson_from_coins_matches_mean_and_variance():
