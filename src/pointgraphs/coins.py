@@ -1,4 +1,4 @@
-"""Keyed deterministic uniform variates ("coins"), coin version 3.
+"""Keyed deterministic uniform variates ("coins"), coin version 4.
 
 Every random decision in the samplers is a pure function of
 (seed, tag, structural key), never of a sequential stream position.  That
@@ -30,6 +30,10 @@ Version 3 hashes as version 2 did, so every sampler coin keeps its bits.
 It adds the harness's draws, which version 2 took from a sequential
 generator: group elements and window labels are coins keyed by (trial,
 draw index), so trial t's generator is a function of (seed, t) alone.
+Version 4 keeps every coin of version 3.  It changes how a Haar rotation
+is built from its coins' Gaussians: a Householder factorization in
+elementwise IEEE operations replaces LAPACK's QR, so a rotation's last
+bits no longer depend on the BLAS kernel the CPU selects.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import numpy as np
 
 # Version of the bit definition below; enters every spec fingerprint, so a
 # graph drawn by another engine is never taken for one drawn by this one.
-COIN_VERSION = 3
+COIN_VERSION = 4
 
 # Real-line positions are quantized to this many fractional bits so that
 # dyadic-interval translations stay exact in double precision (exact for
@@ -204,8 +208,8 @@ def _math_map(fn, x: np.ndarray) -> np.ndarray:
 
 
 def poisson_from_uniform(u, rate: float):
-    """Poisson(rate) counts by inverting the CDF at uniforms: a float u
-    gives an int count, an array of them an int64 array.
+    """Poisson(rate) counts by inverting the CDF at uniforms: one count for
+    a float u, an int64 array of them for an array.
 
     One uniform in, one count out, so a cell's count is a pure function of
     its coin.  The count at u is the number of the rate's running CDF sums

@@ -70,12 +70,66 @@ GeneratorSet = Transpositions | DyadicSwaps | RandomRotations
 
 def _check_rotations(qs: np.ndarray, dets: np.ndarray) -> None:
     """Reject a stack of square matrices unless each is orthogonal and its
-    determinant, given in ``dets``, is +1, within ORTHO_TOL."""
-    gram = np.swapaxes(qs, 1, 2) @ qs - np.eye(qs.shape[1])
+    determinant, given in ``dets``, is +1, within ORTHO_TOL.  The Gram
+    matrices are summed elementwise, row k of each matrix in turn."""
+    d = qs.shape[1]
+    gram = sum(qs[:, k, :, None] * qs[:, k, None, :] for k in range(d)) - np.eye(d)
     if np.max(np.abs(gram), initial=0.0) > ORTHO_TOL:
         raise ValueError("matrix is not orthogonal within tolerance")
     if np.max(np.abs(dets - 1.0), initial=0.0) > ORTHO_TOL:
         raise ValueError("rotation must have determinant +1")
+
+
+def _weighted_rows(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Sum over i of v[:, i] times row i of m, for a (T, r) stack v of
+    weights and a (T, r, c) stack m, added in the order of i."""
+    return sum(v[:, i, None] * m[:, i] for i in range(v.shape[1]))
+
+
+def _reflect(m: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
+    """m -= w v^T m, in place, for each matrix of a stack: the reflection
+    I - 2 v v^T / |v|^2 applied to m when w = 2 v / |v|^2."""
+    m -= w[:, :, None] * _weighted_rows(v, m)[:, None, :]
+
+
+def _orthogonal_factors(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q of the QR factorization of each matrix of a (T, d, d) stack with R's
+    diagonal made positive, and det Q (+1 or -1), by Householder reflections
+    in elementwise numpy operations.
+
+    Reflection k maps the subcolumn x = z[k:, k] (as reduced so far) to
+    alpha e_1 with alpha = -sign(x_0) |x|, through v = x - alpha e_1, so
+    alpha is R's entry (k, k); the last diagonal entry is what is left in
+    the corner.  Q is the product of the reflections, each of determinant
+    -1 (a zero subcolumn needs none), with column k negated where R's entry
+    (k, k) is negative.  Every value is one IEEE basic operation (+ - * / or
+    sqrt) on others, in a fixed order, so the bits depend on no BLAS or
+    LAPACK kernel.
+    """
+    t, d, _ = z.shape
+    a = z.copy()
+    dets = np.ones(t)
+    signs = np.ones((t, d))
+    reflections = []
+    for k in range(d - 1):
+        x = a[:, k:, k]
+        norm = np.sqrt(_weighted_rows(x, x[:, :, None])[:, 0])
+        alpha = np.where(x[:, 0] < 0.0, norm, -norm)
+        v = x.copy()
+        v[:, 0] -= alpha
+        vv = _weighted_rows(v, v[:, :, None])[:, 0]
+        w = np.divide(2.0, vv, out=np.zeros(t), where=vv > 0.0)[:, None] * v
+        dets[vv > 0.0] *= -1.0
+        signs[alpha < 0.0, k] = -1.0
+        _reflect(a[:, k:, k + 1 :], v, w)
+        reflections.append((v, w))
+    signs[a[:, d - 1, d - 1] < 0.0, d - 1] = -1.0
+    q = np.tile(np.eye(d), (t, 1, 1))
+    for k in reversed(range(d - 1)):
+        _reflect(q[:, k:, k:], *reflections[k])
+    q *= signs[:, None, :]
+    dets *= np.prod(signs, axis=1)
+    return q, dets
 
 
 def generator_coins(gen_set: GeneratorSet) -> int:
@@ -93,9 +147,10 @@ def sample_generators(gen_set: GeneratorSet, us) -> np.ndarray:
     """One generator of the set per row of a (rows, generator_coins) array
     of uniforms, uniform over the set: int64 rows (a, b) or (i, j, k), or a
     (rows, d, d) stack of Haar rotations, each a pure function of its row.
-    A rotation is the QR of a Gaussian matrix, its row's Box-Muller values
-    in row-major order, with sign corrections (Mezzadri, Notices AMS 2007);
-    the batch takes one stacked QR, one determinant and one check."""
+    A rotation is the Q of a Gaussian matrix, its row's Box-Muller values
+    in row-major order, whose R has a positive diagonal (Mezzadri, Notices
+    AMS 2007), with column 0 negated where det Q is -1; the batch takes one
+    stacked factorization (_orthogonal_factors) and one check."""
     us = np.asarray(us, dtype=float)
     if isinstance(gen_set, Transpositions):
         a = index_from_uniform(us[:, 0], gen_set.n) + 1
@@ -115,9 +170,7 @@ def sample_generators(gen_set: GeneratorSet, us) -> np.ndarray:
     if isinstance(gen_set, RandomRotations):
         dim = gen_set.dim
         z = gaussians_from_uniforms(us.reshape(len(us), -1))[:, : dim * dim]
-        q, r = np.linalg.qr(z.reshape(len(us), dim, dim))
-        q = q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0, -1.0, 1.0)[:, None, :]
-        dets = np.linalg.det(q)
+        q, dets = _orthogonal_factors(z.reshape(len(us), dim, dim))
         q[dets < 0, :, 0] *= -1.0  # negates those determinants
         _check_rotations(q, np.abs(dets))
         return q
@@ -192,12 +245,12 @@ def extend_element(
 
 
 def serialize_element(gen_set: GeneratorSet, row: np.ndarray) -> str:
-    """Compact text form of one generator row, used inside reports."""
+    """Compact text form of one generator row, used inside reports: the
+    pair of a transposition and the triple of a swap, whatever the window
+    size, and the rows of a rotation."""
     if isinstance(gen_set, Transpositions):
         a, b = row.tolist()
-        mapping = list(range(1, gen_set.n + 1))
-        mapping[a - 1], mapping[b - 1] = b, a
-        return "perm:[" + ",".join(str(x) for x in mapping) + "]"
+        return f"swap:({a},{b})"
     if isinstance(gen_set, DyadicSwaps):
         i, j, k = row.tolist()
         return f"dyadic:[({i},{j},{k})]"

@@ -1,4 +1,5 @@
-"""A second definition of the coin bits (coin version 3), for the tests.
+"""A second definition of the coin bits (coin version 4, whose coins are
+version 3's), for the tests.
 
 The package hashes uint64 columns, many keys at a time.  This module hashes
 one key at a time on Python ints, masked to 64 bits after each product,

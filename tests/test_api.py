@@ -42,3 +42,29 @@ def test_every_imported_name_is_used_in_its_module():
         if imported - used:
             unused[path.name] = sorted(imported - used)
     assert not unused, unused
+
+
+BLAS_NAMES = {"@", "linalg", "dot", "matmul", "einsum", "tensordot", "inner", "vdot"}
+
+
+def test_the_package_calls_no_blas_or_lapack():
+    # Artifact bits must not depend on the BLAS kernel the CPU selects, so
+    # src/ uses no numpy.linalg, no @ and no numpy product that may reach BLAS.
+    found = []
+    for path in sorted((ROOT / "src" / "pointgraphs").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                names = ["@"]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Import):
+                names = [part for a in node.names for part in a.name.split(".")]
+            elif isinstance(node, ast.ImportFrom):
+                names = (node.module or "").split(".") + [a.name for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n in BLAS_NAMES]
+    assert not found, found

@@ -277,23 +277,23 @@ def test_identical_invocations_are_byte_identical(tmp_path):
 
 
 # sha256 of `pointgraphs sample --seed 42` at n = 3 and n = 12 for every
-# config, plus rotinv at n = 400 with seed 7, under coin version 3.  Only a
+# config, plus rotinv at n = 400 with seed 7, under coin version 4.  Only a
 # deliberate coin change may move these; any other change must keep them.
-# Version 3 moved only the #fingerprint line: every body is version 2's.
+# Versions 3 and 4 moved only the #fingerprint line: every body is version 2's.
 SAMPLE_PINS = {
-    ("broken_fixed_direction", 3, 42): "b05e86a8ca8fd11af4a9f5fa0562ed034b17c6f650b5d109526933fc4de36934",
-    ("broken_window_scaled", 3, 42): "79f4387930926fc3ef482a9b8afac474fc150cf762354452129653f77c302fa3",
-    ("graphex", 3, 42): "54a829217e4ab1425e90baae2c28c7d8556d58e7e37f3a000364b60d2b33dc9b",
-    ("graphon", 3, 42): "18a7a20b2fc4829f649ceeb6c1df43fec0e687cac3308ef11dc434205d018144",
-    ("graphon_grid", 3, 42): "69a7909b9d549d9b09b611d0ce7c16c6b338f4558ad54be4027f847ef36dba10",
-    ("rotinv", 3, 42): "46083e26df7761a98393f9cab6d5eb9b31be6076ec91b430210b948d049bb86a",
-    ("broken_fixed_direction", 12, 42): "dcaf8bda0757a07a62c38881b922df344efe2482e1a752f2576447cc5d23a7f5",
-    ("broken_window_scaled", 12, 42): "ef9a1d3c018ce852fa827cd8dd0bbaff61468bf68ba324303c2e6bd17dc1ba36",
-    ("graphex", 12, 42): "d307a4fc6324f507fd760919e94f97888f58b6ecf459206741c55fe4df506e16",
-    ("graphon", 12, 42): "3196f3353ea9bd9e4a6cfd4796fb6601580f9a03d4a0c3070ea779f9c31fc0e0",
-    ("graphon_grid", 12, 42): "13f765421bcc186c49c171bc47f9352f66744272999a4f93d7527da51ff09d09",
-    ("rotinv", 12, 42): "f610585dbbe740d9c74c47f97e56eb7ec72af46485dda9b6216d117d6890c669",
-    ("rotinv", 400, 7): "f70e278811779bc9890599de325863ec5f2889b31c42e5f1b2d6ff6b6af83a63",
+    ("broken_fixed_direction", 3, 42): "1598c12afb46bb7e967384eda4a945cb9d983eafbea602d84d49db7b30e79ad8",
+    ("broken_window_scaled", 3, 42): "ec3326884426ca56ff3531f62fae7ad6a9d7588e4c046c77f0008ab202af0180",
+    ("graphex", 3, 42): "21a38055fbe5b13ddedab90070280cd9db7ce729ee8102ae1c63ec48d98a5a29",
+    ("graphon", 3, 42): "9ba931837bf59986376b7e52f3fdc99e1c1c68a8d0416d0438392cc93829c19a",
+    ("graphon_grid", 3, 42): "ae4e40ce95e497e0f6b2152b32d488f58316fdd1dbde75c718e5173ccdd5ca77",
+    ("rotinv", 3, 42): "55a968633cbcb6834ad6bb6bedf3f6090a0c45329b659d33b510989cc9935404",
+    ("broken_fixed_direction", 12, 42): "20091f11947673b5c1cef98d7afd34456882361956d63460f327d30d9090925b",
+    ("broken_window_scaled", 12, 42): "192875bdc07f3a2aaccfc47aac3191badbaed12263614a13489bac92a2a5edfb",
+    ("graphex", 12, 42): "7b3346fa850e09a7ae90be795fdfed7447b22bfd331d9488d3cccd6528722ff9",
+    ("graphon", 12, 42): "b1254d644c771141f3f78de03fdd48c397ebf431bbb891faab1ba7153bfaeeb3",
+    ("graphon_grid", 12, 42): "4e4599a1c5409cb1c0a73d54a83faffe83feec171ac68d148b6934c8a0cbbd39",
+    ("rotinv", 12, 42): "41c9ba23bcba1811842babe80fe95a15b4e8c15cad8fe5e30fdaf14b0466177d",
+    ("rotinv", 400, 7): "913a838d0c94cfb279675dc19c3d04ef294d453e833d4a5b8d0c9d4dbb2e02d0",
 }
 
 
@@ -309,56 +309,59 @@ def test_sample_output_matches_pinned_hash(capsys, config, n, seed):
     assert digest == SAMPLE_PINS[(config, n, seed)]
 
 
-# sha256 of certification reports at --seed 42 under coin version 3, which
+# sha256 of certification reports at --seed 42 under coin version 4, which
 # draws group elements and window labels from keyed coins and records the
 # window's own sizes.  How the trials are chunked must not move a report's
-# bytes.
+# bytes, and neither may the BLAS kernel: a Haar rotation is built in
+# elementwise IEEE operations.  Version 4 moved the fingerprint of every
+# report, and the shown generators of the rotinv and graphon invariance
+# reports (rotations in their last bits, transpositions printed as pairs).
 REPORT_PINS = {
     "projectivity-exact-graphon": (
         ["test-projectivity", "--config", "graphon", "--n", "5", "--m", "20", "--trials", "500"],
         0,
-        "80f2d53a3fc9103da70f2638eefc5b688f7e3494f29d1ae2dbbe470810b0d830",
+        "aa2c2360873f8fc6f07d468a30e45a70ab085d12487ba8817119641a56544619",
     ),
     "projectivity-distributional-window-scaled": (
         ["test-projectivity", "--config", "broken_window_scaled", "--n", "3", "--m", "6",
          "--trials", "1000", "--mode", "distributional"],
         2,
-        "b69c685397bd4c4b3674dfd41b5814facafd14f4241a1c961e3495d1de1e3d09",
+        "75c04fc589c34928bd4edbf0f29e7b3f7cf7e09704d71d3a2fef73ebfc111983",
     ),
     "invariance-graphex-dyadic-swaps": (
         ["test-invariance", "--config", "graphex", "--n", "2", "--trials", "250"],
         0,
-        "d5f7c54fbecf15b594363f05f0117b86ea89a506779db13da24bedd256ee8e33",
+        "80b538a8a35814f78621ea655eb020316bf383161a8fca2250c5e4f3406aa0d1",
     ),
     "invariance-rotinv-d2-rotations": (
         ["test-invariance", "--config", "rotinv", "--n", "8", "--trials", "100"],
         0,
-        "97fce2853f4859deb26e4393f3174337414bfff810d60c649e8e328c0419326f",
+        "40feca5a4cfbb4df96521912fcd776f4bb36f65ccabbfecd17a92efcdb5fb407",
     ),
     "enumerate-graphon-grid": (
         ["enumerate", "--config", "graphon_grid", "--n", "3", "--trials", "2000"],
         0,
-        "6fcae99c8a0bf5c6cbe9a1aef6227718083299c7b09491865f1e8df7c48b85e4",
+        "cbba2a16bff9e6b54a9b7de782fb83b427eb65dee4a113e35df954ef43aeded8",
     ),
     "invariance-graphon-transpositions": (
         ["test-invariance", "--config", "graphon", "--n", "5", "--trials", "250"],
         0,
-        "c0803f833fd4cbc4129c85f901201545010a7b859c41e2d1e43f29b54311d06c",
+        "3b2b0d1ec93cd7338b03cb3db42ce7f86c54422b5bc18bf279bc69e2a879a275",
     ),
     "compatibility-graphon-transpositions": (
         ["test-compatibility", "--config", "graphon", "--n", "4", "--m", "9", "--trials", "1000"],
         0,
-        "5a5fb34424c3b92f79a5d20930a2daccf9262a8c34e1ba23ec88b2897d6d5f57",
+        "e51bf5266c2362a4620771743cd03b7176f44c6d73c965135287873c3ef8a011",
     ),
     "compatibility-graphex-dyadic-swaps": (
         ["test-compatibility", "--config", "graphex", "--n", "4", "--m", "9", "--trials", "1000"],
         0,
-        "e0c0ee3e7b06ca5bdb1d56dc9715aa9cbd9eb2b0e7233a6e3b1eebaed233c9aa",
+        "946d8da28938ebb18d316d8386b4fd5adb770b48a13276dfbad138f7e4a2ae28",
     ),
     "compatibility-rotinv-d2-rotations": (
         ["test-compatibility", "--config", "rotinv", "--n", "4", "--m", "9", "--trials", "1000"],
         0,
-        "7e6a81b1a116689b4c10bbc870bb7441fcf3013e1a1e7c3c88096ae89256fb1d",
+        "eb708f2ca6eb48710b049d6ef676660663393e276f12f06ab003b9b493c19bb0",
     ),
 }
 
@@ -375,13 +378,13 @@ def test_report_matches_pinned_hash(capsys, name):
 def test_stats_of_the_dense_graphon_matches_pinned_hash(tmp_path, capsys):
     # The dense-graphon benchmark's config at n = 300: 19,906 edges.  Its
     # counts were recorded while graph_stats still intersected Python sets,
-    # and only coin version 3's fingerprint has moved the bytes since.
+    # and only coin versions 3 and 4's fingerprints have moved the bytes since.
     path = tmp_path / "dense.el"
     assert run(["sample", "--config", str(CONFIGS / "graphon_grid.json"), "--n", "300",
                 "--seed", "42", "--out", str(path)]) == 0
     assert run(["stats", "--in", str(path)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == (
-        "a0f5cd264fc28b7f6aef1bd92f6a60b9dcc716110d341139ce5b53e2aedbf096"
+        "36f4900024dbdd58467a7262bbafd611ed550d85c9ecd9a2680eeb2b603e3df0"
     )
 
 
@@ -397,7 +400,7 @@ def test_hyperbolic_overflow_is_silent_and_keeps_its_bytes(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-        "b93289676cd55d6968ef10f5b49f651ed5a9f5eb6b59c94360003b6e6da994de"
+        "053fcaa6e65a75717e369aa0e4b7eb4525db97789d4c892ff8b4a8d5317d63a1"
     )
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import kstest
 
 from pointgraphs import (
     DyadicSwaps,
@@ -22,7 +23,7 @@ from pointgraphs import (
     sample_generators,
     serialize_element,
 )
-from pointgraphs.coins import POSITION_BITS
+from pointgraphs.coins import POSITION_BITS, CoinPRF, coin_batch, gaussians_from_uniforms
 from tests.test_pairs import FIG_GRAPH, label_edges
 
 
@@ -238,6 +239,50 @@ def test_sampled_rotations_are_orthogonal():
             assert abs(np.linalg.det(q) - 1.0) < 1e-10
 
 
+def keyed_rotations(dim: int, rows: int):
+    """rows Haar rotations of R^dim from keyed coins, as the harness draws
+    them, and the Gaussian matrices they are built from."""
+    gen = RandomRotations(dim)
+    us = coin_batch(CoinPRF(dim), "generator", np.arange(rows)[:, None], np.arange(generator_coins(gen)))
+    z = gaussians_from_uniforms(us)[:, : dim * dim].reshape(rows, dim, dim)
+    return sample_generators(gen, us), z
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 9])
+def test_rotations_are_orthogonal_to_1e_14_with_determinant_one(dim):
+    gen = RandomRotations(dim)
+    # rows of extreme coins give zero Gaussians, so singular and zero matrices
+    corners = np.random.default_rng(dim).choice(EXTREMES, size=(64, generator_coins(gen)))
+    qs = np.concatenate((keyed_rotations(dim, 2000)[0], sample_generators(gen, corners)))
+    gram = np.swapaxes(qs, 1, 2) @ qs - np.eye(dim)
+    assert np.max(np.abs(gram)) <= 1e-14
+    assert np.max(np.abs(np.linalg.det(qs) - 1.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 9])
+def test_rotations_match_lapack_qr_with_mezzadri_signs(dim):
+    qs, z = keyed_rotations(dim, 2000)
+    q, r = np.linalg.qr(z)
+    q = q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0, -1.0, 1.0)[:, None, :]
+    q[np.linalg.det(q) < 0, :, 0] *= -1.0
+    assert np.max(np.abs(qs - q)) <= 1e-13
+
+
+def test_plane_rotations_turn_by_a_uniform_angle():
+    qs, _ = keyed_rotations(2, 5000)
+    turns = np.arctan2(qs[:, 1, 0], qs[:, 0, 0]) / (2 * math.pi) % 1.0
+    assert kstest(turns, "uniform").pvalue > 0.001
+
+
+def test_space_rotation_traces_have_haar_moments():
+    # a Haar rotation of R^3 has E tr = 0 and E tr^2 = 1, with variances 1
+    # and 2 (E tr^4 = 3); allow five standard errors
+    qs, _ = keyed_rotations(3, 20000)
+    tr = qs[:, 0, 0] + qs[:, 1, 1] + qs[:, 2, 2]
+    assert abs(tr.mean()) < 5 * math.sqrt(1 / len(tr))
+    assert abs((tr * tr).mean() - 1.0) < 5 * math.sqrt(2 / len(tr))
+
+
 def test_a_generator_depends_on_its_own_row_only():
     rng = np.random.default_rng(12)
     for gen in (Transpositions(7), DyadicSwaps(3.0, 4), RandomRotations(3)):
@@ -323,8 +368,8 @@ def test_rotations_preserve_norm():
 
 
 def test_serialize_forms():
-    assert serialize_element(Transpositions(3), np.array([1, 2])) == "perm:[2,1,3]"
-    assert serialize_element(Transpositions(3), np.array([3, 2])) == "perm:[1,3,2]"
+    assert serialize_element(Transpositions(3), np.array([1, 2])) == "swap:(1,2)"
+    assert serialize_element(Transpositions(20000), np.array([20000, 2])) == "swap:(20000,2)"
     assert serialize_element(DyadicSwaps(1.0, 1), np.array([1, 2, 1])) == "dyadic:[(1,2,1)]"
     rot = serialize_element(PLANE, ROT90)
     assert rot == "rot:d=2;rows=0,-1;1,0"

@@ -79,7 +79,20 @@ def test_invariance_graphon_passes():
     report = certify.test_invariance(spec, 5, 600)
     assert report.passed
     assert set(report.statistics) == {"vertex1_degree", "edge_12"}
-    assert report.seeds["generators"][0].startswith("perm:")
+    assert report.seeds["generators"][0].startswith("swap:(")
+
+
+def test_invariance_report_seeds_do_not_grow_with_n():
+    # a shown transposition is its pair (a, b), not its mapping of {1..n}:
+    # only the digits of a and b grow, so 3 generators of 2 labels each
+    # add at most 6 bytes per extra digit of n
+    sizes = {}
+    for n in (20, 2000):
+        report = certify.test_invariance(graphon_spec(Constant(0.001), seed=1), n, 3)
+        assert all(g.startswith("swap:(") for g in report.seeds["generators"])
+        sizes[n] = len(json.dumps(report.seeds))
+    assert sizes[2000] - sizes[20] <= 6 * 2
+    assert sizes[2000] < 100
 
 
 def test_invariance_graphon_grid_passes():
@@ -174,8 +187,8 @@ def test_compatibility_fails_on_a_leaky_embedding(monkeypatch, case):
     first = report.details["first_mismatch"]
     assert 0 <= first["trial"] < 1000
     if case == "graphon":  # only a transposition of n leaks
-        mapping = json.loads(first["generator"].removeprefix("perm:"))
-        assert len(mapping) == n and mapping[n - 1] != n
+        pair = first["generator"].removeprefix("swap:(").removesuffix(")").split(",")
+        assert str(n) in pair
 
 
 def test_enumerate_constant_half_is_uniform():

@@ -753,7 +753,7 @@ def test_fingerprint_hashes_the_canonical_spec_json():
     ]
     for spec in specs:
         for seed in (0, 7, 2**64 - 1):
-            data = dict(spec_to_dict(reseeded(spec, seed)), coin_version=3)
+            data = dict(spec_to_dict(reseeded(spec, seed)), coin_version=4)
             blob = json.dumps(data, sort_keys=True, separators=(",", ":")).encode("utf-8")
             assert fingerprint(reseeded(spec, seed)) == hashlib.sha256(blob).hexdigest()[:16]
 
