@@ -71,7 +71,6 @@ from .windows import (
     Window,
     WindowKind,
     ball_radius,
-    contains,
     make_window,
     unit_ball_volume,
     window_to_dict,

@@ -9,9 +9,11 @@ the first of them to the end of the file, every non-blank line is an
 ``e`` line.  Real numbers are written with 17 significant digits so the
 decimal round-trip is bit-exact.
 
-Header and ``v`` lines are read one line at a time, and the ``e`` block is
-parsed in bulk, as integer columns.  Both blocks are written in bulk from
-the graph's columns.
+Header lines are read one line at a time.  ``v`` lines are read in blocks
+of 4,096, whose tokens Python's own ``int`` and ``float`` convert field by
+field into the label and latent columns, and the ``e`` block is parsed in
+bulk, as integer columns.  Both blocks are written in bulk from the
+graph's columns.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ import numpy as np
 from .pairs import Graph, make_graph
 from .windows import Window, WindowKind, make_window
 
-# v and e lines are formatted in blocks of this many, so the formatting
-# temporaries (about 0.5 MiB of numbers, tuple and text for e lines) do not
-# grow with the graph.
-_E_LINES = 2**12
+# v and e lines are formatted, and v lines read, in blocks of this many, so
+# the temporaries (about 0.5 MiB of numbers, tuple and text for e lines) do
+# not grow with the graph.
+_BLOCK_LINES = 2**12
 # One e line as loadtxt reads it; a two-character tag field keeps a longer
 # tag such as "ex" distinguishable from "e".
 _E_LINE = np.dtype([("tag", "U2"), ("i", np.int64), ("j", np.int64)])
@@ -69,12 +71,12 @@ def write_graph(graph: Graph, fh, seed: int | None = None) -> None:
         columns.append(table.latents)
         v_line += " %.17g"
     v_line += "\n"
-    for lo in range(0, graph.n_vertices, _E_LINES):
-        hi = min(lo + _E_LINES, graph.n_vertices)
+    for lo in range(0, graph.n_vertices, _BLOCK_LINES):
+        hi = min(lo + _BLOCK_LINES, graph.n_vertices)
         rows = zip(range(lo, hi), *(c[lo:hi].tolist() for c in columns))
         fh.write(v_line * (hi - lo) % tuple(itertools.chain.from_iterable(rows)))
-    for lo in range(0, graph.n_edges, _E_LINES):
-        block = graph.ends[lo : lo + _E_LINES]
+    for lo in range(0, graph.n_edges, _BLOCK_LINES):
+        block = graph.ends[lo : lo + _BLOCK_LINES]
         fh.write("e %d %d\n" * len(block) % tuple(block.ravel().tolist()))
 
 
@@ -102,15 +104,6 @@ def _read_edges(lines) -> np.ndarray:
     return np.stack((rows["i"], rows["j"]), axis=1)
 
 
-def _number(parse, text: str, line: str):
-    """parse(text), int or float, with a ValueError that names the line."""
-    try:
-        return parse(text)
-    except ValueError:
-        kind = "an integer" if parse is int else "a real number"
-        raise ValueError(f"{text!r} is not {kind}: {line!r}") from None
-
-
 def _read_window(line: str) -> Window:
     """Parse a "#window kind=K size=S [dim=D]" header line."""
     fields = {}
@@ -121,11 +114,12 @@ def _read_window(line: str) -> Window:
         fields[key] = value
     if "kind" not in fields or "size" not in fields:
         raise ValueError(f"#window line needs kind= and size=: {line!r}")
-    return make_window(
-        WindowKind(fields["kind"]),
-        _number(float, fields["size"], line),
-        _number(int, fields["dim"], line) if "dim" in fields else None,
-    )
+    try:
+        kind, size = WindowKind(fields["kind"]), float(fields["size"])
+        dim = int(fields["dim"]) if "dim" in fields else None
+    except ValueError as exc:
+        raise ValueError(f"malformed #window line {line!r}: {exc}") from None
+    return make_window(kind, size, dim)
 
 
 def _header_value(line: str) -> str:
@@ -135,73 +129,71 @@ def _header_value(line: str) -> str:
     return parts[1]
 
 
+def _read_vertices(lines: list, window: Window, first: int, width: int):
+    """The label and latent (or None) columns of stripped v lines of
+    ``width`` tokens, the first of index ``first``.  Each field of a block
+    of lines is converted by one map of Python's int or float, so the
+    accepted syntax is theirs; only a failed block is read line by line."""
+    ncomp = window.dim or 1
+    integer = window.kind is WindowKind.INTEGER_PREFIX
+    labels, latents = [], []
+    for lo in range(0, len(lines), _BLOCK_LINES):
+        block = lines[lo : lo + _BLOCK_LINES]
+        rows = [line.split() for line in block]
+        try:
+            if set(map(len, rows)) != {width} or width not in (2 + ncomp, 3 + ncomp):
+                raise ValueError(f"not 'v i', {ncomp} label(s), and a latent if v line 0 has one")
+            fields = list(zip(*rows))
+            if list(map(int, fields[1])) != list(range(first + lo, first + lo + len(rows))):
+                raise ValueError("v lines must be in index order")
+            labels.append(np.array(
+                [list(map(int if integer else float, f)) for f in fields[2 : 2 + ncomp]],
+                dtype=np.int64 if integer else np.float64,
+            ))
+            if width > 2 + ncomp:
+                latents.append(np.array(list(map(float, fields[-1]))))
+        except (ValueError, OverflowError) as exc:
+            if len(block) == 1:
+                raise ValueError(f"malformed v line {block[0]!r}: {exc}") from None
+            for k, line in enumerate(block):
+                _read_vertices([line], window, first + lo + k, width)  # raises for a bad line
+            raise
+    labels = np.concatenate(labels, axis=1)
+    return (
+        labels.T.copy() if window.dim else labels[0],
+        np.concatenate(latents) if latents else None,
+    )
+
+
 def read_graph(fh) -> Graph:
-    window = None
-    family = None
-    fingerprint = None
-    vertices = []
-    latents = []
+    headers = dict.fromkeys(("#window", "#family", "#fingerprint"))  # each at most once
+    v_lines = []
     edges = ()
     lines = iter(fh)
     for raw in lines:
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#window"):
-            if window is not None:  # a v line needs one, so this also covers #window after v
-                raise ValueError(f"repeated #window header: {line!r}")
-            window = _read_window(line)
-        elif line.startswith("#family"):
-            if family is not None:
-                raise ValueError(f"repeated #family header: {line!r}")
-            family = _header_value(line)
-        elif line.startswith("#fingerprint"):
-            if fingerprint is not None:
-                raise ValueError(f"repeated #fingerprint header: {line!r}")
-            fingerprint = _header_value(line)
-        elif line.startswith("#"):
-            continue
+        if line.startswith("#"):
+            key = next((key for key in headers if line.startswith(key)), None)
+            if key is not None and headers[key] is not None:  # also a #window after a v line
+                raise ValueError(f"repeated {key} header: {line!r}")
+            if key is not None:
+                headers[key] = _read_window(line) if key == "#window" else _header_value(line)
+        elif line.startswith(("v ", "e ")) and headers["#window"] is None:
+            raise ValueError(f"{line[0]} line before #window header")
         elif line.startswith("v "):
-            if window is None:
-                raise ValueError("v line before #window header")
-            tok = line.split()
-            idx = _number(int, tok[1], line)
-            if idx != len(vertices):
-                raise ValueError("v lines must be in index order")
-            ncomp = window.dim or 1
-            if len(tok) < 2 + ncomp:
-                raise ValueError(f"v line has fewer than {ncomp} label components: {line!r}")
-            if window.kind is WindowKind.INTEGER_PREFIX:
-                label = _number(int, tok[2], line)
-            elif window.kind is WindowKind.REAL_INTERVAL:
-                label = _number(float, tok[2], line)
-            else:
-                label = tuple(_number(float, c, line) for c in tok[2 : 2 + ncomp])
-            rest = tok[2 + ncomp :]
-            if len(rest) > 1:
-                raise ValueError(f"v line has tokens past the latent: {line!r}")
-            vertices.append(label)
-            latents.append(_number(float, rest[0], line) if rest else None)
+            v_lines.append(line)
         elif line.startswith("e "):
-            if window is None:
-                raise ValueError("e line before #window header")
             edges = _read_edges(itertools.chain([raw], lines))
             break
-        else:
+        elif line:
             raise ValueError(f"unrecognized line: {line!r}")
+    window, family, fingerprint = headers.values()
     if window is None:
         raise ValueError("missing #window header")
-    have_latents = any(l is not None for l in latents)
-    if have_latents and any(l is None for l in latents):
-        raise ValueError("latent annotations must cover all vertices or none")
-    return make_graph(
-        window,
-        vertices,
-        edges,
-        latents if have_latents else None,
-        family,
-        fingerprint,
-    )
+    labels, latents = (), None
+    if v_lines:
+        labels, latents = _read_vertices(v_lines, window, 0, len(v_lines[0].split()))
+    return make_graph(window, labels, edges, latents, family, fingerprint)
 
 
 def loads_graph(text: str) -> Graph:

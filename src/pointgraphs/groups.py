@@ -68,15 +68,23 @@ class RandomRotations:
 GeneratorSet = Transpositions | DyadicSwaps | RandomRotations
 
 
-def _check_rotations(qs: np.ndarray, dets: np.ndarray) -> None:
-    """Reject a stack of square matrices unless each is orthogonal and its
-    determinant, given in ``dets``, is +1, within ORTHO_TOL.  The Gram
-    matrices are summed elementwise, row k of each matrix in turn."""
-    d = qs.shape[1]
+def _check_rotations(qs: np.ndarray) -> None:
+    """Reject a stack of square matrices unless each is orthogonal with
+    determinant +1, within ORTHO_TOL (NaN fails).  Gram matrices and the
+    determinants, by elimination with partial pivoting apart from the
+    factorization, are computed in elementwise operations."""
+    t, d, _ = qs.shape
     gram = sum(qs[:, k, :, None] * qs[:, k, None, :] for k in range(d)) - np.eye(d)
-    if np.max(np.abs(gram), initial=0.0) > ORTHO_TOL:
+    if not np.all(np.abs(gram) <= ORTHO_TOL):
         raise ValueError("matrix is not orthogonal within tolerance")
-    if np.max(np.abs(dets - 1.0), initial=0.0) > ORTHO_TOL:
+    a, rows, dets = qs.copy(), np.arange(t), np.ones(t)
+    for k in range(d):  # an orthogonal matrix has no zero pivot
+        p = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
+        dets[p != k] *= -1.0
+        a[rows, k], a[rows, p] = a[rows, p], a[rows, k]
+        dets *= a[:, k, k]
+        a[:, k + 1 :, k:] -= a[:, k + 1 :, k, None] / a[:, k, k, None, None] * a[:, None, k, k:]
+    if not np.all(np.abs(dets - 1.0) <= ORTHO_TOL):
         raise ValueError("rotation must have determinant +1")
 
 
@@ -172,7 +180,7 @@ def sample_generators(gen_set: GeneratorSet, us) -> np.ndarray:
         z = gaussians_from_uniforms(us.reshape(len(us), -1))[:, : dim * dim]
         q, dets = _orthogonal_factors(z.reshape(len(us), dim, dim))
         q[dets < 0, :, 0] *= -1.0  # negates those determinants
-        _check_rotations(q, np.abs(dets))
+        _check_rotations(q)
         return q
     raise TypeError(f"not a generator set: {gen_set!r}")
 

@@ -17,21 +17,13 @@ Python views of labels, latents and edges are built on each call.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections.abc import Set
 from dataclasses import dataclass
 
 import numpy as np
 
-from .windows import (
-    Window,
-    WindowKind,
-    contains,
-    contains_column,
-    label_column,
-    label_matches,
-)
+from .windows import Window, WindowKind, contains_column
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,23 +191,55 @@ class Graph:
         )
 
 
-def make_graph(window, vertices, edges, latents=None, family=None, fingerprint=None) -> Graph:
-    """Validated Graph constructor.  Edges, index pairs or an (E, 2) integer
-    array, may be given in either orientation and in any order; they are
-    stored as sorted rows (i, j) with i < j.  An edge given twice, or a
-    latent that is NaN or infinite, is an error."""
-    vertices = tuple(vertices)
-    if len(set(vertices)) != len(vertices):
-        raise ValueError("vertex labels must be distinct")
-    ball = window.kind is WindowKind.EUCLIDEAN_BALL
-    for v in vertices:
-        if not label_matches(window.kind, v) or (ball and len(v) != window.dim):
-            contains(window, v)  # raises the TypeError that names the label's fault
-    labels = label_column(window, vertices)
-    for v, inside in zip(vertices, contains_column(window, labels)):
-        if not inside:
-            raise ValueError(f"vertex label {v!r} lies outside the declared window")
-    ends = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+def _label_column(window: Window, labels) -> np.ndarray:
+    """The labels as a new column of the window's kind: int64, float64 (ints
+    may stand for reals), or one float64 row of window.dim coordinates per
+    ball point, or a TypeError naming the first label that cannot be a row."""
+    integer = window.kind is WindowKind.INTEGER_PREFIX
+    width = (window.dim,) if window.kind is WindowKind.EUCLIDEAN_BALL else ()
+    dtype = np.int64 if integer else np.float64
+    try:
+        column = np.asarray(labels)
+    except ValueError:  # points of several dimensions
+        column = np.asarray(labels, dtype=object)
+    if column.shape == (0,):
+        return np.zeros((0, *width), dtype)
+    kinds = "iu" if integer else "iuf"
+    if column.ndim and column.shape[1:] == width and column.dtype.kind in kinds:
+        if not (integer and column.dtype.kind == "u" and column.max() > np.iinfo(np.int64).max):
+            return column.astype(dtype)
+    rows = labels.tolist() if isinstance(labels, np.ndarray) else list(labels)
+    if len(rows) > 1:
+        for label in rows:
+            _label_column(window, [label])  # raises for the first label that is no row
+        raise TypeError(f"labels of dtype {column.dtype} are no {window.kind.value} column")
+    takes = f"points of dimension {window.dim}" if width else f"{dtype.__name__} labels"
+    raise TypeError(
+        f"label {rows[0]!r} does not match window kind {window.kind.value}, which takes {takes}"
+    )
+
+
+def make_graph(window, labels, ends, latents=None, family=None, fingerprint=None) -> Graph:
+    """Validated Graph constructor.  ``labels``, the window's label column
+    (a list goes through np.asarray), is checked in whole-column numpy
+    operations: dtype and shape, distinct rows by one sort, and
+    contains_column, which also refuses NaN and infinity.  Edges, index
+    pairs or an (E, 2) integer array, may be given in either orientation
+    and in any order; they are stored as sorted rows (i, j) with i < j.  An
+    edge given twice, or a latent that is NaN or infinite, is an error."""
+    labels = _label_column(window, labels)
+    n = len(labels)
+    outside = ~contains_column(window, labels)
+    if outside.any():
+        label = labels[np.argmax(outside)].tolist()
+        raise ValueError(f"vertex label {label} lies outside the declared window")
+    rows = labels.reshape(n, window.dim or 1)
+    order = np.lexsort(rows.T[::-1])
+    repeated = (rows[order[1:]] == rows[order[:-1]]).all(axis=1)
+    if repeated.any():
+        label = labels[order[np.argmax(repeated)]].tolist()
+        raise ValueError(f"vertex label {label} is given more than once")
+    ends = np.asarray(ends if isinstance(ends, np.ndarray) else list(ends))
     if ends.size == 0:
         ends = np.zeros((0, 2), dtype=np.int64)
     if ends.ndim != 2 or ends.shape[1] != 2:
@@ -225,7 +249,6 @@ def make_graph(window, vertices, edges, latents=None, family=None, fingerprint=N
     lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
     if np.any(lo == hi):
         raise ValueError("self-loops are not permitted")
-    n = len(vertices)
     outside = (lo < 0) | (hi >= n)
     if outside.any():
         i, j = ends[np.argmax(outside)].tolist()
@@ -236,13 +259,13 @@ def make_graph(window, vertices, edges, latents=None, family=None, fingerprint=N
         raise ValueError("an edge is listed more than once")
     ends = np.stack(np.divmod(keys, n), axis=1)
     if latents is not None:
-        latents = tuple(latents)
-        if len(latents) != n:
-            raise ValueError("latents must align with vertices")
-        for i, x in enumerate(latents):
-            if not math.isfinite(x):
-                raise ValueError(f"latent {x!r} of vertex {i} is not finite")
         latents = np.array(latents, dtype=float)
+        if latents.shape != (n,):
+            raise ValueError("latents must align with vertices")
+        infinite = ~np.isfinite(latents)
+        if infinite.any():
+            i = int(np.argmax(infinite))
+            raise ValueError(f"latent {latents[i].item()!r} of vertex {i} is not finite")
     table = GraphTable(window, labels, latents, ends, np.array([0, n]), family)
     return Graph(table, fingerprint)
 

@@ -22,6 +22,7 @@ relies on.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -54,7 +55,7 @@ from .kernels import (
     kernel_from_dict,
     kernel_to_dict,
 )
-from .pairs import Graph, GraphTable
+from .pairs import Graph, GraphTable, restrict_table
 from .windows import (
     Window,
     WindowKind,
@@ -79,7 +80,7 @@ PACKED_PAIRS = 2**11
 
 
 class SpecMismatchError(ValueError):
-    """A graph was offered to a family spec it was not sampled from."""
+    """A graph was offered to a family spec whose sample it is not."""
 
 
 class LabelCollisionError(ValueError):
@@ -560,18 +561,39 @@ def mean_pairs(spec: FamilySpec, n: float) -> float:
     return points * points / 2  # E[K (K - 1)] / 2 for K ~ Poisson(points)
 
 
+def _first_difference(sampled: Graph, graph: Graph) -> str:
+    """Where ``graph`` first differs from ``sampled``, which it does not
+    equal in its rows or edges: a vertex by index and (label, latent), or
+    an edge by its label pair."""
+    rows = [list(zip(g.vertices, g.latents or [None] * g.n_vertices)) for g in (sampled, graph)]
+    for i, (want, got) in enumerate(itertools.zip_longest(*rows)):
+        if want != got:
+            return f"vertex {i} (label, latent) is {got!r} in the graph, {want!r} in the sample"
+    edges = [set(g.edges) for g in (sampled, graph)]
+    i, j = min(edges[0] ^ edges[1])
+    where = "sample" if (i, j) in edges[0] else "graph"
+    return f"edge {(sampled.vertices[i], sampled.vertices[j])!r} is only in the {where}"
+
+
 def extend_sample(spec: FamilySpec, graph: Graph, n: float, m: float) -> Graph:
     """Grow a sample from window n to window m without disturbing it.
 
     The window-n randomness is re-derived from the same keyed coins, so
     restricting the result back to window n reproduces ``graph`` exactly
     (for graphex families the restriction drops the points of window n
-    that have edges only to points beyond it).
+    that have edges only to points beyond it).  Any other graph, such as an
+    edited one, is refused, naming its first differing vertex or edge.
     """
     if m < n:
         raise ValueError("target window must not shrink")
     if graph.fingerprint != fingerprint(spec):
         raise SpecMismatchError("graph was not sampled from this spec (fingerprint differs)")
-    if graph.window != window_for(spec, n):
-        raise SpecMismatchError(f"graph window does not match size {n}")
-    return sample(spec, m)
+    if graph.window != window_for(spec, n) or graph.family != spec.family:
+        raise SpecMismatchError(f"graph window or family does not match size {n}")
+    table = sample_table(spec, m, spec.seed)
+    sampled = Graph(restrict_table(table, graph.window), graph.fingerprint)
+    if sampled != graph:
+        raise SpecMismatchError(
+            f"graph differs from this spec's sample: {_first_difference(sampled, graph)}"
+        )
+    return Graph(table, graph.fingerprint)

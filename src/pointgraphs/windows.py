@@ -2,11 +2,11 @@
 
 Three window families are supported: integer prefixes {1..n}, half-open
 real intervals [0, n), and open Euclidean balls of volume n centered at
-the origin.  Labels are plain Python values (int, float, or tuple of
-floats) so inclusion of a smaller window into a larger one is the
-identity; nesting is checked through ``contains``.  A column of labels
-(int64, float64, or one float64 row per point) is tested at once by
-``contains_column``; ``contains`` is that test on a column of one.
+the origin.  A graph's labels are one column: int64 for an integer
+prefix, float64 for a real interval, and one float64 row of ``dim``
+coordinates per ball point.  Inclusion of a smaller window into a larger
+one is the identity on labels, and ``contains_column`` tests a whole
+column against a window at once.
 """
 
 from __future__ import annotations
@@ -72,60 +72,10 @@ def ball_radius(dim: int, volume: float) -> float:
     return (volume / unit_ball_volume(dim)) ** (1.0 / dim)
 
 
-def _is_int_label(label) -> bool:
-    return isinstance(label, int) and not isinstance(label, bool)
-
-
-def _is_real_label(label) -> bool:
-    return isinstance(label, float) or _is_int_label(label)
-
-
-def label_matches(kind: WindowKind, label) -> bool:
-    """Whether a label value belongs to the variant a window kind expects."""
-    if kind is WindowKind.INTEGER_PREFIX:
-        return _is_int_label(label)
-    if kind is WindowKind.REAL_INTERVAL:
-        return _is_real_label(label) and label >= 0
-    return (
-        isinstance(label, tuple)
-        and len(label) >= 2
-        and all(_is_real_label(c) for c in label)
-    )
-
-
-def contains(window: Window, label) -> bool:
-    """Membership of a label in a window.
-
-    Real intervals are half-open [0, n); balls are open, so boundary points
-    are excluded.
-    """
-    if not label_matches(window.kind, label):
-        raise TypeError(
-            f"label {label!r} does not match window kind {window.kind.value}"
-        )
-    if window.kind is WindowKind.EUCLIDEAN_BALL and len(label) != window.dim:
-        raise TypeError(
-            f"point of dimension {len(label)} tested against {window.dim}-ball"
-        )
-    return bool(contains_column(window, label_column(window, [label]))[0])
-
-
-def label_column(window: Window, labels) -> np.ndarray:
-    """Labels of the window's kind as one column: int64 for an integer
-    prefix (Python ints in an object column past its range), float64 for a
-    real interval, and one float64 row of window.dim coordinates per ball
-    point."""
-    labels = list(labels)
-    if window.kind is WindowKind.EUCLIDEAN_BALL:
-        return np.array(labels, dtype=float).reshape(len(labels), window.dim)
-    if window.kind is WindowKind.REAL_INTERVAL:
-        return np.array(labels, dtype=float)
-    return np.array(labels) if labels else np.zeros(0, dtype=np.int64)
-
-
 def contains_column(window: Window, labels: np.ndarray) -> np.ndarray:
-    """Membership of each label of a label column (see label_column), as a
-    bool array, with no type checks.
+    """Membership of each label of a label column (see above), as a bool
+    array, with no type checks.  A label that is NaN or infinite lies in
+    no window.
 
     A ball point is inside when the ``math.fsum`` of its squared
     coordinates is below the squared radius.  numpy sums the squares, which
@@ -134,7 +84,7 @@ def contains_column(window: Window, labels: np.ndarray) -> np.ndarray:
     ``math.fsum`` itself.
     """
     if window.kind is WindowKind.INTEGER_PREFIX:
-        return np.asarray((1 <= labels) & (labels <= window.size), dtype=bool)
+        return (1 <= labels) & (labels <= window.size)
     if window.kind is WindowKind.REAL_INTERVAL:
         return (0.0 <= labels) & (labels < window.size)
     r = ball_radius(window.dim, window.size)

@@ -11,8 +11,9 @@ import pytest
 
 from pointgraphs.cli import run
 from pointgraphs.coins import derive_seeds
-from pointgraphs.edgelist import loads_graph
-from pointgraphs.samplers import spec_from_dict
+from pointgraphs.edgelist import dumps_graph, loads_graph
+from pointgraphs.pairs import make_graph, restrict_graph
+from pointgraphs.samplers import SpecMismatchError, extend_sample, spec_from_dict
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -70,6 +71,51 @@ def test_extend_rejects_wrong_seed(tmp_path, capsys):
                 "--n", "5", "--m", "9"])
     assert code == 1
     assert "fingerprint" in capsys.readouterr().err
+
+
+def tampered(graph, how):
+    """The graph with one edit that keeps it valid: its first edge removed,
+    its first label moved to another place inside the window, or its first
+    latent changed.  Returns the graph and the start of the error it
+    should raise."""
+    labels, latents, ends = graph.table.labels.copy(), graph.table.latents.copy(), graph.ends
+    if how == "edge":
+        i, j = ends[0].tolist()
+        ends = ends[1:]
+        named = f"edge {(graph.vertices[i], graph.vertices[j])!r} is only in the sample"
+    elif how == "label":
+        if labels.dtype == np.int64:  # 1..n are all taken: swap two of them
+            labels[[0, 1]] = labels[[1, 0]]
+        else:
+            labels[0] *= 0.5
+        named = "vertex 0 (label, latent)"
+    else:
+        latents[0] = latents[0] * 0.5 + 0.25
+        named = "vertex 0 (label, latent)"
+    edited = make_graph(graph.window, labels, ends, latents, graph.family, graph.fingerprint)
+    return edited, f"graph differs from this spec's sample: {named}"
+
+
+@pytest.mark.parametrize("how", ["edge", "label", "latent"])
+@pytest.mark.parametrize("config, n", [("graphon", 10), ("graphex", 3), ("rotinv", 6)])
+def test_extend_refuses_a_tampered_graph(tmp_path, capsys, config, n, how):
+    cfg = str(CONFIGS / f"{config}.json")
+    spec = spec_from_dict(json.loads(read(CONFIGS / f"{config}.json")))
+    assert run(["sample", "--config", cfg, "--n", str(n), "--out", str(tmp_path / "g.el")]) == 0
+    graph = loads_graph(read(tmp_path / "g.el"))
+    assert graph.n_edges > 1
+    edited, message = tampered(graph, how)
+    with pytest.raises(SpecMismatchError, match=re.escape(message)):
+        extend_sample(spec, edited, n, 2 * n)
+    (tmp_path / "bad.el").write_text(dumps_graph(edited))
+    assert run(["extend", "--config", cfg, "--in", str(tmp_path / "bad.el"), "--n", str(n),
+                "--m", str(2 * n)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"pointgraphs: error: {message}")
+    # the untampered graph extends, and restricts back to itself
+    assert restrict_graph(extend_sample(spec, graph, n, 2 * n), graph.window) == graph
 
 
 def test_stats_command(tmp_path):

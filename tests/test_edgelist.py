@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -166,6 +167,58 @@ def test_non_finite_latents_rejected(tmp_path, capsys, latent):
     interval = make_window(WindowKind.REAL_INTERVAL, 3.0)
     with pytest.raises(ValueError, match="of vertex 0 is not finite"):
         make_graph(interval, (0.5, 1.5), [(0, 1)], latents=(float(latent), 0.25))
+
+
+def test_graphs_past_one_block_of_v_lines_roundtrip():
+    # v lines are read in blocks of 4,096: these graphs take two
+    w = make_window(WindowKind.INTEGER_PREFIX, 10_000)
+    rng = np.random.default_rng(5)
+    labels = rng.permutation(np.arange(1, 10_001))[:5000]
+    g = make_graph(w, labels, [(0, 4999), (4096, 4097)], latents=rng.random(5000))
+    assert loads_graph(dumps_graph(g)) == g
+    ball = make_window(WindowKind.EUCLIDEAN_BALL, 50.0, dim=3)
+    points = rng.uniform(-1.0, 1.0, size=(5000, 3))
+    g = make_graph(ball, points, [(1, 4500)])
+    back = loads_graph(dumps_graph(g))
+    assert back == g and back.table.labels.flags.c_contiguous
+
+
+def _v_lines(count: int, width: int = 0) -> str:
+    latent = " 0.5" * width
+    return "".join(f"v {i} {i + 1}{latent}\n" for i in range(count))
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        pytest.param(INT4 + "v 0 99999999999999999999\n", "v 0 99999999999999999999",
+                     id="past-int64"),
+        pytest.param(INT4 + "v 0 1\nv 1 -9223372036854775809\n", "v 1 -9223372036854775809",
+                     id="past-int64-below"),
+        pytest.param(INT4 + "v 0 1\nv 2 2\n", "v 2 2", id="index-out-of-order"),
+        pytest.param(INT4 + "v 0 1 0.5\nv 1 2\n", "v 1 2", id="latent-missing"),
+        pytest.param(INT4 + "v 0 1\nv 1 2 0.5\n", "v 1 2 0.5", id="latent-added"),
+        pytest.param("#window kind=euclidean_ball size=10 dim=2\nv 0 0.1 0.2\nv 1 0.1 0.2 0.3 0.4\n",
+                     "v 1 0.1 0.2 0.3 0.4", id="point-of-another-dimension"),
+        pytest.param("#window kind=integer_prefix size=9000\n" + _v_lines(5000, 1)
+                     + "v 5000 5001 x\n", "v 5000 5001 x", id="second-block"),
+        pytest.param("#window kind=integer_prefix size=9000\n" + _v_lines(5000, 1)
+                     + "v 5000 5001\n", "v 5000 5001", id="latent-missing-in-second-block"),
+    ],
+)
+def test_malformed_v_line_is_named(tmp_path, capsys, text, line):
+    with pytest.raises(ValueError, match=re.escape(repr(line))):
+        loads_graph(text)
+    path = tmp_path / "bad.el"
+    path.write_text(text)
+    assert run(["stats", "--in", str(path)]) == 1
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith("pointgraphs: error: ") and repr(line) in err
+
+
+def test_unknown_window_kind_names_the_line():
+    with pytest.raises(ValueError, match=re.escape("'#window kind=box size=4'")):
+        loads_graph("#window kind=box size=4\n")
 
 
 def test_missing_header_rejected():

@@ -50,11 +50,19 @@ ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 EXTREMES = (0.0, 1.0 - 2.0**-53)
 
 
+# up to this many coins per generator, uniforms() lists every corner
+CORNER_WIDTH = 10
+
+
 def uniforms(rng, gen_set, rows):
-    """rows of uniforms for sample_generators, with every corner of the
-    extreme values first."""
+    """rows of uniforms for sample_generators, after corners of the extreme
+    values: every corner while a generator reads at most CORNER_WIDTH
+    coins, and 2^CORNER_WIDTH corners drawn with rng beyond that."""
     width = generator_coins(gen_set)
-    corners = np.array(np.meshgrid(*[EXTREMES] * width)).reshape(width, -1).T
+    if width <= CORNER_WIDTH:
+        corners = np.array(np.meshgrid(*[EXTREMES] * width)).reshape(width, -1).T
+    else:
+        corners = rng.choice(EXTREMES, size=(2**CORNER_WIDTH, width))
     return np.vstack([corners, rng.random((rows, width))])
 
 
@@ -237,6 +245,17 @@ def test_sampled_rotations_are_orthogonal():
         for q in qs:
             assert np.max(np.abs(q.T @ q - np.eye(dim))) < 1e-10
             assert abs(np.linalg.det(q) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_rotations_at_extreme_corners_are_rotations(dim):
+    # RandomRotations(5) reads 26 coins a generator: 2^26 corners are too many to list
+    gen = RandomRotations(dim)
+    us = uniforms(np.random.default_rng(dim), gen, 200)
+    assert len(us) == 200 + min(2 ** generator_coins(gen), 2**CORNER_WIDTH)
+    qs = sample_generators(gen, us)
+    assert np.max(np.abs(np.swapaxes(qs, 1, 2) @ qs - np.eye(dim))) <= 1e-14
+    assert np.max(np.abs(np.linalg.det(qs) - 1.0)) <= 1e-14
 
 
 def keyed_rotations(dim: int, rows: int):

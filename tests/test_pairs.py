@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +11,6 @@ from hypothesis import given, strategies as st
 
 from pointgraphs import (
     WindowKind,
-    contains,
     derive_seeds,
     make_graph,
     make_window,
@@ -22,6 +22,7 @@ from pointgraphs import (
 from pointgraphs.edgelist import dumps_graph, loads_graph
 from pointgraphs.harness import _endpoints, _half_space, _ordered_pairs
 from pointgraphs.pairs import Graph, GraphTable
+from tests.test_windows import inside
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -200,7 +201,7 @@ def test_make_graph_validations():
     with pytest.raises(TypeError, match="does not match window kind"):
         make_graph(WIN4, (1, 2.5), set())
     ball = make_window(WindowKind.EUCLIDEAN_BALL, 10.0, dim=2)
-    with pytest.raises(TypeError, match="point of dimension 3"):
+    with pytest.raises(TypeError, match=re.escape("label (0.1, 0.2, 0.3) does not match")):
         make_graph(ball, ((0.1, 0.2), (0.1, 0.2, 0.3)), set())
     with pytest.raises(ValueError, match="more than once"):
         make_graph(WIN4, (1, 2), [(0, 1), (1, 0)])
@@ -210,6 +211,50 @@ def test_make_graph_validations():
         make_graph(WIN4, (1, 2, 3), [(0, 1, 2)])
     assert make_graph(WIN4, (1, 2), [(1, 0)]).edges == {(0, 1)}
     assert make_graph(WIN4, (1, 2, 3), np.array([[2, 0], [1, 2]])).edges == {(0, 2), (1, 2)}
+
+
+BALL2 = make_window(WindowKind.EUCLIDEAN_BALL, 10.0, dim=2)
+
+
+@pytest.mark.parametrize(
+    "window, labels, named",
+    [
+        pytest.param(WIN4, (1, 2.5), "2.5", id="float-in-integer-prefix"),
+        pytest.param(WIN4, np.array([True, False]), "True", id="bool-column"),
+        pytest.param(WIN4, (1, None), "None", id="none-in-list"),
+        pytest.param(WIN4, np.array([1, 2], dtype=object), "dtype object", id="object-column"),
+        pytest.param(WIN4, (3, 2**63), str(2**63), id="past-int64-as-uint64"),
+        pytest.param(WIN4, (3, 2**70), str(2**70), id="past-int64-as-object"),
+        pytest.param(WIN4, (-1, 2**63), str(2**63), id="past-int64-as-float"),
+        pytest.param(WIN4, ("1", 2), "'1'", id="string"),
+        pytest.param(BALL2, ((0.1, 0.2), (0.1, 0.2, 0.3)), "(0.1, 0.2, 0.3)", id="ragged-points"),
+        pytest.param(BALL2, ((0.1, 0.2, 0.3), (0.3, 0.2, 0.1)), "(0.1, 0.2, 0.3)",
+                     id="points-of-another-dimension"),
+        pytest.param(BALL2, (0.1, 0.2), "0.1", id="numbers-for-points"),
+        pytest.param(make_window(WindowKind.REAL_INTERVAL, 3.0), np.array([False, True]), "False",
+                     id="bool-column-for-reals"),
+    ],
+)
+def test_make_graph_names_a_label_that_cannot_be_a_column(window, labels, named):
+    # a bool, object or ragged column, an integer past int64 and a point of
+    # another dimension are each an error that names the label
+    with pytest.raises(TypeError, match=re.escape(named)):
+        make_graph(window, labels, ())
+
+
+def test_make_graph_names_a_repeated_or_outside_label():
+    interval = make_window(WindowKind.REAL_INTERVAL, 3.0)
+    for window, labels, message in [
+        (WIN4, (1, 2, 1), "vertex label 1 is given more than once"),
+        (interval, (0.0, 1.5, -0.0), "vertex label 0.0 is given more than once"),
+        (BALL2, ((0.1, 0.2), (0.3, 0.0), (0.1, 0.2)), "vertex label [0.1, 0.2] is given"),
+        (interval, (0.5, math.nan), "vertex label nan lies outside"),
+        (interval, (0.5, math.inf), "vertex label inf lies outside"),
+        (BALL2, ((0.1, 0.2), (math.nan, 0.0)), "vertex label [nan, 0.0] lies outside"),
+        (WIN4, np.array([2, 0]), "vertex label 0 lies outside"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_graph(window, labels, ())
 
 
 def test_equal_graphs_hash_equal():
@@ -233,7 +278,7 @@ def test_equal_graphs_hash_equal():
 def _induced_subgraph(graph, window):
     """restrict_graph's result, one label and one edge at a time in Python:
     (vertices, latents, edges in increasing order)."""
-    keep = [i for i, v in enumerate(graph.vertices) if contains(window, v)]
+    keep = [i for i, v in enumerate(graph.vertices) if inside(window, v)]
     kept = set(keep)
     edges = sorted((i, j) for i, j in graph.edges if i in kept and j in kept)
     if graph.family == "graphex":

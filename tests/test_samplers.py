@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.stats import kstest
 
 from pointgraphs import (
     Constant,
@@ -25,7 +26,6 @@ from pointgraphs import (
     WindowKind,
     WindowScaledConstant,
     chi_square_gof,
-    contains,
     extend_sample,
     fingerprint,
     graphex_spec,
@@ -44,6 +44,7 @@ from pointgraphs import (
 from pointgraphs import samplers
 from pointgraphs.coins import CoinPRF, derive_seeds
 from pointgraphs.kernels import FixedDirectionIndicator, geo_edge_prob
+from pointgraphs.windows import contains_column
 from tests import reference
 from tests.test_pairs import trial_graph
 
@@ -244,7 +245,7 @@ def test_rotinv_zero_kernel_keeps_points_only():
     g = sample(spec, 5.0)
     assert g.edges == frozenset()
     assert g.n_vertices > 0
-    assert all(contains(g.window, v) for v in g.vertices)
+    assert contains_column(g.window, g.table.labels).all()
 
 
 def test_rotinv_point_count_is_poisson_rate_volume():
@@ -252,6 +253,33 @@ def test_rotinv_point_count_is_poisson_rate_volume():
     table = sample_table(spec, 4.0, derive_seeds(spec.seed, np.arange(2000)))
     mean, se = mc_mean(np.diff(table.starts))
     assert abs(mean - 12.0) < 3 * se
+
+
+def rotinv_directions(dim: int, trials: int) -> np.ndarray:
+    """The unit vectors x / |x| of the points of rotinv samples, one row each."""
+    spec = rotinv_spec(Constant(0.0), dim=dim, point=PoissonRate(3.0), seed=60 + dim)
+    x = sample_table(spec, 8.0, derive_seeds(spec.seed, np.arange(trials))).labels
+    return x / np.sqrt((x * x).sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_rotinv_directions_have_second_moment_identity_over_d(dim):
+    # for u uniform on the sphere S^(d-1), E[u u^T] = I / d, with
+    # Var(u_i^2) = 3 / (d (d + 2)) - 1 / d^2 and Var(u_i u_j) = 1 / (d (d + 2))
+    # (i != j); every entry lies within five standard errors of its mean
+    u = rotinv_directions(dim, 1000)
+    moments = (u[:, :, None] * u[:, None, :]).mean(axis=0)
+    var = np.full((dim, dim), 1 / (dim * (dim + 2)))
+    np.fill_diagonal(var, 3 / (dim * (dim + 2)) - 1 / dim**2)
+    assert len(u) > 20_000
+    assert np.all(np.abs(moments - np.eye(dim) / dim) < 5 * np.sqrt(var / len(u)))
+
+
+def test_rotinv_direction_coordinate_is_uniform_in_3d():
+    # Archimedes: a coordinate of a uniform point of S^2 is uniform on [-1, 1]
+    u = rotinv_directions(3, 1000)
+    for i in range(3):
+        assert kstest(u[:, i], "uniform", args=(-1.0, 2.0)).pvalue > 0.001
 
 
 def test_rotinv_latents_are_radii():
