@@ -209,10 +209,11 @@ def _label_column(window: Window, labels) -> np.ndarray:
         if not (integer and column.dtype.kind == "u" and column.max() > np.iinfo(np.int64).max):
             return column.astype(dtype)
     rows = labels.tolist() if isinstance(labels, np.ndarray) else list(labels)
-    if len(rows) > 1:
+    if len(rows) != 1:
         for label in rows:
             _label_column(window, [label])  # raises for the first label that is no row
-        raise TypeError(f"labels of dtype {column.dtype} are no {window.kind.value} column")
+        shape = f"dtype {column.dtype} and shape {column.shape}"
+        raise TypeError(f"labels of {shape} are no {window.kind.value} column")
     takes = f"points of dimension {window.dim}" if width else f"{dtype.__name__} labels"
     raise TypeError(
         f"label {rows[0]!r} does not match window kind {window.kind.value}, which takes {takes}"
@@ -318,11 +319,13 @@ def differing_trials(a: GraphTable, b: GraphTable) -> np.ndarray:
     latents or edges (fingerprints are not compared)."""
     if a.n_trials != b.n_trials:
         raise ValueError("tables hold different numbers of trials")
-    if a.window != b.window or a.family != b.family or (a.latents is None) != (b.latents is None):
+    if a.window != b.window or a.family != b.family:
         return np.ones(a.n_trials, dtype=bool)  # label columns of two shapes may not compare
     sizes_a, sizes_b = np.diff(a.starts), np.diff(b.starts)
     edges_a, edges_b = np.diff(a.edge_starts()), np.diff(b.edge_starts())
     differ = (sizes_a != sizes_b) | (edges_a != edges_b)
+    if (a.latents is None) != (b.latents is None):  # a trial with no vertex has no latent
+        differ |= sizes_a > 0
     same = ~differ  # trials of one shape, compared row by row and edge by edge
     rows_a, rows_b = np.repeat(same, sizes_a), np.repeat(same, sizes_b)
     bad = a.labels[rows_a] != b.labels[rows_b]

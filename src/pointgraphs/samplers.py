@@ -562,17 +562,19 @@ def mean_pairs(spec: FamilySpec, n: float) -> float:
 
 
 def _first_difference(sampled: Graph, graph: Graph) -> str:
-    """Where ``graph`` first differs from ``sampled``, which it does not
-    equal in its rows or edges: a vertex by index and (label, latent), or
-    an edge by its label pair."""
-    rows = [list(zip(g.vertices, g.latents or [None] * g.n_vertices)) for g in (sampled, graph)]
+    """Where ``graph`` first differs from ``sampled``, in the values Graph
+    equality compares: the first vertex whose (label, latent) row differs or
+    that only one has, else the first edge that only one has (the smaller of
+    the first differing pair of sorted edge rows)."""
+    rows = [zip(g.vertices, g.latents or itertools.repeat(None)) for g in (sampled, graph)]
     for i, (want, got) in enumerate(itertools.zip_longest(*rows)):
         if want != got:
             return f"vertex {i} (label, latent) is {got!r} in the graph, {want!r} in the sample"
-    edges = [set(g.edges) for g in (sampled, graph)]
-    i, j = min(edges[0] ^ edges[1])
-    where = "sample" if (i, j) in edges[0] else "graph"
-    return f"edge {(sampled.vertices[i], sampled.vertices[j])!r} is only in the {where}"
+    for pair in itertools.zip_longest(sampled.edges, graph.edges):
+        if pair[0] != pair[1]:
+            (i, j), where = min((e, w) for e, w in zip(pair, ("sample", "graph")) if e)
+            return f"edge {(sampled.vertices[i], sampled.vertices[j])!r} is only in the {where}"
+    return "no vertex or edge differs"
 
 
 def extend_sample(spec: FamilySpec, graph: Graph, n: float, m: float) -> Graph:

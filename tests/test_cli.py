@@ -118,6 +118,21 @@ def test_extend_refuses_a_tampered_graph(tmp_path, capsys, config, n, how):
     assert restrict_graph(extend_sample(spec, graph, n, 2 * n), graph.window) == graph
 
 
+@pytest.mark.parametrize("config, n", [("graphex", 0.1), ("rotinv", 0.1)])
+def test_extend_takes_an_empty_sample(tmp_path, config, n):
+    # a file with no v lines reads back with no latent column, while the
+    # sample it is compared with has an empty one: the two are equal
+    g, big, back = (tmp_path / name for name in ("g.el", "big.el", "back.el"))
+    cfg = str(CONFIGS / f"{config}.json")
+    assert run(["sample", "--config", cfg, "--n", str(n), "--out", str(g)]) == 0
+    assert loads_graph(read(g)).n_vertices == 0
+    assert run(["extend", "--config", cfg, "--in", str(g), "--n", str(n), "--m", "3",
+                "--out", str(big)]) == 0
+    assert loads_graph(read(big)).n_vertices > 0
+    assert run(["restrict", "--in", str(big), "--n", str(n), "--out", str(back)]) == 0
+    assert loads_graph(read(back)) == loads_graph(read(g))
+
+
 def test_stats_command(tmp_path):
     g, out = tmp_path / "g.el", tmp_path / "stats.json"
     cfg = str(CONFIGS / "graphon.json")

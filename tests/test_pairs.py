@@ -231,6 +231,7 @@ BALL2 = make_window(WindowKind.EUCLIDEAN_BALL, 10.0, dim=2)
         pytest.param(BALL2, ((0.1, 0.2, 0.3), (0.3, 0.2, 0.1)), "(0.1, 0.2, 0.3)",
                      id="points-of-another-dimension"),
         pytest.param(BALL2, (0.1, 0.2), "0.1", id="numbers-for-points"),
+        pytest.param(BALL2, np.zeros((0, 3)), "shape (0, 3)", id="no-points-of-another-dimension"),
         pytest.param(make_window(WindowKind.REAL_INTERVAL, 3.0), np.array([False, True]), "False",
                      id="bool-column-for-reals"),
     ],

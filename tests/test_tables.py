@@ -188,6 +188,11 @@ def test_differing_trials_sees_labels_latents_edges_and_sizes():
     assert differing_trials(changed, table).tolist() == [False, False, True, False, False, False]
     fewer = restrict_table(table, window_for(spec, m - 1))
     assert differing_trials(fewer, table).all()
+    # a latent column on one side only: a trial with no vertex has no latent to differ in
+    two = [pairs.GraphTable(table.window, np.array([1, 2]), latents, np.array([[0, 1]]),
+                            np.array([0, 0, 2]), table.family)
+           for latents in (np.array([0.1, 0.2]), None)]
+    assert differing_trials(*two).tolist() == [False, True]
 
 
 # The four certify-suite reports at its sizes, and at twice its trials.
