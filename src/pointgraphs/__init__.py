@@ -31,14 +31,7 @@ from .kernels import (
     SoftDistance,
     WindowScaledConstant,
 )
-from .pairs import (
-    Graph,
-    GraphTable,
-    differing_trials,
-    make_graph,
-    restrict_graph,
-    restrict_table,
-)
+from .pairs import GraphTable, differing_trials, make_graph, restrict_table
 from .samplers import (
     FamilySpec,
     PoissonRate,

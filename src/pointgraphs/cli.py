@@ -18,7 +18,7 @@ import sys
 from . import harness
 from .edgelist import read_graph, write_graph
 from .kernels import config_object
-from .pairs import restrict_graph
+from .pairs import restrict_table
 from .samplers import FamilySpec, extend_sample, fingerprint, sample, spec_from_dict
 from .stats import chi_square_gof, graph_stats
 from .windows import make_window, window_to_dict
@@ -138,7 +138,7 @@ def _dispatch(args) -> int:
         with open(args.infile) as fh:
             graph = read_graph(fh)
         window = make_window(graph.window.kind, args.n, graph.window.dim)
-        _emit_graph(restrict_graph(graph, window), args.out)
+        _emit_graph(restrict_table(graph, window), args.out)
         return 0
     if cmd == "stats":
         with open(args.infile) as fh:

@@ -24,7 +24,7 @@ import warnings
 
 import numpy as np
 
-from .pairs import Graph, make_graph
+from .pairs import GraphTable, make_graph
 from .windows import Window, WindowKind, make_window
 
 # v and e lines are formatted, and v lines read, in blocks of this many, so
@@ -46,8 +46,10 @@ def _fmt_size(window: Window) -> str:
     return fmt_real(window.size)
 
 
-def write_graph(graph: Graph, fh, seed: int | None = None) -> None:
-    """Write the graph's edge list to the text file ``fh``, block by block.
+def write_graph(graph: GraphTable, fh, seed: int | None = None) -> None:
+    """Write the graph's edge list to the text file ``fh``, block by block;
+    a table of several trials is written as the disjoint union of its
+    trials.
 
     A ``seed`` is recorded as a ``#seed`` comment right after the
     ``#window`` header (the CLI records the seed it sampled with); readers
@@ -63,12 +65,11 @@ def write_graph(graph: Graph, fh, seed: int | None = None) -> None:
         fh.write(f"#family {graph.family}\n")
     if graph.fingerprint is not None:
         fh.write(f"#fingerprint {graph.fingerprint}\n")
-    table = graph.table
-    columns = list(table.labels.T) if table.labels.ndim == 2 else [table.labels]
+    columns = list(graph.labels.T) if graph.labels.ndim == 2 else [graph.labels]
     label = " %d" if graph.window.kind is WindowKind.INTEGER_PREFIX else " %.17g"  # as fmt_real
     v_line = "v %d" + label * len(columns)
-    if table.latents is not None:
-        columns.append(table.latents)
+    if graph.latents is not None:
+        columns.append(graph.latents)
         v_line += " %.17g"
     v_line += "\n"
     for lo in range(0, graph.n_vertices, _BLOCK_LINES):
@@ -80,7 +81,7 @@ def write_graph(graph: Graph, fh, seed: int | None = None) -> None:
         fh.write("e %d %d\n" * len(block) % tuple(block.ravel().tolist()))
 
 
-def dumps_graph(graph: Graph) -> str:
+def dumps_graph(graph: GraphTable) -> str:
     buf = io.StringIO()
     write_graph(graph, buf)
     return buf.getvalue()
@@ -165,7 +166,7 @@ def _read_vertices(lines: list, window: Window, first: int, width: int):
     )
 
 
-def read_graph(fh) -> Graph:
+def read_graph(fh) -> GraphTable:
     headers = dict.fromkeys(("#window", "#family", "#fingerprint"))  # each at most once
     v_lines = []
     edges = ()
@@ -196,5 +197,5 @@ def read_graph(fh) -> Graph:
     return make_graph(window, labels, edges, latents, family, fingerprint)
 
 
-def loads_graph(text: str) -> Graph:
+def loads_graph(text: str) -> GraphTable:
     return read_graph(io.StringIO(text))

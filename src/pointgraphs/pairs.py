@@ -4,15 +4,16 @@ A simple undirected graph is the concrete form of a symmetric counting
 measure on pairs of labels: edge {x, y} puts one atom on (x, y) and one on
 (y, x).  Each atom pair is stored once, as a row (i, j) with i < j of one
 int64 array of index pairs into the vertex labels, the rows strictly
-increasing in (i, j).  This module holds the graph types and their
+increasing in (i, j).  This module holds the graph type and its
 restriction to a smaller window (the projection from larger windows down
 to smaller ones).
 
 Graphs travel as one ``GraphTable``: label, latent and edge arrays for
-the graphs of many trials, cut into trials by offsets.  Restriction and
-the comparison of two tables run once over a whole table.  A ``Graph`` is
-a table of exactly one trial, made read-only, with its fingerprint; its
-Python views of labels, latents and edges are built on each call.
+the graphs of many trials, cut into trials by offsets.  A graph is a table
+of one trial; a table of several is, as one graph, the disjoint union of
+its trials.  Restriction and the comparison of two tables run once over a
+whole table.  The columns are read-only, and the Python views of labels
+and edges are built on each call.
 """
 
 from __future__ import annotations
@@ -32,9 +33,15 @@ class GraphTable:
 
     Trial t owns rows starts[t]:starts[t + 1] of ``labels`` (an int64 or
     float64 column, or one float64 row of window.dim coordinates per ball
-    point) and of ``latents`` (float64, or None).  ``ends`` is an (E, 2)
-    int64 array of row pairs (i, j), i < j, that index the whole table; its
-    rows strictly increase, so each trial's edges form one run.
+    point) and of ``latents`` (float64, or None), which carry one auxiliary
+    value per vertex (graphon latent, graphex mark, radial coordinate).
+    ``ends`` is an (E, 2) int64 array of row pairs (i, j), i < j, that
+    index the whole table; its rows strictly increase, so each trial's
+    edges form one run.  A ``fingerprint`` ties a sampled graph back to
+    the generating family and seed.
+
+    The constructor trusts its columns and makes them read-only;
+    ``make_graph`` validates outside input.
     """
 
     window: Window
@@ -43,10 +50,43 @@ class GraphTable:
     ends: np.ndarray
     starts: np.ndarray
     family: str | None = None
+    fingerprint: str | None = None
+
+    def __post_init__(self):
+        for column in (self.labels, self.latents, self.ends):
+            if column is not None:
+                column.flags.writeable = False
 
     @property
     def n_trials(self) -> int:
         return len(self.starts) - 1
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.labels)
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.ends)
+
+    @property
+    def vertices(self) -> tuple:
+        """The labels as a tuple of ints or floats, or of float tuples for
+        ball points."""
+        labels = self.labels.tolist()
+        if self.window.kind is WindowKind.EUCLIDEAN_BALL:
+            return tuple(map(tuple, labels))
+        return tuple(labels)
+
+    @property
+    def edges(self) -> Set:
+        """The index pairs (i, j) as a read-only set of Python-int tuples: a
+        view of ``ends`` that equals, and hashes as, their frozenset.
+
+        It iterates in the order of ``ends`` and holds no tuple of its own;
+        ``in`` is a binary search of the sorted rows.
+        """
+        return _EdgeSet(self.ends)
 
     def edge_starts(self) -> np.ndarray:
         """Trial t's edges are ends[edge_starts[t]:edge_starts[t + 1]]."""
@@ -60,10 +100,25 @@ class GraphTable:
         """The trial of each edge."""
         return np.repeat(np.arange(self.n_trials), np.diff(self.edge_starts()))
 
+    def __eq__(self, other):
+        if not isinstance(other, GraphTable):
+            return NotImplemented
+        return (
+            self.fingerprint == other.fingerprint
+            and self.n_trials == other.n_trials
+            and not differing_trials(self, other).any()
+        )
 
-# Edges are iterated in blocks of this many rows, so iterating Graph.edges
-# holds at most about 0.3 MiB of Python ints and tuples at a time, whatever
-# the edge count.
+    def __hash__(self):
+        # labels and latents are left out: equal ones may differ in bits (0.0, -0.0)
+        return hash(
+            (self.fingerprint, self.window, self.family, self.n_vertices, self.ends.tobytes())
+        )
+
+
+# Edges are iterated in blocks of this many rows, so iterating a table's
+# edges holds at most about 0.3 MiB of Python ints and tuples at a time,
+# whatever the edge count.
 _EDGE_ROWS = 2**12
 
 
@@ -106,95 +161,11 @@ class _EdgeSet(Set):
         return f"edges({list(self)!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class Graph:
-    """Vertex-labelled undirected graph inside a declared window: a table of
-    exactly one trial, and a ``fingerprint`` that ties a sampled graph back
-    to the generating family and seed.
-
-    The table's columns are the graph's one storage form, made read-only
-    here.  ``ends`` is the (E, 2) int64 array of index pairs (i, j), i < j,
-    into the labels, its rows strictly increasing in (i, j); the latents,
-    when present, carry one auxiliary value per vertex (graphon latent,
-    graphex mark, radial coordinate).  ``vertices``, ``latents`` and
-    ``edges`` are Python views of the columns, built on each call.
-
-    The constructor trusts the table; ``make_graph`` validates outside input.
-    """
-
-    table: GraphTable
-    fingerprint: str | None = None
-
-    def __post_init__(self):
-        if self.table.n_trials != 1:
-            raise ValueError(f"a table of {self.table.n_trials} trials is not one graph")
-        for column in (self.table.labels, self.table.latents, self.table.ends):
-            if column is not None:
-                column.flags.writeable = False
-
-    @property
-    def window(self) -> Window:
-        return self.table.window
-
-    @property
-    def family(self) -> str | None:
-        return self.table.family
-
-    @property
-    def ends(self) -> np.ndarray:
-        return self.table.ends
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.table.labels)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.table.ends)
-
-    @property
-    def vertices(self) -> tuple:
-        """The labels as a tuple of ints or floats, or of float tuples for
-        ball points."""
-        labels = self.table.labels.tolist()
-        if self.window.kind is WindowKind.EUCLIDEAN_BALL:
-            return tuple(map(tuple, labels))
-        return tuple(labels)
-
-    @property
-    def latents(self) -> tuple | None:
-        if self.table.latents is None:
-            return None
-        return tuple(self.table.latents.tolist())
-
-    @property
-    def edges(self) -> Set:
-        """The index pairs (i, j) as a read-only set of Python-int tuples: a
-        view of ``ends`` that equals, and hashes as, their frozenset.
-
-        It iterates in the order of ``ends`` and holds no tuple of its own;
-        ``in`` is a binary search of the sorted rows.
-        """
-        return _EdgeSet(self.ends)
-
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.fingerprint == other.fingerprint and not differing_trials(
-            self.table, other.table
-        )[0]
-
-    def __hash__(self):
-        # labels and latents are left out: equal ones may differ in bits (0.0, -0.0)
-        return hash(
-            (self.fingerprint, self.window, self.family, self.n_vertices, self.ends.tobytes())
-        )
-
-
 def _label_column(window: Window, labels) -> np.ndarray:
     """The labels as a new column of the window's kind: int64, float64 (ints
     may stand for reals), or one float64 row of window.dim coordinates per
-    ball point, or a TypeError naming the first label that cannot be a row."""
+    ball point, or a TypeError naming the first label that cannot be a row,
+    or naming ``labels`` when it is no sequence or array of labels."""
     integer = window.kind is WindowKind.INTEGER_PREFIX
     width = (window.dim,) if window.kind is WindowKind.EUCLIDEAN_BALL else ()
     dtype = np.int64 if integer else np.float64
@@ -202,10 +173,12 @@ def _label_column(window: Window, labels) -> np.ndarray:
         column = np.asarray(labels)
     except ValueError:  # points of several dimensions
         column = np.asarray(labels, dtype=object)
+    if column.ndim == 0 or isinstance(labels, (str, bytes)):
+        raise TypeError(f"labels must be a sequence or array, not {type(labels).__name__}")
     if column.shape == (0,):
         return np.zeros((0, *width), dtype)
     kinds = "iu" if integer else "iuf"
-    if column.ndim and column.shape[1:] == width and column.dtype.kind in kinds:
+    if column.shape[1:] == width and column.dtype.kind in kinds:
         if not (integer and column.dtype.kind == "u" and column.max() > np.iinfo(np.int64).max):
             return column.astype(dtype)
     rows = labels.tolist() if isinstance(labels, np.ndarray) else list(labels)
@@ -220,14 +193,15 @@ def _label_column(window: Window, labels) -> np.ndarray:
     )
 
 
-def make_graph(window, labels, ends, latents=None, family=None, fingerprint=None) -> Graph:
-    """Validated Graph constructor.  ``labels``, the window's label column
-    (a list goes through np.asarray), is checked in whole-column numpy
-    operations: dtype and shape, distinct rows by one sort, and
-    contains_column, which also refuses NaN and infinity.  Edges, index
-    pairs or an (E, 2) integer array, may be given in either orientation
-    and in any order; they are stored as sorted rows (i, j) with i < j.  An
-    edge given twice, or a latent that is NaN or infinite, is an error."""
+def make_graph(window, labels, ends, latents=None, family=None, fingerprint=None) -> GraphTable:
+    """Validated constructor of a graph, a table of one trial.  ``labels``,
+    the window's label column (a list goes through np.asarray), is checked
+    in whole-column numpy operations: dtype and shape, distinct rows by one
+    sort, and contains_column, which also refuses NaN and infinity.
+    Edges, index pairs or an (E, 2) integer array, may be given in either
+    orientation and in any order; they are stored as sorted rows (i, j)
+    with i < j.  An edge given twice, or a latent that is NaN or infinite,
+    is an error."""
     labels = _label_column(window, labels)
     n = len(labels)
     outside = ~contains_column(window, labels)
@@ -267,8 +241,7 @@ def make_graph(window, labels, ends, latents=None, family=None, fingerprint=None
         if infinite.any():
             i = int(np.argmax(infinite))
             raise ValueError(f"latent {latents[i].item()!r} of vertex {i} is not finite")
-    table = GraphTable(window, labels, latents, ends, np.array([0, n]), family)
-    return Graph(table, fingerprint)
+    return GraphTable(window, labels, latents, ends, np.array([0, n]), family, fingerprint)
 
 
 def restrict_table(table: GraphTable, window: Window) -> GraphTable:
@@ -304,18 +277,13 @@ def restrict_table(table: GraphTable, window: Window) -> GraphTable:
         kept[ends] - 1,
         np.concatenate(([0], kept))[table.starts],
         table.family,
+        table.fingerprint,
     )
-
-
-def restrict_graph(graph: Graph, window: Window) -> Graph:
-    """Induced subgraph on the vertices inside the window: restrict_table
-    on the graph's table."""
-    return Graph(restrict_table(graph.table, window), graph.fingerprint)
 
 
 def differing_trials(a: GraphTable, b: GraphTable) -> np.ndarray:
     """Whether trial t of table a differs from trial t of table b, for each
-    t, as Graph equality judges it: in window, family, vertex labels,
+    t, as table equality judges it: in window, family, vertex labels,
     latents or edges (fingerprints are not compared)."""
     if a.n_trials != b.n_trials:
         raise ValueError("tables hold different numbers of trials")

@@ -17,12 +17,14 @@ window and restricting to a smaller one reproduces the smaller sample
 exactly, label for label and edge for edge.  That is the executable form
 of the projective-consistency contract, and it is what extend_sample
 relies on.
+
+Samples are GraphTables: sample_table draws a trial per seed, and a
+graph, such as sample(spec, n), is a table of one trial.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -55,7 +57,7 @@ from .kernels import (
     kernel_from_dict,
     kernel_to_dict,
 )
-from .pairs import Graph, GraphTable, restrict_table
+from .pairs import GraphTable, restrict_table
 from .windows import (
     Window,
     WindowKind,
@@ -243,7 +245,7 @@ def reseeded(spec: FamilySpec, seed: int) -> FamilySpec:
 # many seeds (trials) in one pass, each coin call covering every trial,
 # with the trials' points laid out one after another and ragged point
 # counts held as segment offsets.  sample(spec, n) is the one-trial table
-# of seed spec.seed, held by a Graph.
+# of seed spec.seed, with the spec's fingerprint.
 
 
 @dataclass(frozen=True)
@@ -515,28 +517,28 @@ def sample_table(spec: FamilySpec, n: float, seeds) -> GraphTable:
     return _TABLE_SAMPLERS[spec.family](spec, n, seeds)
 
 
-def _sample_one(spec: FamilySpec, n: float, family: str) -> Graph:
+def _sample_one(spec: FamilySpec, n: float, family: str) -> GraphTable:
     if spec.family != family:
         raise ValueError(f"spec is not a {family} family")
-    return Graph(sample_table(spec, n, spec.seed), fingerprint(spec))
+    return replace(sample_table(spec, n, spec.seed), fingerprint=fingerprint(spec))
 
 
-def sample_graphon(spec: FamilySpec, n: int) -> Graph:
+def sample_graphon(spec: FamilySpec, n: int) -> GraphTable:
     """The graphon graph of spec.seed on vertices 1..n."""
     return _sample_one(spec, n, "graphon")
 
 
-def sample_graphex(spec: FamilySpec, n: float) -> Graph:
+def sample_graphex(spec: FamilySpec, n: float) -> GraphTable:
     """The graphex graph of spec.seed on [0, n)."""
     return _sample_one(spec, n, "graphex")
 
 
-def sample_rotinv(spec: FamilySpec, n: float) -> Graph:
+def sample_rotinv(spec: FamilySpec, n: float) -> GraphTable:
     """The rotation-invariant graph of spec.seed in the ball of volume n."""
     return _sample_one(spec, n, "rotinv")
 
 
-def sample(spec: FamilySpec, n: float) -> Graph:
+def sample(spec: FamilySpec, n: float) -> GraphTable:
     if spec.family == "graphon":
         return sample_graphon(spec, n)
     if spec.family == "graphex":
@@ -561,23 +563,51 @@ def mean_pairs(spec: FamilySpec, n: float) -> float:
     return points * points / 2  # E[K (K - 1)] / 2 for K ~ Poisson(points)
 
 
-def _first_difference(sampled: Graph, graph: Graph) -> str:
-    """Where ``graph`` first differs from ``sampled``, in the values Graph
-    equality compares: the first vertex whose (label, latent) row differs or
-    that only one has, else the first edge that only one has (the smaller of
-    the first differing pair of sorted edge rows)."""
-    rows = [zip(g.vertices, g.latents or itertools.repeat(None)) for g in (sampled, graph)]
-    for i, (want, got) in enumerate(itertools.zip_longest(*rows)):
-        if want != got:
-            return f"vertex {i} (label, latent) is {got!r} in the graph, {want!r} in the sample"
-    for pair in itertools.zip_longest(sampled.edges, graph.edges):
-        if pair[0] != pair[1]:
-            (i, j), where = min((e, w) for e, w in zip(pair, ("sample", "graph")) if e)
-            return f"edge {(sampled.vertices[i], sampled.vertices[j])!r} is only in the {where}"
-    return "no vertex or edge differs"
+def _first_row(a: np.ndarray, b: np.ndarray) -> float:
+    """The first row at which columns a and b differ, a row only one has
+    included, or inf."""
+    n = min(len(a), len(b))
+    differ = a[:n] != b[:n]
+    if differ.ndim > 1:  # ball points and edges: any coordinate
+        differ = differ.any(axis=1)
+    differ = np.flatnonzero(differ)
+    if len(differ):
+        return int(differ[0])
+    return n if len(a) != len(b) else math.inf
 
 
-def extend_sample(spec: FamilySpec, graph: Graph, n: float, m: float) -> Graph:
+def _vertex(table: GraphTable, i: int):
+    """Vertex i's (label, latent) as Python values, or None past the last."""
+    if i >= table.n_vertices:
+        return None
+    label = table.labels[i].tolist()
+    latent = None if table.latents is None else table.latents[i].item()
+    return tuple(label) if isinstance(label, list) else label, latent
+
+
+def _first_difference(sampled: GraphTable, graph: GraphTable) -> str:
+    """Where ``graph`` first differs from ``sampled``, in the columns that
+    differing_trials compares: the first vertex whose (label, latent) row
+    differs or that only one has, else the first edge that only one has
+    (the smaller of the first differing pair of sorted edge rows)."""
+    # a sample has latents; a graph's missing column reads as NaN, which equals none
+    latents = graph.latents if graph.latents is not None else np.full(graph.n_vertices, np.nan)
+    i = min(_first_row(sampled.labels, graph.labels), _first_row(sampled.latents, latents))
+    if i < math.inf:
+        return (f"vertex {i} (label, latent) is {_vertex(graph, i)!r} in the graph, "
+                f"{_vertex(sampled, i)!r} in the sample")
+    k = _first_row(sampled.ends, graph.ends)
+    if k == math.inf:
+        return "no vertex or edge differs"
+    (i, j), where = min(
+        (t.ends[k].tolist(), where)
+        for t, where in ((sampled, "sample"), (graph, "graph"))
+        if k < t.n_edges
+    )
+    return f"edge {(_vertex(sampled, i)[0], _vertex(sampled, j)[0])!r} is only in the {where}"
+
+
+def extend_sample(spec: FamilySpec, graph: GraphTable, n: float, m: float) -> GraphTable:
     """Grow a sample from window n to window m without disturbing it.
 
     The window-n randomness is re-derived from the same keyed coins, so
@@ -592,10 +622,10 @@ def extend_sample(spec: FamilySpec, graph: Graph, n: float, m: float) -> Graph:
         raise SpecMismatchError("graph was not sampled from this spec (fingerprint differs)")
     if graph.window != window_for(spec, n) or graph.family != spec.family:
         raise SpecMismatchError(f"graph window or family does not match size {n}")
-    table = sample_table(spec, m, spec.seed)
-    sampled = Graph(restrict_table(table, graph.window), graph.fingerprint)
+    table = replace(sample_table(spec, m, spec.seed), fingerprint=graph.fingerprint)
+    sampled = restrict_table(table, graph.window)
     if sampled != graph:
         raise SpecMismatchError(
             f"graph differs from this spec's sample: {_first_difference(sampled, graph)}"
         )
-    return Graph(table, graph.fingerprint)
+    return table

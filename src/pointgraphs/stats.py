@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pairs import Graph
+from .pairs import GraphTable
 
 
 @dataclass(frozen=True)
@@ -42,15 +42,16 @@ TILE_COLUMNS = 2**9
 GATHER_WORDS = 2**14
 
 
-def graph_stats(graph: Graph) -> GraphStats:
-    """Exact edge count, degree histogram, triangle count, and max degree.
-    Memory is O(V + E) plus one tile."""
-    degrees, _, triangles = _union_stats(graph.ends, graph.table.starts)
+def graph_stats(graph: GraphTable) -> GraphStats:
+    """Exact edge count, degree histogram, triangle count, and max degree of
+    a graph, or of the disjoint union of a table's trials.  Memory is
+    O(V + E) plus one tile."""
+    degrees, _, triangles = _union_stats(graph.ends, graph.starts)
     histogram = {d: c for d, c in enumerate(np.bincount(degrees).tolist()) if c}
-    return GraphStats(graph.n_edges, histogram, int(triangles[0]), max(histogram, default=0))
+    return GraphStats(graph.n_edges, histogram, int(triangles.sum()), max(histogram, default=0))
 
 
-def table_stats(table) -> dict:
+def table_stats(table: GraphTable) -> dict:
     """Edge count, max degree and triangle count of each trial of a
     GraphTable, one int64 column each, from the disjoint union of its
     trials."""

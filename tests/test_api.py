@@ -1,4 +1,5 @@
-"""The public surface: no public function or class that only tests use."""
+"""The public surface: no public function or class that only tests use, and
+no reader of the Python graph views inside the package."""
 
 import ast
 from pathlib import Path
@@ -42,6 +43,20 @@ def test_every_imported_name_is_used_in_its_module():
         if imported - used:
             unused[path.name] = sorted(imported - used)
     assert not unused, unused
+
+
+def test_the_package_reads_no_python_view():
+    # the vertices and edges views serve readers outside the package; inside
+    # it, code reads the label, latent and ends columns
+    found = []
+    for path in sorted((ROOT / "src" / "pointgraphs").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno} .{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("vertices", "edges")
+        ]
+    assert not found, found
 
 
 BLAS_NAMES = {"@", "linalg", "dot", "matmul", "einsum", "tensordot", "inner", "vdot"}

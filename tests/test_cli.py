@@ -12,7 +12,7 @@ import pytest
 from pointgraphs.cli import run
 from pointgraphs.coins import derive_seeds
 from pointgraphs.edgelist import dumps_graph, loads_graph
-from pointgraphs.pairs import make_graph, restrict_graph
+from pointgraphs.pairs import make_graph, restrict_table
 from pointgraphs.samplers import SpecMismatchError, extend_sample, spec_from_dict
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -75,10 +75,10 @@ def test_extend_rejects_wrong_seed(tmp_path, capsys):
 
 def tampered(graph, how):
     """The graph with one edit that keeps it valid: its first edge removed,
-    its first label moved to another place inside the window, or its first
-    latent changed.  Returns the graph and the start of the error it
-    should raise."""
-    labels, latents, ends = graph.table.labels.copy(), graph.table.latents.copy(), graph.ends
+    its first label moved to another place inside the window, its first
+    latent changed, or its latent column dropped.  Returns the graph and
+    the start of the error it should raise."""
+    labels, latents, ends = graph.labels.copy(), graph.latents.copy(), graph.ends
     if how == "edge":
         i, j = ends[0].tolist()
         ends = ends[1:]
@@ -89,14 +89,17 @@ def tampered(graph, how):
         else:
             labels[0] *= 0.5
         named = "vertex 0 (label, latent)"
-    else:
+    elif how == "latent":
         latents[0] = latents[0] * 0.5 + 0.25
         named = "vertex 0 (label, latent)"
+    else:
+        latents = None
+        named = f"vertex 0 (label, latent) is {(graph.vertices[0], None)!r} in the graph"
     edited = make_graph(graph.window, labels, ends, latents, graph.family, graph.fingerprint)
     return edited, f"graph differs from this spec's sample: {named}"
 
 
-@pytest.mark.parametrize("how", ["edge", "label", "latent"])
+@pytest.mark.parametrize("how", ["edge", "label", "latent", "no-latent"])
 @pytest.mark.parametrize("config, n", [("graphon", 10), ("graphex", 3), ("rotinv", 6)])
 def test_extend_refuses_a_tampered_graph(tmp_path, capsys, config, n, how):
     cfg = str(CONFIGS / f"{config}.json")
@@ -115,7 +118,7 @@ def test_extend_refuses_a_tampered_graph(tmp_path, capsys, config, n, how):
     (line,) = captured.err.splitlines()
     assert line.startswith(f"pointgraphs: error: {message}")
     # the untampered graph extends, and restricts back to itself
-    assert restrict_graph(extend_sample(spec, graph, n, 2 * n), graph.window) == graph
+    assert restrict_table(extend_sample(spec, graph, n, 2 * n), graph.window) == graph
 
 
 @pytest.mark.parametrize("config, n", [("graphex", 0.1), ("rotinv", 0.1)])

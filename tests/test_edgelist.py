@@ -180,7 +180,7 @@ def test_graphs_past_one_block_of_v_lines_roundtrip():
     points = rng.uniform(-1.0, 1.0, size=(5000, 3))
     g = make_graph(ball, points, [(1, 4500)])
     back = loads_graph(dumps_graph(g))
-    assert back == g and back.table.labels.flags.c_contiguous
+    assert back == g and back.labels.flags.c_contiguous
 
 
 def _v_lines(count: int, width: int = 0) -> str:

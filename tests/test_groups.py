@@ -7,7 +7,6 @@ from scipy.stats import kstest
 
 from pointgraphs import (
     DyadicSwaps,
-    Graph,
     GraphTable,
     GraphexIndicator,
     RandomRotations,
@@ -36,9 +35,8 @@ def apply_label(gen_set, g, label):
 
 
 def apply_graph(gen_set, g, graph):
-    """The generator row g acting on a graph: apply_table on the table of
-    this one graph."""
-    return Graph(apply_table(gen_set, np.asarray(g)[None], graph.table), graph.fingerprint)
+    """The generator row g acting on a graph, a table of one trial."""
+    return apply_table(gen_set, np.asarray(g)[None], graph)
 
 
 # a swap row (i, j, k) acts the same under any set of dyadic swaps, and a

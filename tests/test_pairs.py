@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +16,13 @@ from pointgraphs import (
     make_graph,
     make_window,
     reseeded,
-    restrict_graph,
+    restrict_table,
     sample,
     spec_from_dict,
 )
 from pointgraphs.edgelist import dumps_graph, loads_graph
 from pointgraphs.harness import _endpoints, _half_space, _ordered_pairs
-from pointgraphs.pairs import Graph, GraphTable
+from pointgraphs.pairs import GraphTable
 from tests.test_windows import inside
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -30,18 +31,22 @@ WIN4 = make_window(WindowKind.INTEGER_PREFIX, 4)
 
 # the running example: vertices 1..4, edges {1,2}, {2,3}, {3,4}, {4,2}
 FIG_GRAPH = make_graph(WIN4, (1, 2, 3, 4), {(0, 1), (1, 2), (2, 3), (3, 1)})
-FIG_TABLE = FIG_GRAPH.table
 
 
 def trial_graph(table, t: int, fingerprint=None):
-    """Trial t of a table as a Graph: its rows and edge run cut into a
+    """Trial t of a table as a graph: its rows and edge run cut into a
     table of one trial."""
     lo, hi = table.starts[t : t + 2].tolist()
     cuts = table.edge_starts()
     latents = table.latents[lo:hi] if table.latents is not None else None
     one = GraphTable(table.window, table.labels[lo:hi], latents,
                      table.ends[cuts[t] : cuts[t + 1]] - lo, np.array([0, hi - lo]), table.family)
-    return Graph(one, fingerprint)
+    return replace(one, fingerprint=fingerprint)
+
+
+def latent_list(graph):
+    """The latent column as a list of Python floats, or None."""
+    return None if graph.latents is None else graph.latents.tolist()
 
 
 def label_edges(graph) -> set:
@@ -49,19 +54,19 @@ def label_edges(graph) -> set:
 
 
 def in_range(lo, hi):
-    """The membership of each label of FIG_TABLE in lo..hi."""
-    return (lo <= FIG_TABLE.labels) & (FIG_TABLE.labels <= hi)
+    """The membership of each label of FIG_GRAPH in lo..hi."""
+    return (lo <= FIG_GRAPH.labels) & (FIG_GRAPH.labels <= hi)
 
 
 def test_count_fig_examples():
     # ordered pairs of edge endpoints in regions: each edge is two atoms;
-    # the helpers count per trial, and FIG_TABLE is one trial
+    # the helpers count per trial, and FIG_GRAPH is one trial
     is_2, full = in_range(2, 2), in_range(1, 4)
-    assert _ordered_pairs(FIG_TABLE, is_2, full).tolist() == [3]
-    assert _endpoints(FIG_TABLE, is_2).tolist() == [3]
-    assert _ordered_pairs(FIG_TABLE, full, full).tolist() == [2 * FIG_GRAPH.n_edges]
-    assert _endpoints(FIG_TABLE, full).tolist() == [2 * FIG_GRAPH.n_edges]
-    empty = make_graph(WIN4, (1, 2, 3, 4), ()).table
+    assert _ordered_pairs(FIG_GRAPH, is_2, full).tolist() == [3]
+    assert _endpoints(FIG_GRAPH, is_2).tolist() == [3]
+    assert _ordered_pairs(FIG_GRAPH, full, full).tolist() == [2 * FIG_GRAPH.n_edges]
+    assert _endpoints(FIG_GRAPH, full).tolist() == [2 * FIG_GRAPH.n_edges]
+    empty = make_graph(WIN4, (1, 2, 3, 4), ())
     assert _ordered_pairs(empty, full, full).tolist() == [0]
     assert _endpoints(empty, full).tolist() == [0]
 
@@ -69,10 +74,10 @@ def test_count_fig_examples():
 def test_count_additive_over_disjoint_boxes():
     low, high, full = in_range(1, 2), in_range(3, 4), in_range(1, 4)
     assert (
-        _ordered_pairs(FIG_TABLE, low, full) + _ordered_pairs(FIG_TABLE, high, full)
-        == _ordered_pairs(FIG_TABLE, full, full)
+        _ordered_pairs(FIG_GRAPH, low, full) + _ordered_pairs(FIG_GRAPH, high, full)
+        == _ordered_pairs(FIG_GRAPH, full, full)
     )
-    assert _endpoints(FIG_TABLE, low) + _endpoints(FIG_TABLE, high) == _endpoints(FIG_TABLE, full)
+    assert _endpoints(FIG_GRAPH, low) + _endpoints(FIG_GRAPH, high) == _endpoints(FIG_GRAPH, full)
 
 
 def test_half_space_membership():
@@ -135,14 +140,14 @@ def _prefix(k: int):
 def test_restriction_composes(graph, data):
     k = data.draw(st.integers(min_value=1, max_value=graph.window.size))
     j = data.draw(st.integers(min_value=1, max_value=k))
-    assert restrict_graph(restrict_graph(graph, _prefix(k)), _prefix(j)) == restrict_graph(
+    assert restrict_table(restrict_table(graph, _prefix(k)), _prefix(j)) == restrict_table(
         graph, _prefix(j)
     )
 
 
 @given(integer_graphs())
 def test_restrict_to_own_window_is_identity(graph):
-    kept = restrict_graph(graph, graph.window)
+    kept = restrict_table(graph, graph.window)
     if graph.family == "graphex":
         touched = {i for e in graph.edges for i in e}
         assert kept.vertices == tuple(v for i, v in enumerate(graph.vertices) if i in touched)
@@ -155,24 +160,24 @@ def test_restrict_to_own_window_is_identity(graph):
 def test_restrict_drops_pairs_with_one_endpoint_outside(graph, data):
     k = data.draw(st.integers(min_value=1, max_value=graph.window.size))
     inside = {e for e in label_edges(graph) if max(e) <= k}
-    assert label_edges(restrict_graph(graph, _prefix(k))) == inside
+    assert label_edges(restrict_table(graph, _prefix(k))) == inside
 
 
 @given(integer_graphs(), st.integers(min_value=1, max_value=12))
 def test_restriction_preserves_symmetry(graph, k):
     # the restriction of a graph (a symmetric measure) is again a valid graph
-    got = restrict_graph(graph, _prefix(min(k, graph.window.size)))
+    got = restrict_table(graph, _prefix(min(k, graph.window.size)))
     made = make_graph(got.window, got.vertices, got.edges, got.latents, got.family)
     assert made == got
 
 
 def test_restrict_graph_induced_subgraph():
-    got = restrict_graph(FIG_GRAPH, make_window(WindowKind.INTEGER_PREFIX, 3))
+    got = restrict_table(FIG_GRAPH, make_window(WindowKind.INTEGER_PREFIX, 3))
     assert got.vertices == (1, 2, 3)
     assert got.edges == {(0, 1), (1, 2)}
     w2, w3 = (make_window(WindowKind.REAL_INTERVAL, s) for s in (2.0, 3.0))
     g = make_graph(w3, (0.5, 2.5), [(0, 1)])
-    assert restrict_graph(g, w2) == make_graph(w2, (0.5,), ())
+    assert restrict_table(g, w2) == make_graph(w2, (0.5,), ())
 
 
 def test_restrict_graph_prunes_isolated_when_asked():
@@ -181,12 +186,12 @@ def test_restrict_graph_prunes_isolated_when_asked():
     w3 = make_window(WindowKind.INTEGER_PREFIX, 3)
     edges = {(0, 1), (2, 3)}  # 3 only touches 4
     for family in (None, "graphon"):
-        kept = restrict_graph(make_graph(WIN4, (1, 2, 3, 4), edges, family=family), w3)
+        kept = restrict_table(make_graph(WIN4, (1, 2, 3, 4), edges, family=family), w3)
         assert kept.vertices == (1, 2, 3) and kept.edges == {(0, 1)}
-    pruned = restrict_graph(make_graph(WIN4, (1, 2, 3, 4), edges, family="graphex"), w3)
+    pruned = restrict_table(make_graph(WIN4, (1, 2, 3, 4), edges, family="graphex"), w3)
     assert pruned.vertices == (1, 2) and pruned.edges == {(0, 1)}
     isolated = make_graph(WIN4, (1, 2, 3, 4), {(1, 3)}, family="graphex")
-    assert restrict_graph(isolated, WIN4).vertices == (2, 4)
+    assert restrict_table(isolated, WIN4).vertices == (2, 4)
 
 
 def test_make_graph_validations():
@@ -234,11 +239,15 @@ BALL2 = make_window(WindowKind.EUCLIDEAN_BALL, 10.0, dim=2)
         pytest.param(BALL2, np.zeros((0, 3)), "shape (0, 3)", id="no-points-of-another-dimension"),
         pytest.param(make_window(WindowKind.REAL_INTERVAL, 3.0), np.array([False, True]), "False",
                      id="bool-column-for-reals"),
+        pytest.param(WIN4, 5, "labels must be a sequence or array, not int", id="int-for-labels"),
+        pytest.param(WIN4, "12", "labels must be a sequence or array, not str",
+                     id="string-for-labels"),
     ],
 )
 def test_make_graph_names_a_label_that_cannot_be_a_column(window, labels, named):
     # a bool, object or ragged column, an integer past int64 and a point of
-    # another dimension are each an error that names the label
+    # another dimension are each an error that names the label; labels that
+    # are no sequence, a string included, are an error that names them
     with pytest.raises(TypeError, match=re.escape(named)):
         make_graph(window, labels, ())
 
@@ -268,7 +277,7 @@ def test_equal_graphs_hash_equal():
     interval = make_window(WindowKind.REAL_INTERVAL, 2.0)
     plus = make_graph(interval, (0.0, 1.5), [(0, 1)], latents=(0.25, 0.0))
     minus = make_graph(interval, (-0.0, 1.5), [(0, 1)], latents=(0.25, -0.0))
-    assert np.signbit(minus.table.labels[0]) and np.signbit(minus.table.latents[1])
+    assert np.signbit(minus.labels[0]) and np.signbit(minus.latents[1])
     assert plus == minus and hash(plus) == hash(minus)
     # label columns of two shapes compare unequal, not with an error
     ball2, ball3 = (make_graph(make_window(WindowKind.EUCLIDEAN_BALL, 3.0, d), [(0.1,) * d], ())
@@ -277,7 +286,7 @@ def test_equal_graphs_hash_equal():
 
 
 def _induced_subgraph(graph, window):
-    """restrict_graph's result, one label and one edge at a time in Python:
+    """restrict_table's result, one label and one edge at a time in Python:
     (vertices, latents, edges in increasing order)."""
     keep = [i for i, v in enumerate(graph.vertices) if inside(window, v)]
     kept = set(keep)
@@ -286,14 +295,15 @@ def _induced_subgraph(graph, window):
         touched = {i for e in edges for i in e}
         keep = [i for i in keep if i in touched]
     new = {old: k for k, old in enumerate(keep)}
-    latents = None if graph.latents is None else tuple(graph.latents[i] for i in keep)
+    latents = latent_list(graph)
+    latents = None if latents is None else [latents[i] for i in keep]
     return tuple(graph.vertices[i] for i in keep), latents, [(new[i], new[j]) for i, j in edges]
 
 
 def _assert_restricts_like_the_oracle(graph, window):
-    got = restrict_graph(graph, window)
+    got = restrict_table(graph, window)
     vertices, latents, edges = _induced_subgraph(graph, window)
-    assert got.vertices == vertices and got.latents == latents
+    assert got.vertices == vertices and latent_list(got) == latents
     assert list(map(tuple, got.ends.tolist())) == edges
     assert (got.window, got.family, got.fingerprint) == (window, graph.family, graph.fingerprint)
 
@@ -341,7 +351,7 @@ def test_every_constructor_stores_sorted_read_only_int64_ends(config):
     graphs = _sampled_graphs(config)
     assert sum(g.n_edges for g in graphs) > 0
     graphs += [
-        restrict_graph(g, make_window(g.window.kind, size, g.window.dim))
+        restrict_table(g, make_window(g.window.kind, size, g.window.dim))
         for g in graphs[:3]
         for size in SAMPLED[config][1]
     ]
@@ -352,13 +362,14 @@ def test_every_constructor_stores_sorted_read_only_int64_ends(config):
     for graph in graphs:
         _assert_sorted_read_only_ends(graph)
         # the labels and latents are the graph's one copy too
-        assert not graph.table.labels.flags.writeable
-        assert graph.family is None or not graph.table.latents.flags.writeable
+        assert not graph.labels.flags.writeable
+        assert graph.family is None or not graph.latents.flags.writeable
 
 
 def test_iterating_edges_peaks_below_a_bound_that_does_not_grow_with_E():
-    # Graph.edges makes its tuples from blocks of ends as they are iterated;
-    # a frozenset of the edges takes ~210 bytes an edge, 4 MiB at n = 305.
+    # a table's edges view makes its tuples from blocks of ends as they are
+    # iterated; a frozenset of the edges takes ~210 bytes an edge, 4 MiB at
+    # n = 305.
     spec = spec_from_dict(json.loads((CONFIGS / "graphon_grid.json").read_text()))
     for n in (305, 610):
         graph = sample(spec, n)

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -33,7 +34,7 @@ from pointgraphs import (
     make_graph,
     make_window,
     reseeded,
-    restrict_graph,
+    restrict_table,
     rotinv_spec,
     sample,
     sample_table,
@@ -124,10 +125,10 @@ def test_graphon_restriction_is_induced_subgraph():
     spec = graphon_spec(Constant(0.4), seed=31)
     big = sample(spec, 9)
     small = sample(spec, 5)
-    got = restrict_graph(big, window_for(spec, 5))
+    got = restrict_table(big, window_for(spec, 5))
     assert got.vertices == small.vertices
     assert got.edges == small.edges
-    assert got.latents == small.latents
+    assert got.latents.tolist() == small.latents.tolist()
 
 
 def test_window_scaled_constant_breaks_projectivity():
@@ -135,7 +136,7 @@ def test_window_scaled_constant_breaks_projectivity():
     mismatch = 0
     for seed in derive_seeds(spec.seed, np.arange(200)).tolist():
         s = reseeded(spec, seed)
-        if restrict_graph(sample(s, 8), window_for(s, 4)).edges != sample(s, 4).edges:
+        if restrict_table(sample(s, 8), window_for(s, 4)).edges != sample(s, 4).edges:
             mismatch += 1
     assert mismatch > 0
 
@@ -234,7 +235,7 @@ def test_graphex_restriction_preserves_edge_configuration():
         big = sample(s, 4.0)
         small = sample(s, 1.0)
         w1 = window_for(s, 1.0)
-        assert restrict_graph(big, w1) == small
+        assert restrict_table(big, w1) == small
 
 
 # --- rotation-invariant -------------------------------------------------------
@@ -245,7 +246,7 @@ def test_rotinv_zero_kernel_keeps_points_only():
     g = sample(spec, 5.0)
     assert g.edges == frozenset()
     assert g.n_vertices > 0
-    assert contains_column(g.window, g.table.labels).all()
+    assert contains_column(g.window, g.labels).all()
 
 
 def test_rotinv_point_count_is_poisson_rate_volume():
@@ -327,10 +328,10 @@ def test_rotinv_restriction_exact():
         s = reseeded(spec, seed)
         big = sample(s, 8.0)
         small = sample(s, 2.0)
-        got = restrict_graph(big, window_for(s, 2.0))
+        got = restrict_table(big, window_for(s, 2.0))
         assert got.vertices == small.vertices
         assert got.edges == small.edges
-        assert got.latents == small.latents
+        assert got.latents.tolist() == small.latents.tolist()
 
 
 @st.composite
@@ -378,13 +379,13 @@ def _projective_cases(draw):
 @example((graphex_spec(GraphexProduct(2.5), y_max=3.0, seed=3), 2.7, 7.9))
 def test_sample_at_m_restricts_to_sample_at_n(case):
     spec, n, m = case
-    restricted = restrict_graph(sample(spec, m), window_for(spec, n))
+    restricted = restrict_table(sample(spec, m), window_for(spec, n))
     assert restricted == sample(spec, n)
 
 
 def _scalar_types(graph) -> set:
     comps = [c for v in graph.vertices for c in (v if isinstance(v, tuple) else (v,))]
-    comps += list(graph.latents or ()) + [i for e in graph.edges for i in e]
+    comps += graph.latents.tolist() + [i for e in graph.edges for i in e]
     return {type(c) for c in comps}
 
 
@@ -404,14 +405,14 @@ def test_trusted_construction_matches_validating_constructor(spec, sizes):
         g = sample(spec, n)
         smaller = (n // 2, n // 3) if spec.family == "graphon" else (n / 2, n / 3)
         graphs = [g] + [
-            restrict_graph(g, window_for(spec, m)) for m in smaller if m > 0
+            restrict_table(g, window_for(spec, m)) for m in smaller if m > 0
         ]
         for h in graphs:
             made = make_graph(h.window, h.vertices, h.edges, h.latents, h.family, h.fingerprint)
             assert made == h
             assert type(h.vertices) is tuple and isinstance(h.edges, collections.abc.Set)
             assert h.edges == frozenset(map(tuple, h.ends.tolist()))
-            assert type(h.latents) is tuple
+            assert h.latents.dtype == np.float64 and h.latents.shape == (h.n_vertices,)
             assert _scalar_types(h) <= {int, float}
 
 
@@ -429,7 +430,7 @@ def test_edge_tables_are_sized_for_their_contents():
     g = sample(spec, 300)
     graphs = [
         g,
-        restrict_graph(g, window_for(spec, 299)),
+        restrict_table(g, window_for(spec, 299)),
         make_graph(g.window, g.vertices, g.edges),
         sample(graphex_spec(GraphexProduct(2.0), y_max=2.0, seed=42), 60.0),
         sample(reseeded(spec, int(derive_seeds(7, [3])[0])), 100),
@@ -442,13 +443,13 @@ def test_edge_tables_are_sized_for_their_contents():
 def test_restrict_graph_rejects_window_of_another_kind():
     g = sample(graphon_spec(Constant(0.5), seed=1), 6)
     with pytest.raises(ValueError, match="kind"):
-        restrict_graph(g, make_window(WindowKind.REAL_INTERVAL, 3.0))
+        restrict_table(g, make_window(WindowKind.REAL_INTERVAL, 3.0))
     ball = sample(rotinv_spec(Constant(0.5), dim=2, point=PoissonRate(3.0), seed=1), 4.0)
     with pytest.raises(ValueError, match="dimension"):
-        restrict_graph(ball, make_window(WindowKind.EUCLIDEAN_BALL, 2.0, dim=3))
+        restrict_table(ball, make_window(WindowKind.EUCLIDEAN_BALL, 2.0, dim=3))
     with pytest.raises(ValueError, match="exceeds"):
-        restrict_graph(g, make_window(WindowKind.INTEGER_PREFIX, 7))
-    assert restrict_graph(ball, ball.window) == ball  # the graph's own window is allowed
+        restrict_table(g, make_window(WindowKind.INTEGER_PREFIX, 7))
+    assert restrict_table(ball, ball.window) == ball  # the graph's own window is allowed
 
 
 # --- geometric kernel forms ----------------------------------------------------
@@ -693,9 +694,9 @@ def test_extend_then_restrict_recovers_graphon_sample():
     spec = graphon_spec(Constant(0.5), seed=61)
     g5 = sample(spec, 5)
     g9 = extend_sample(spec, g5, 5, 9)
-    back = restrict_graph(g9, window_for(spec, 5))
+    back = restrict_table(g9, window_for(spec, 5))
     assert back.vertices == g5.vertices and back.edges == g5.edges
-    assert back.latents == g5.latents
+    assert back.latents.tolist() == g5.latents.tolist()
 
 
 def test_extend_with_equal_sizes_is_identity():
@@ -725,12 +726,35 @@ def test_extend_rejects_graph_from_coin_version_1():
         extend_sample(spec, v1, 5, 9)
 
 
+def test_extend_names_what_an_empty_sample_or_graph_lacks():
+    # an edited graph is refused, naming its first difference, also where
+    # one side holds no vertex or no edge at all
+    dense = graphon_spec(Constant(0.0), seed=67)
+    g = sample(dense, 3)
+    assert g.n_vertices == 3 and g.n_edges == 0
+    first = (1, g.latents[0].item())
+    sparse = graphex_spec(GraphexIndicator(1.5), y_max=2.0, seed=65)
+    empty = sample(sparse, 0.01)
+    assert empty.n_vertices == 0
+    cases = [
+        (dense, 3, make_graph(g.window, g.labels, [(0, 2)], g.latents, g.family, g.fingerprint),
+         "edge (1, 3) is only in the graph"),
+        (dense, 3, make_graph(g.window, (), (), None, g.family, g.fingerprint),
+         f"vertex 0 (label, latent) is None in the graph, {first!r} in the sample"),
+        (sparse, 0.01, make_graph(empty.window, (0.005,), (), (0.5,), "graphex", empty.fingerprint),
+         "vertex 0 (label, latent) is (0.005, 0.5) in the graph, None in the sample"),
+    ]
+    for spec, n, graph, named in cases:
+        with pytest.raises(SpecMismatchError, match=re.escape(named)):
+            extend_sample(spec, graph, n, 2 * n)
+
+
 def test_extend_keeps_graphex_window_edges():
     spec = graphex_spec(GraphexIndicator(1.5), y_max=2.0, seed=65)
     g1 = sample(spec, 1.0)
     g4 = extend_sample(spec, g1, 1.0, 4.0)
     w1 = window_for(spec, 1.0)
-    assert restrict_graph(g4, w1) == g1
+    assert restrict_table(g4, w1) == g1
 
 
 # --- specs and fingerprints ------------------------------------------------------

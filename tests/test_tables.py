@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from pointgraphs import harness as certify
 from pointgraphs import (
     Constant,
-    Graph,
     GraphexIndicator,
     HardDistance,
     PoissonRate,
@@ -33,7 +32,6 @@ from pointgraphs import (
     graphon_spec,
     make_window,
     reseeded,
-    restrict_graph,
     restrict_table,
     rotinv_spec,
     sample,
@@ -45,6 +43,7 @@ from pointgraphs import (
 )
 from pointgraphs import groups, pairs
 from pointgraphs.coins import CoinPRF, coin_batch, derive_seeds
+from pointgraphs.edgelist import dumps_graph, loads_graph
 from pointgraphs.windows import contains_column
 from tests.test_groups import apply_label
 from tests.test_pairs import trial_graph
@@ -90,7 +89,7 @@ def test_chunk_table_equals_per_trial_calls(case, seed, trials):
     # restriction
     restricted = restrict_table(table, win_n)
     assert [trial_graph(restricted, t, fp) for t, fp in enumerate(fingerprints)] == [
-        restrict_graph(g, win_n) for g in graphs
+        restrict_table(g, win_n) for g in graphs
     ]
     direct = sample_table(spec, n, seeds)
     assert not differing_trials(restricted, direct).any()
@@ -103,7 +102,8 @@ def test_chunk_table_equals_per_trial_calls(case, seed, trials):
     acted = apply_table(gen_set, gens, table)
     moved = [trial_graph(acted, t) for t in range(trials)]
     for g, graph, got in zip(gens, graphs, moved):
-        assert got.ends.tobytes() == graph.ends.tobytes() and got.latents == graph.latents
+        assert got.ends.tobytes() == graph.ends.tobytes()
+        assert got.latents.tolist() == graph.latents.tolist()
         assert got.vertices == tuple(apply_label(gen_set, g, v) for v in graph.vertices)
         if isinstance(gen_set, groups.Transpositions):
             a, b = g.tolist()
@@ -123,7 +123,7 @@ def test_chunk_table_equals_per_trial_calls(case, seed, trials):
     invariance = certify._invariance_stats(spec, win_n.size)
     columns = invariance(table)
     for name, column in columns.items():
-        assert column.tolist() == [invariance(g.table)[name][0] for g in graphs]
+        assert column.tolist() == [invariance(g)[name][0] for g in graphs]
 
     # exact equality names exactly the trial that was changed
     filled = np.flatnonzero(np.diff(table.starts))
@@ -143,23 +143,32 @@ def test_one_graph_survives_its_one_trial_table(config):
     spec = spec_from_dict(json.loads((CONFIGS / f"{config}.json").read_text()))
     sizes = {"graphon": (1, 7, 40), "graphex": (0.05, 1.5, 6.0), "rotinv": (0.05, 3.0, 30.0)}
     graphs = [sample(reseeded(spec, s), n) for n in sizes[spec.family] for s in (1, 2)]
-    graphs += [restrict_graph(g, window_for(spec, sizes[spec.family][0])) for g in graphs]
+    graphs += [restrict_table(g, window_for(spec, sizes[spec.family][0])) for g in graphs]
     if spec.family == "graphex":  # no point of the smallest window has an edge
         assert graphs[0].n_vertices == 0
     assert any(g.n_edges for g in graphs)
     for g in graphs:
-        table = g.table
-        assert table.n_trials == 1 and table.ends is g.ends
-        assert Graph(table, g.fingerprint) == g
+        assert g.n_trials == 1 and g.starts.tolist() == [0, g.n_vertices]
+        columns = (g.window, g.labels, g.latents, g.ends, g.starts, g.family)
+        rebuilt = pairs.GraphTable(*columns, g.fingerprint)
+        assert rebuilt == g and hash(rebuilt) == hash(g)
+        assert pairs.GraphTable(*columns) != g  # the fingerprint is compared
 
 
-def test_graph_holds_one_trial_only():
-    spec, n, _ = CASES["graphon"]
-    for trials in (0, 2):
-        table = sample_table(spec, n, derive_seeds(spec.seed, np.arange(trials)))
-        assert table.n_trials == trials
-        with pytest.raises(ValueError, match=f"a table of {trials} trials is not one graph"):
-            Graph(table, fingerprint(spec))
+def test_a_table_of_several_trials_is_their_disjoint_union():
+    # graph_stats and the edge list read a table of two trials as one graph,
+    # the disjoint union of its trials
+    spec = rotinv_spec(HardDistance(0.8), dim=2, point=PoissonRate(4.0), seed=9)
+    table = sample_table(spec, 6.0, derive_seeds(spec.seed, np.arange(2)))
+    per_trial = table_stats(table)
+    assert table.n_trials == 2 and (per_trial["triangle_count"] > 0).all()
+    back = loads_graph(dumps_graph(table))
+    assert back.n_trials == 1 and back.vertices == table.vertices and back.edges == table.edges
+    for stats in (graph_stats(table), graph_stats(back)):
+        assert stats.edge_count == table.n_edges == per_trial["edge_count"].sum()
+        assert stats.triangle_count == per_trial["triangle_count"].sum()
+        assert stats.max_degree == per_trial["max_degree"].max()
+    assert graph_stats(back) == graph_stats(table)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5])
@@ -212,21 +221,37 @@ def _suite(scale: int):
 
 
 def test_certify_suite_builds_no_graph_per_trial(monkeypatch):
-    built = []
-    init = pairs.Graph.__init__
+    # a few tables per chunk of trials, never one per trial: doubling the
+    # trials doubles the tables only where it doubles the chunks
+    built, chunks = [], []
+    post_init, chunked = pairs.GraphTable.__post_init__, certify._chunks
 
-    def counting_init(self, *args, **kwargs):
+    def counting_post_init(self):
         built.append(1)
-        init(self, *args, **kwargs)
+        post_init(self)
 
-    monkeypatch.setattr(pairs.Graph, "__init__", counting_init)
+    def counting_chunks(*args, **kwargs):
+        for chunk in chunked(*args, **kwargs):
+            chunks.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(pairs.GraphTable, "__post_init__", counting_post_init)
+    monkeypatch.setattr(certify, "_chunks", counting_chunks)
     counts = {}
     for scale in (1, 2):
         for index, report in enumerate(_suite(scale)):
-            counts[scale, index] = len(built)
+            counts[scale, index] = len(built), len(chunks), sum(chunks)
             built.clear()
+            chunks.clear()
             assert report.passed == (index < 3)
-    assert [counts[1, i] for i in range(4)] == [counts[2, i] for i in range(4)] == [0] * 4
+    for index in range(4):
+        (tables, n_chunks, trials), (tables_2, n_chunks_2, trials_2) = (
+            counts[scale, index] for scale in (1, 2)
+        )
+        assert trials_2 == 2 * trials and n_chunks < trials
+        assert tables * n_chunks_2 == tables_2 * n_chunks  # the same tables a chunk
+        assert tables <= 3 * n_chunks
+    assert counts[2, 0][1] == 2 * counts[1, 0][1]  # a report whose chunks double
 
 
 def test_haar_rotations_check_the_stack_once(monkeypatch):
